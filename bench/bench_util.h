@@ -2,7 +2,7 @@
 //
 // Each bench binary regenerates one table or figure from Section 7 of the
 // paper on the calibrated synthetic datasets, printing the paper's reported
-// numbers next to ours. See EXPERIMENTS.md for the collected results.
+// numbers next to ours.
 //
 // Every harness binary also accepts `--json <path>`: measurements are then
 // appended as machine-readable records (a JSON array of

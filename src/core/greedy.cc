@@ -1,6 +1,7 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -218,8 +219,11 @@ std::optional<SortRefinement> GreedyFindRefinement(
 namespace {
 
 /// Shared agglomerative engine. Merges the best pair (highest merged sigma,
-/// compared exactly; ties by lower part order for determinism) while
-/// `may_merge` admits it and more than `min_sorts` sorts remain.
+/// compared exactly; ties by lower part order for determinism), recording
+/// each committed merge, until `max_merges` merges are made or — when
+/// `floor` is set — the best pair's merged sigma falls below it. The pair
+/// order ignores both stopping rules, so every run is a prefix of the
+/// unbounded one (see AgglomerativeMerges).
 ///
 /// Incremental evaluation: each part keeps a SortStats, so a candidate
 /// merge's sigma is one stats merge plus an O(1) closed-form extraction —
@@ -236,11 +240,15 @@ namespace {
 /// only amortizes once rows are a few hundred entries wide.
 constexpr int kParallelAgglomerateCutoff = 256;
 
-SortRefinement Agglomerate(
-    const eval::Evaluator& evaluator, std::size_t min_sorts,
-    const std::function<bool(const eval::SigmaCounts&)>& may_merge,
-    int threads, const util::CancellationToken& cancel) {
+std::vector<AgglomerativeMerge> Agglomerate(
+    const eval::Evaluator& evaluator, std::size_t max_merges,
+    const std::optional<Rational>& floor, int threads,
+    const util::CancellationToken& cancel) {
   const int n = static_cast<int>(evaluator.index().num_signatures());
+  // Every merge removes one of the n parts.
+  max_merges = std::min<std::size_t>(
+      max_merges, n > 1 ? static_cast<std::size_t>(n - 1) : 0);
+  std::vector<AgglomerativeMerge> merges;
 
   // Worker pool for row recomputation. Only engaged when sigma extraction is
   // a pure closed form (cheap_stats() — the cached evaluator's memo is not
@@ -259,16 +267,15 @@ SortRefinement Agglomerate(
 
   // Parts live in fixed slots; a merge folds the later slot into the earlier
   // one, so ascending live slots reproduce the erase-based ordering (and the
-  // pair tie-break order) of the scratch implementation exactly.
+  // pair tie-break order) of the scratch implementation exactly. Members are
+  // not tracked here: ReplayMerges rebuilds any prefix's partition.
   struct Part {
-    std::vector<int> members;
     eval::SortStats stats;
     std::uint32_t version = 0;
     bool alive = true;
   };
   std::vector<Part> parts(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    parts[i].members = {i};
     parts[i].stats = evaluator.MakeStats();
     parts[i].stats.Add(i);
   }
@@ -277,7 +284,6 @@ SortRefinement Agglomerate(
     eval::SigmaCounts counts;
     int a = -1, b = -1;  // slots, a < b
     std::uint32_t version_a = 0, version_b = 0;
-    bool allowed = false;
   };
 
   // Mutex-folded reduction target for the split row scan: pool lanes Offer()
@@ -308,11 +314,12 @@ SortRefinement Agglomerate(
     }
   };
 
-  // Strict "merge first" order: allowed merges before disallowed ones, then
-  // the exactly-higher sigma, then the earlier pair — the same preference the
-  // scratch scan applied, minus its 1e-15 float slack.
+  // Strict "merge first" order: the exactly-higher sigma, then the earlier
+  // pair — the same preference the scratch scan applied, minus its 1e-15
+  // float slack. The order ignores theta: SigmaAtLeast is monotone in this
+  // same exact sigma order (both read total == 0 as sigma = 1), so the
+  // pairs that meet any theta are always picked before those that do not.
   const auto merges_before = [](const PairEntry& x, const PairEntry& y) {
-    if (x.allowed != y.allowed) return x.allowed;
     const int c = eval::CompareSigma(x.counts, y.counts);
     if (c != 0) return c > 0;
     if (x.a != y.a) return x.a < y.a;
@@ -323,7 +330,6 @@ SortRefinement Agglomerate(
     PairEntry e;
     e.counts =
         evaluator.CountsFromMergedStats(parts[a].stats, parts[b].stats);
-    e.allowed = may_merge(e.counts);
     e.a = a;
     e.b = b;
     e.version_a = parts[a].version;
@@ -400,10 +406,8 @@ SortRefinement Agglomerate(
     if (has_row[a]) heap.push(row_best[a]);
   };
 
-  std::size_t live = static_cast<std::size_t>(n);
-  const std::size_t stop = std::max<std::size_t>(min_sorts, 1);
   bool cancelled = cancel.stop_requested();
-  if (live > stop && !cancelled) {
+  if (max_merges > 0 && !cancelled) {
     if (pool != nullptr) {
       pool->ParallelFor(static_cast<std::size_t>(n),
                         [&](std::size_t lo, std::size_t hi) {
@@ -419,7 +423,8 @@ SortRefinement Agglomerate(
       for (int a = 0; a < n; ++a) {
         // Per-row granularity: each row is O(n) closed-form evaluations, so
         // this is the natural safe point of the initial build. A cancelled
-        // build skips the merge loop — all-singletons is a valid partition.
+        // build skips the merge loop — no merges is all singletons, a valid
+        // partition.
         if (cancel.stop_requested()) {
           cancelled = true;
           break;
@@ -428,9 +433,9 @@ SortRefinement Agglomerate(
       }
     }
   }
-  while (live > stop && !cancelled) {
-    // One merge round per checkpoint: unwinding here leaves a coarser but
-    // fully valid partition (parts always cover every signature).
+  while (merges.size() < max_merges && !cancelled) {
+    // One merge round per checkpoint: unwinding here leaves a shorter prefix
+    // of the merge sequence.
     if (cancel.stop_requested()) break;
     // Pop to the best still-valid snapshot; entries for dead or since-merged
     // parts are discarded here rather than eagerly removed.
@@ -448,22 +453,19 @@ SortRefinement Agglomerate(
       }
     }
     if (!found) break;
-    // Under a threshold regime (min_sorts == 1) only allowed merges happen;
-    // under fixed-k (min_sorts == k) every merge is allowed by construction.
-    if (!best.allowed) break;
+    // The theta cut (ThetaCut applies the same test to a recorded sequence).
+    if (floor.has_value() && !SigmaAtLeast(best.counts, *floor)) break;
 
     const int a = best.a;
     const int b = best.b;
-    parts[a].members.insert(parts[a].members.end(), parts[b].members.begin(),
-                            parts[b].members.end());
     parts[a].stats.MergeWith(parts[b].stats);
     // The merge is the one operation that can cross the sparse/dense
     // representation boundary with bulk state; audit every committed one.
     RDFSR_AUDIT_CHECK_INVARIANTS(parts[a].stats);
     ++parts[a].version;
     parts[b].alive = false;
-    --live;
-    if (live <= stop) break;
+    merges.push_back({a, b, best.counts});
+    if (merges.size() == max_merges) break;
 
     // Only rows touching the merged part change: rows whose cached best
     // referenced a or b must rescan; earlier rows race the merged part as a
@@ -541,35 +543,69 @@ SortRefinement Agglomerate(
     }
   }
 
-  SortRefinement refinement;
-  for (auto& part : parts) {
-    if (!part.alive) continue;
-    std::sort(part.members.begin(), part.members.end());
-    refinement.sorts.push_back(std::move(part.members));
-  }
-  return refinement;
+  return merges;
 }
 
 }  // namespace
 
+std::vector<AgglomerativeMerge> AgglomerativeMerges(
+    const eval::Evaluator& evaluator, int threads,
+    const util::CancellationToken& cancel) {
+  return Agglomerate(evaluator, SIZE_MAX, std::nullopt, threads, cancel);
+}
+
+std::size_t ThetaCut(const std::vector<AgglomerativeMerge>& merges,
+                     Rational theta) {
+  std::size_t length = 0;
+  while (length < merges.size() && SigmaAtLeast(merges[length].counts, theta)) {
+    ++length;
+  }
+  return length;
+}
+
+SortRefinement ReplayMerges(int num_signatures,
+                            const std::vector<AgglomerativeMerge>& merges,
+                            std::size_t length) {
+  RDFSR_CHECK_LE(length, merges.size());
+  // owner[s]: the slot s was folded into, s itself while it survives. A slot
+  // is folded at most once and always into a lower slot, so one ascending
+  // pass resolves every slot to its surviving sort.
+  std::vector<int> owner(static_cast<std::size_t>(num_signatures));
+  std::iota(owner.begin(), owner.end(), 0);
+  for (std::size_t i = 0; i < length; ++i) owner[merges[i].b] = merges[i].a;
+  SortRefinement refinement;
+  std::vector<std::size_t> sort_of(owner.size());
+  for (int s = 0; s < num_signatures; ++s) {
+    if (owner[s] == s) {
+      sort_of[s] = refinement.sorts.size();
+      refinement.sorts.emplace_back();
+    } else {
+      sort_of[s] = sort_of[owner[s]];
+    }
+    // Slot s started as signature s: ascending s keeps members sorted.
+    refinement.sorts[sort_of[s]].push_back(s);
+  }
+  return refinement;
+}
+
 SortRefinement AgglomerativeLowestK(const eval::Evaluator& evaluator,
                                     Rational theta, int threads,
                                     const util::CancellationToken& cancel) {
-  return Agglomerate(
-      evaluator, 1,
-      [&](const eval::SigmaCounts& counts) {
-        return SigmaAtLeast(counts, theta);
-      },
-      threads, cancel);
+  const int n = static_cast<int>(evaluator.index().num_signatures());
+  const std::vector<AgglomerativeMerge> merges =
+      Agglomerate(evaluator, SIZE_MAX, theta, threads, cancel);
+  return ReplayMerges(n, merges, merges.size());
 }
 
 SortRefinement AgglomerativeFixedK(const eval::Evaluator& evaluator, int k,
                                    int threads,
                                    const util::CancellationToken& cancel) {
   RDFSR_CHECK_GT(k, 0);
-  return Agglomerate(evaluator, static_cast<std::size_t>(k),
-                     [](const eval::SigmaCounts&) { return true; }, threads,
-                     cancel);
+  const int n = static_cast<int>(evaluator.index().num_signatures());
+  const std::vector<AgglomerativeMerge> merges = Agglomerate(
+      evaluator, n > k ? static_cast<std::size_t>(n - k) : 0, std::nullopt,
+      threads, cancel);
+  return ReplayMerges(n, merges, merges.size());
 }
 
 }  // namespace rdfsr::core

@@ -22,8 +22,10 @@
 #ifndef RDFSR_CORE_GREEDY_H_
 #define RDFSR_CORE_GREEDY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/refinement.h"
 #include "eval/evaluator.h"
@@ -56,34 +58,69 @@ std::optional<SortRefinement> GreedyFindRefinement(
     const eval::Evaluator& evaluator, int k, Rational theta,
     const GreedyOptions& options = {});
 
-/// Bottom-up merge heuristic for the lowest-k problem: start with every
-/// signature set in its own implicit sort (for the builtin rule families a
-/// single-signature sort has sigma = 1) and repeatedly merge the pair of
-/// sorts whose merged sigma is highest, as long as that merged sigma still
-/// meets theta (checked exactly). Stops when no pair can merge — the number
-/// of remaining sorts is a greedy upper bound on the lowest k. Deterministic.
+/// One committed merge of the agglomerative engine. Sort slots start as one
+/// signature each (slot i holds signature i); the merge folds slot `b` into
+/// slot `a` (a < b), and `counts` are the merged sort's exact sigma counts.
+struct AgglomerativeMerge {
+  int a = -1;
+  int b = -1;
+  eval::SigmaCounts counts;
+};
+
+/// The agglomerative dendrogram: starting from one sort per signature (for
+/// the builtin rule families a single-signature sort has sigma = 1), merge
+/// the pair of sorts whose merged sigma is highest (compared exactly; ties go
+/// to the lower slot pair) until one sort remains, and return the merges in
+/// order. Deterministic.
+///
+/// The pair order does not depend on any threshold, so every agglomerative
+/// clustering this engine produces is a prefix of this one sequence: the
+/// theta-stopped run (AgglomerativeLowestK) is the prefix before the first
+/// merge below theta, and the k-stopped run (AgglomerativeFixedK) is the
+/// first n - k merges. Build it once, then cut it per theta and per k.
 ///
 /// `threads` parallelizes the best-pair row recomputation (values < 1 mean
-/// one thread per hardware thread). The merge sequence — and therefore the
-/// returned refinement — is bit-identical for every thread count: candidate
-/// pairs are totally ordered (exact sigma comparison, then pair index), so
-/// the per-row best and the popped merge are unique regardless of the order
-/// worker threads discover them. Parallelism engages only when the evaluator
+/// one thread per hardware thread). The merge sequence is bit-identical for
+/// every thread count: candidate pairs are totally ordered, so the per-row
+/// best and the popped merge are unique regardless of the order worker
+/// threads discover them. Parallelism engages only when the evaluator
 /// reports cheap_stats() (pure closed-form extraction, no shared memo) and
 /// the instance is large enough to pay for the fan-out.
 ///
 /// `cancel` is polled once per merge round (and per row during the initial
-/// build): a tripped token stops merging early, returning the valid partial
-/// partition reached so far — more sorts than the uncancelled run, never an
-/// invalid partition.
+/// build): a tripped token stops merging early and returns the merges made
+/// so far, a prefix of the uncancelled sequence.
+std::vector<AgglomerativeMerge> AgglomerativeMerges(
+    const eval::Evaluator& evaluator, int threads = 1,
+    const util::CancellationToken& cancel = {});
+
+/// Length of the theta cut: the number of leading merges before the first
+/// one whose merged sigma is below theta (checked exactly).
+std::size_t ThetaCut(const std::vector<AgglomerativeMerge>& merges,
+                     Rational theta);
+
+/// The partition after the first `length` merges of a dendrogram over
+/// `num_signatures` signatures: sorts in ascending surviving-slot order,
+/// members sorted. O(num_signatures + length).
+SortRefinement ReplayMerges(int num_signatures,
+                            const std::vector<AgglomerativeMerge>& merges,
+                            std::size_t length);
+
+/// Bottom-up merge heuristic for the lowest-k problem: the dendrogram cut at
+/// theta — merge best pairs while the merged sigma still meets theta. The
+/// number of remaining sorts is a greedy upper bound on the lowest k. Stops
+/// merging at the cut instead of building the whole dendrogram. `threads`
+/// and `cancel` as in AgglomerativeMerges (a cancelled run returns a valid
+/// partition with more sorts than the uncancelled one).
 SortRefinement AgglomerativeLowestK(const eval::Evaluator& evaluator,
                                     Rational theta, int threads = 1,
                                     const util::CancellationToken& cancel = {});
 
-/// Merge variant for fixed k: merge best pairs unconditionally until at most
-/// `k` sorts remain (a hierarchical-clustering seed for Exists/highest-theta;
-/// callers validate against their threshold). `threads` and `cancel` as in
-/// AgglomerativeLowestK (a cancelled run may stop above k sorts).
+/// Merge variant for fixed k: the dendrogram cut after n - k merges, so at
+/// most `k` sorts remain (a hierarchical-clustering seed for
+/// Exists/highest-theta; callers validate against their threshold).
+/// `threads` and `cancel` as in AgglomerativeMerges (a cancelled run may stop
+/// above k sorts).
 SortRefinement AgglomerativeFixedK(const eval::Evaluator& evaluator, int k,
                                    int threads = 1,
                                    const util::CancellationToken& cancel = {});

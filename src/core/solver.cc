@@ -107,42 +107,50 @@ RefinementSolver::ScoredRefinement RefinementSolver::Score(
   return scored;
 }
 
+const RefinementSolver::ScoredRefinement& RefinementSolver::AgglomerativeCut(
+    const std::function<std::size_t(const std::vector<AgglomerativeMerge>&)>&
+        cut) {
+  const int n = static_cast<int>(Eval().index().num_signatures());
+  if (!merges_.has_value()) {
+    // Cached regardless of reuse_instances: one dendrogram serves every
+    // theta and k.
+    const util::CancellationToken token = options_.deadline.token();
+    std::vector<AgglomerativeMerge> merges =
+        AgglomerativeMerges(Eval(), options_.heuristic_threads, token);
+    if (token.stop_requested()) {
+      // A list built under a tripped token may be truncated; keep it out of
+      // the cache so a later, un-deadlined query rebuilds it in full. This
+      // call gets the cut of the truncated list.
+      scratch_scored_ = Score(ReplayMerges(n, merges, cut(merges)));
+      return scratch_scored_;
+    }
+    merges_ = std::move(merges);
+  }
+  const std::size_t length = cut(*merges_);
+  auto it = cut_cache_.find(length);
+  if (it == cut_cache_.end()) {
+    it = cut_cache_.emplace(length, Score(ReplayMerges(n, *merges_, length)))
+             .first;
+  }
+  return it->second;
+}
+
 const RefinementSolver::ScoredRefinement&
 RefinementSolver::AgglomerativeForTheta(Rational theta) {
-  // Cached per theta regardless of reuse_instances (the pre-reuse solver
-  // already memoized these across the k ladder).
-  const std::pair<std::int64_t, std::int64_t> key{theta.num(), theta.den()};
-  auto it = agglomerative_cache_.find(key);
-  if (it != agglomerative_cache_.end()) return it->second;
-  const util::CancellationToken token = options_.deadline.token();
-  ScoredRefinement scored = Score(
-      AgglomerativeLowestK(Eval(), theta, options_.heuristic_threads, token));
-  if (token.stop_requested()) {
-    // A result computed under a tripped token may be truncated; keep it out
-    // of the cache so a later, un-deadlined query recomputes it in full.
-    scratch_scored_ = std::move(scored);
-    return scratch_scored_;
-  }
-  return agglomerative_cache_.emplace(key, std::move(scored)).first->second;
+  return AgglomerativeCut(
+      [theta](const std::vector<AgglomerativeMerge>& merges) {
+        return ThetaCut(merges, theta);
+      });
 }
 
 const RefinementSolver::ScoredRefinement&
 RefinementSolver::AgglomerativeFixedKFor(int k) {
-  const util::CancellationToken token = options_.deadline.token();
-  if (!options_.reuse_instances) {
-    scratch_scored_ = Score(
-        AgglomerativeFixedK(Eval(), k, options_.heuristic_threads, token));
-    return scratch_scored_;
-  }
-  auto it = fixed_k_cache_.find(k);
-  if (it != fixed_k_cache_.end()) return it->second;
-  ScoredRefinement scored = Score(
-      AgglomerativeFixedK(Eval(), k, options_.heuristic_threads, token));
-  if (token.stop_requested()) {
-    scratch_scored_ = std::move(scored);
-    return scratch_scored_;
-  }
-  return fixed_k_cache_.emplace(k, std::move(scored)).first->second;
+  const int n = static_cast<int>(Eval().index().num_signatures());
+  const std::size_t n_minus_k = n > k ? static_cast<std::size_t>(n - k) : 0;
+  return AgglomerativeCut(
+      [n_minus_k](const std::vector<AgglomerativeMerge>& merges) {
+        return std::min(n_minus_k, merges.size());
+      });
 }
 
 const RefinementSolver::ScoredRefinement& RefinementSolver::GreedyFor(int k) {

@@ -17,8 +17,12 @@
 // instances (reuse_instances, on by default):
 //  * one RefinementIlpInstance per k, reweighted per theta instead of
 //    rebuilding the O(k * |P| * n) encoding,
-//  * the theta-independent heuristics (greedy max-min, fixed-k agglomerative)
-//    run once per k; their per-sort counts are cached so re-validation
+//  * the agglomerative merge sequence (a dendrogram) is built once per
+//    solver and serves every theta and k: the threshold rung is its prefix
+//    before the first merge below theta, the fixed-k rung its first n - k
+//    merges, and each distinct prefix is scored once,
+//  * greedy max-min runs once per k,
+//  * heuristic refinements keep their per-sort counts, so re-validation
 //    against each instance's threshold is O(#sorts) exact comparisons,
 //  * the theta grid itself is derived in exact integer arithmetic
 //    (ThetaGrid), so no grid point is skipped or re-tested and theta = 1 is
@@ -29,7 +33,9 @@
 #ifndef RDFSR_CORE_SOLVER_H_
 #define RDFSR_CORE_SOLVER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,12 +99,11 @@ struct SolverOptions {
   /// Memoize sigma evaluations across heuristic and validation calls.
   bool cache_evaluations = true;
   /// Reuse work across decision instances: one ILP encoding per k reweighted
-  /// per theta, theta-independent heuristic refinements computed once per k,
-  /// and per-sort counts cached so validation per instance is a handful of
-  /// exact comparisons. Outputs are bit-identical with the flag off (the
-  /// heuristics are deterministic and a reweighted instance equals a fresh
-  /// build); off exists as the rebuild-per-instance baseline for
-  /// bench_solver and the regression tests.
+  /// per theta, and the greedy max-min refinement computed once per k.
+  /// Outputs are bit-identical with the flag off (the heuristics are
+  /// deterministic and a reweighted instance equals a fresh build); off
+  /// exists as the rebuild-per-instance baseline for bench_solver and the
+  /// regression tests. The agglomerative dendrogram is cached either way.
   bool reuse_instances = true;
   /// Warm-start the exact solves across the search grid: each SolveMip's root
   /// basis (same k) seeds the next instance's root LP, so a Reweight(theta)
@@ -239,6 +244,11 @@ class RefinementSolver {
   /// a time). With reuse_instances off, builds a fresh instance per call.
   RefinementIlpInstance& InstanceFor(int k);
   ScoredRefinement Score(SortRefinement refinement) const;
+  /// The dendrogram prefix of `cut(merges)` merges, scored. Builds the merge
+  /// list on first use.
+  const ScoredRefinement& AgglomerativeCut(
+      const std::function<std::size_t(const std::vector<AgglomerativeMerge>&)>&
+          cut);
   const ScoredRefinement& AgglomerativeForTheta(Rational theta);
   const ScoredRefinement& AgglomerativeFixedKFor(int k);
   const ScoredRefinement& GreedyFor(int k);
@@ -261,14 +271,15 @@ class RefinementSolver {
   // presolve reductions) are rejected inside the MIP and cost nothing.
   ilp::SimplexBasis warm_basis_;
   int warm_basis_k_ = -1;
-  // Heuristic-ladder caches. Agglomerative lowest-k partitions per theta
-  // (reused across the k ladder); fixed-k agglomerative and greedy max-min
-  // per k (theta-independent, reused across the theta grid).
-  std::map<std::pair<std::int64_t, std::int64_t>, ScoredRefinement>
-      agglomerative_cache_;
-  std::map<int, ScoredRefinement> fixed_k_cache_;
+  // Heuristic-ladder caches. The agglomerative merge list, built once, and
+  // its scored cuts keyed by prefix length (many grid thetas and ks cut at
+  // the same merge); greedy max-min per k (theta-independent, reused across
+  // the theta grid).
+  std::optional<std::vector<AgglomerativeMerge>> merges_;
+  std::map<std::size_t, ScoredRefinement> cut_cache_;
   std::map<int, ScoredRefinement> greedy_cache_;
-  // Single-slot scratch for the reuse_instances=false baseline, so the
+  // Single-slot scratch for results that stay out of the caches (computed
+  // under a tripped token, or greedy with reuse_instances off), so the
   // accessors can still hand out references.
   ScoredRefinement scratch_scored_;
 };

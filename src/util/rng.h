@@ -1,7 +1,7 @@
 // Deterministic pseudo-random number generation for generators and tests.
 //
-// All synthetic-data generators take an explicit seed so that every experiment in
-// EXPERIMENTS.md is reproducible bit-for-bit. We wrap SplitMix64 (for seeding) and
+// All synthetic-data generators take an explicit seed so that every experiment
+// and benchmark is reproducible bit-for-bit. We wrap SplitMix64 (for seeding) and
 // xoshiro256** (for streams): both are tiny, fast, and fully specified here, so the
 // library does not depend on unspecified standard-library distribution details.
 

@@ -260,6 +260,41 @@ TEST(DeadlineTest, LowestKFailsWithDeadlineExceeded) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
+/// Delegates to `inner` and cancels `deadline` on the `trip_at`-th
+/// merged-stats probe — a deterministic trip inside the agglomerative engine,
+/// the only caller of CountsFromMergedStats. Single-threaded use only.
+class CancelAfterMergeProbes : public eval::Evaluator {
+ public:
+  CancelAfterMergeProbes(const eval::Evaluator* inner, util::Deadline deadline,
+                         std::size_t trip_at)
+      : inner_(inner), deadline_(std::move(deadline)), trip_at_(trip_at) {}
+
+  const rules::Rule& rule() const override { return inner_->rule(); }
+  const schema::SignatureIndex& index() const override {
+    return inner_->index();
+  }
+  eval::SigmaCounts Counts(const std::vector<int>& sig_ids) const override {
+    return inner_->Counts(sig_ids);
+  }
+  eval::SortStats MakeStats() const override { return inner_->MakeStats(); }
+  eval::SigmaCounts CountsFromStats(
+      const eval::SortStats& stats) const override {
+    return inner_->CountsFromStats(stats);
+  }
+  eval::SigmaCounts CountsFromMergedStats(
+      const eval::SortStats& a, const eval::SortStats& b) const override {
+    if (++probes_ == trip_at_) deadline_.RequestCancel();
+    return inner_->CountsFromMergedStats(a, b);
+  }
+  bool cheap_stats() const override { return inner_->cheap_stats(); }
+
+ private:
+  const eval::Evaluator* inner_;
+  util::Deadline deadline_;
+  std::size_t trip_at_;
+  mutable std::size_t probes_ = 0;
+};
+
 TEST(DeadlineTest, TrippedHeuristicsDoNotPoisonTheCaches) {
   // A solver whose first query ran under an expired deadline must not serve
   // the truncated heuristic results to a later, un-deadlined query: the
@@ -284,6 +319,46 @@ TEST(DeadlineTest, TrippedHeuristicsDoNotPoisonTheCaches) {
   EXPECT_FALSE(warm.timed_out);
   EXPECT_EQ(warm.theta, cold.theta);
   EXPECT_EQ(warm.refinement.sorts, cold.refinement.sorts);
+
+  // Now a deadline that trips while the first ladder call is building the
+  // agglomerative merge list: the truncated list must not be cached, so the
+  // re-armed solver answers both searches exactly like a fresh one. Every
+  // exact solve is gated so the lowest-k sweep stays in the heuristic regime.
+  core::SolverOptions gated;
+  gated.max_mip_rows = 0;
+  core::RefinementSolver gated_fresh(cov.get(), gated);
+  const std::size_t n = index.num_signatures();
+  const util::Deadline tripping = util::Deadline::Cancellable();
+  // Past the initial n(n-1)/2 row probes, inside the merge loop.
+  CancelAfterMergeProbes probed(cov.get(), tripping, n * (n - 1) / 2 + 8);
+  core::SolverOptions tripping_options = gated;
+  tripping_options.deadline = tripping;
+  core::RefinementSolver cut_mid_build(&probed, tripping_options);
+  const core::HighestThetaResult cut = cut_mid_build.FindHighestTheta(2);
+  ASSERT_TRUE(tripping.token().cancelled());
+  EXPECT_TRUE(cut.timed_out);
+  cut_mid_build.set_deadline(util::Deadline());
+
+  const core::HighestThetaResult rearmed = cut_mid_build.FindHighestTheta(2);
+  const core::HighestThetaResult gated_cold = gated_fresh.FindHighestTheta(2);
+  EXPECT_FALSE(rearmed.timed_out);
+  EXPECT_EQ(rearmed.theta, gated_cold.theta);
+  EXPECT_EQ(rearmed.refinement.sorts, gated_cold.refinement.sorts);
+  EXPECT_EQ(rearmed.instances, gated_cold.instances);
+  EXPECT_EQ(rearmed.ceiling_proven, gated_cold.ceiling_proven);
+
+  const Rational theta(1, 2);  // k = 6 here: a short heuristic sweep
+  const auto rearmed_k = cut_mid_build.FindLowestK(theta);
+  const auto cold_k = gated_fresh.FindLowestK(theta);
+  ASSERT_EQ(rearmed_k.ok(), cold_k.ok());
+  if (cold_k.ok()) {
+    EXPECT_EQ(rearmed_k->k, cold_k->k);
+    EXPECT_EQ(rearmed_k->refinement.sorts, cold_k->refinement.sorts);
+    EXPECT_EQ(rearmed_k->instances, cold_k->instances);
+    EXPECT_EQ(rearmed_k->proven_minimal, cold_k->proven_minimal);
+  } else {
+    EXPECT_EQ(rearmed_k.status().code(), cold_k.status().code());
+  }
 }
 
 // --- api surface -------------------------------------------------------------

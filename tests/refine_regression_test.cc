@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "agglomerate_oracle.h"
 #include "api/rdfsr.h"
 #include "core/greedy.h"
 #include "eval/evaluator.h"
@@ -132,6 +133,30 @@ TEST(RefineRegressionTest, RandomIndexRefinementsUnchanged) {
     EXPECT_EQ(Render(AgglomerativeFixedK(*evaluator, 3)), c.agglo_fixedk_3)
         << context;
     EXPECT_EQ(Render(GreedyMaxMinSigma(*evaluator, 3)), c.greedy_k3)
+        << context;
+  }
+}
+
+TEST(RefineRegressionTest, AgglomerateOracleReproducesRecordedOutputs) {
+  // agglomerative_test checks every dendrogram cut against this oracle (the
+  // former threshold-stopped / k-stopped engine); this anchors the oracle
+  // itself to the recorded outputs.
+  for (const RecordedCase& c : kRecorded) {
+    gen::RandomIndexSpec spec;
+    spec.num_signatures = 12;
+    spec.num_properties = 8;
+    spec.seed = c.seed;
+    const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
+    auto evaluator =
+        eval::MakeEvaluator(std::string(c.rule) == "cov" ? rules::CovRule()
+                                                         : rules::SimRule(),
+                            &index);
+    const std::string context =
+        "seed " + std::to_string(c.seed) + " " + c.rule;
+    EXPECT_EQ(Render(oracle::OracleLowestK(*evaluator, Rational(9, 10))),
+              c.agglo_lowestk_9_10)
+        << context;
+    EXPECT_EQ(Render(oracle::OracleFixedK(*evaluator, 3)), c.agglo_fixedk_3)
         << context;
   }
 }
