@@ -1,8 +1,10 @@
-// Ablations over the encoding decisions documented in DESIGN.md: symmetry
-// breaking (precedence vs the paper's hash constraints vs none), continuous
-// vs binary auxiliary variables, sign-directed vs paper-literal linking, and
-// greedy-first vs pure MIP. Each variant answers the same decision instances;
-// we report encoding sizes, node counts, and wall time.
+// Ablations over the encoding decisions documented in the header comment of
+// src/core/ilp_builder.h ("Optimizations relative to the paper's literal
+// encoding"): symmetry breaking (precedence vs the paper's hash constraints vs
+// none), continuous vs binary auxiliary variables, sign-directed vs
+// paper-literal linking, and greedy-first vs pure MIP. Each variant answers
+// the same decision instances; we report encoding sizes, node counts, and
+// wall time.
 
 #include <iostream>
 
@@ -55,8 +57,8 @@ int main(int argc, char** argv) {
   using namespace rdfsr;  // NOLINT(build/namespaces)
   bench::InitHarness(argc, argv, "ablation");
   bench::Banner("Ablation: encoding variants on a DBpedia-Persons instance",
-                "DESIGN.md optimizations; all variants must agree on the "
-                "decision");
+                "encoding optimizations of core/ilp_builder.h; all variants "
+                "must agree on the decision");
 
   gen::PersonsConfig config;
   config.num_subjects = 600;  // small instance so every variant terminates

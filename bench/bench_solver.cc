@@ -1,47 +1,20 @@
-// bench_solver — end-to-end FindHighestTheta / FindLowestK throughput:
-// instance-reuse exact path vs rebuild-per-instance baseline.
-//
-// The Section 7 searches drive the Section 6 ILP through many closely
-// related decision instances (a theta grid, a k ladder). With
-// SolverOptions::reuse_instances the solver keeps one encoding per k and
-// reweights its threshold rows per theta, runs the theta-independent
-// heuristics (greedy max-min, fixed-k agglomerative) once per k, and caches
-// per-sort counts so re-validation per instance is a handful of exact integer
-// comparisons. The baseline (reuse off) rebuilds the encoding and re-runs the
-// ladder for every instance — what the solver did before the reuse rewrite.
-//
-// Outputs must be bit-identical between the two modes (the heuristics are
-// deterministic and a reweighted instance equals a fresh build; see
-// tests/solver_reuse_test.cc for the small regression lock) and the binary
-// exits non-zero on any divergence. CI runs the small default and uploads
-// bench_solver.json; there is no perf gating, the records track the
-// trajectory.
+// bench_solver — the two solver measurements the end-to-end benchmark
+// (bench/e2e) does not cover; it already times the searches from file to
+// answer.
 //
 // Configs:
-//   highest_theta   default solver (heuristic ladder first) on a clustered
-//                   index large enough that the MIP row ceiling gates the
-//                   exact solver — measures heuristic + validation reuse
-//                   across the theta grid (the rebuild side re-runs greedy
-//                   and fixed-k agglomerative per instance)
-//   highest_theta_pure_exact
-//                   greedy_first = false on a small index, so every grid
-//                   instance is settled by the MIP over the (reweighted vs
-//                   rebuilt) encoding
-//   encode_only     no solving at all: one instance reweighted across the
-//                   whole theta grid vs BuildRefinementIlp per grid point —
-//                   isolates the tentpole O(k|P|n) skeleton-rebuild saving
-//   exact_sparse_vs_dense
-//                   pure-exact FindHighestTheta at full size: the
-//                   LU-factorized warm-started engine vs the dense-inverse
-//                   cold-start baseline (wall-clock capped; speedup is a
-//                   lower bound when the cap trips)
+//   encode_only     no solving at all: one RefinementIlpInstance reweighted
+//                   across the whole theta grid FindHighestTheta would walk vs
+//                   BuildRefinementIlp per grid point, on a clustered index —
+//                   the O(k|P|n) skeleton-rebuild saving that justifies
+//                   Reweight. Spot-checks that the reweighted model equals a
+//                   fresh build (metric `match`) and exits non-zero if not.
 //   exact_frontier  one stock-options Exists(k = 2, theta = 3/4) on a large
 //                   random index — tracks the max_mip_rows default against
-//                   the measured solvable frontier
-//   lowest_k        default solver, k ladder at theta = 9/10
+//                   the measured solvable frontier (metric `decided`).
 //
-// Usage: bench_solver [--json <path>] [--signatures N] [--exact-signatures N]
-//                     [--ladder-signatures N] [--frontier-signatures N]
+// Usage: bench_solver [--json <path>] [--signatures N]
+//                     [--frontier-signatures N]   (0 skips the frontier)
 
 #include <cstring>
 #include <iostream>
@@ -61,12 +34,19 @@
 namespace rdfsr::bench {
 namespace {
 
+std::string FormatSeconds(double seconds) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(3) << seconds;
+  return out.str();
+}
+
 /// Clustered index: `families` property blocks of `block` columns plus one
 /// shared column; the first signature of each family takes its whole block
 /// (so every property is used), later ones draw ~80% of it. Family merges
 /// stay above moderate thresholds, so the theta grid has real depth to climb.
-schema::SignatureIndex MakeClusteredIndex(int n, std::uint64_t seed,
-                                          int families = 8, int block = 8) {
+schema::SignatureIndex MakeClusteredIndex(int n, std::uint64_t seed) {
+  constexpr int families = 8;
+  constexpr int block = 8;
   RDFSR_CHECK_GE(n, families);
   const int num_props = 1 + families * block;
   Rng rng(seed);
@@ -95,40 +75,7 @@ schema::SignatureIndex MakeClusteredIndex(int n, std::uint64_t seed,
                                                 std::move(sigs));
 }
 
-core::SolverOptions Options(bool reuse, bool greedy_first) {
-  core::SolverOptions options = BenchSolverOptions();
-  options.reuse_instances = reuse;
-  options.greedy_first = greedy_first;
-  // The searches meet at most a couple of undecidable instances; a tight MIP
-  // budget keeps the (identical-in-both-modes) proof cost from drowning the
-  // reuse-vs-rebuild difference this harness exists to measure. The budget
-  // must be a NODE count, not wall clock: a wall-clock limit can trip in one
-  // of the two timed runs but not the other under load, making the
-  // bit-identity assertion flaky.
-  options.mip.max_nodes = 50000;
-  options.mip.time_limit_seconds = 300.0;
-  // The heuristic-regime and ladder configs were designed against the old
-  // 4000-row MIP gate; the sparse engine's raised default would un-gate the
-  // clustered indexes' k=2/3 encodings and turn those configs into exact-solve
-  // benchmarks. Pin the old ceiling here; the engine-measuring configs below
-  // set their own.
-  options.max_mip_rows = 4000;
-  return options;
-}
-
-struct Measurement {
-  double reuse_seconds = 0;
-  double rebuild_seconds = 0;
-  int instances = 0;
-  std::string result;  // "theta=..." or "k=..."
-  bool match = true;
-  bool timed_out = false;  // deadline/limit cut: result is an incumbent
-  /// Config-specific JSON metrics appended to the record (engine counters,
-  /// speedup lower bounds, ...).
-  std::vector<std::pair<std::string, double>> extra_metrics;
-};
-
-/// Simplex/B&B engine counters of one search, as JSON metrics.
+/// Simplex/B&B engine counters of one exact solve, as JSON metrics.
 std::vector<std::pair<std::string, double>> EngineMetrics(
     long long mip_nodes, const ilp::LpEngineStats& s) {
   return {{"mip_nodes", static_cast<double>(mip_nodes)},
@@ -137,117 +84,6 @@ std::vector<std::pair<std::string, double>> EngineMetrics(
           {"lp_basis_reuses", static_cast<double>(s.basis_reuses)},
           {"lp_basis_repairs", static_cast<double>(s.basis_repairs)},
           {"lp_max_eta_length", static_cast<double>(s.max_eta_length)}};
-}
-
-void Report(TextTable* table, bool* ok, const std::string& config,
-            const std::string& rule, int n, const Measurement& m) {
-  const auto fmt = [](double seconds) {
-    std::ostringstream out;
-    out << std::fixed << std::setprecision(3) << seconds;
-    return out.str();
-  };
-  const double ratio = m.rebuild_seconds / std::max(m.reuse_seconds, 1e-9);
-  std::ostringstream speedup;
-  speedup << std::fixed << std::setprecision(1) << ratio << "x";
-  table->AddRow({config, rule, std::to_string(n), std::to_string(m.instances),
-                 fmt(m.reuse_seconds), fmt(m.rebuild_seconds), speedup.str(),
-                 m.result, m.match ? "yes" : "MISMATCH"});
-  if (!m.match) {
-    std::cerr << "FAIL: reuse and rebuild searches diverge for " << config
-              << "/" << rule << " at n = " << n << "\n";
-    *ok = false;
-  }
-  Json().Record(
-      "solver/" + config + "/" + rule,
-      {{"config", config}, {"rule", rule}, {"signatures", std::to_string(n)}},
-      m.reuse_seconds, [&] {
-        std::vector<std::pair<std::string, double>> metrics = {
-            {"signatures", static_cast<double>(n)},
-            {"instances", static_cast<double>(m.instances)},
-            {"rebuild_seconds", m.rebuild_seconds},
-            {"speedup_vs_rebuild", ratio},
-            {"match", m.match ? 1.0 : 0.0}};
-        metrics.insert(metrics.end(), m.extra_metrics.begin(),
-                       m.extra_metrics.end());
-        return metrics;
-      }(),
-      m.timed_out);
-}
-
-Measurement MeasureHighestTheta(const eval::Evaluator& evaluator, int k,
-                                bool greedy_first, bool bisect = false) {
-  Measurement m;
-  core::SolverOptions reuse_options = Options(true, greedy_first);
-  core::SolverOptions rebuild_options = Options(false, greedy_first);
-  reuse_options.binary_theta_search = bisect;
-  rebuild_options.binary_theta_search = bisect;
-  core::RefinementSolver reused(&evaluator, reuse_options);
-  core::RefinementSolver rebuilt(&evaluator, rebuild_options);
-  WallTimer reuse_timer;
-  const core::HighestThetaResult a = reused.FindHighestTheta(k);
-  m.reuse_seconds = reuse_timer.Seconds();
-  WallTimer rebuild_timer;
-  const core::HighestThetaResult b = rebuilt.FindHighestTheta(k);
-  m.rebuild_seconds = rebuild_timer.Seconds();
-  m.instances = a.instances;
-  m.result = "theta=" + a.theta.ToString();
-  m.timed_out = a.timed_out || b.timed_out;
-  m.match = a.theta == b.theta && a.instances == b.instances &&
-            a.ceiling_proven == b.ceiling_proven &&
-            RenderSorts(a.refinement) == RenderSorts(b.refinement);
-  m.extra_metrics = EngineMetrics(a.mip_nodes, a.lp_stats);
-  return m;
-}
-
-/// Engine head-to-head on a random index in pure-exact mode: the LU-factorized
-/// warm-started default against the dense-inverse cold-start baseline (the
-/// pre-rewrite engine: dense basis inverse, full Dantzig pricing,
-/// most-fractional branching, no probing, no warm starts). Both sides share a
-/// per-instance NODE budget so phase-transition grid points cannot churn
-/// unboundedly; the dense side additionally gets a wall-clock cap because at
-/// this size a full dense sweep is intractable (O(m^2) work per pivot, every
-/// LP cold). When the cap trips, the recorded speedup is a lower bound and
-/// the bit-identity check is skipped (the dense result is an incumbent).
-Measurement MeasureSparseVsDense(const eval::Evaluator& evaluator, int k,
-                                 double dense_cap_seconds) {
-  Measurement m;
-  core::SolverOptions sparse = Options(true, /*greedy_first=*/false);
-  // This config measures the engine, not the row gate: admit the encoding.
-  sparse.max_mip_rows = 1 << 30;
-  sparse.warm_start = true;
-  sparse.mip.max_nodes = 200;
-  sparse.mip.time_limit_seconds = 1e9;
-  core::SolverOptions dense = sparse;
-  dense.warm_start = false;
-  dense.mip.warm_start_lps = false;
-  dense.mip.root_probing = false;
-  dense.mip.branching = ilp::BranchingRule::kMostFractional;
-  dense.mip.lp.basis_kind = ilp::BasisKind::kDenseInverse;
-  dense.mip.lp.pricing = ilp::PricingRule::kDantzig;
-
-  core::RefinementSolver fast(&evaluator, sparse);
-  WallTimer sparse_timer;
-  const core::HighestThetaResult a = fast.FindHighestTheta(k);
-  m.reuse_seconds = sparse_timer.Seconds();
-
-  core::RefinementSolver slow(&evaluator, dense);
-  slow.set_deadline(util::Deadline::After(dense_cap_seconds));
-  WallTimer dense_timer;
-  const core::HighestThetaResult b = slow.FindHighestTheta(k);
-  m.rebuild_seconds = dense_timer.Seconds();
-
-  m.instances = a.instances;
-  m.result = "theta=" + a.theta.ToString();
-  m.timed_out = b.timed_out;
-  // Decisions and the found theta must agree across backends; the witnesses
-  // need not (degenerate optima admit several, and the engines pivot
-  // differently). tests/warm_start_test.cc locks the same contract.
-  m.match = b.timed_out || (a.theta == b.theta && a.instances == b.instances);
-  m.extra_metrics = EngineMetrics(a.mip_nodes, a.lp_stats);
-  m.extra_metrics.emplace_back("dense_capped", b.timed_out ? 1.0 : 0.0);
-  m.extra_metrics.emplace_back(
-      "speedup_vs_dense", m.rebuild_seconds / std::max(m.reuse_seconds, 1e-9));
-  return m;
 }
 
 /// Exact-frontier probe: one Exists(k = 2, theta = 3/4) on a large random
@@ -274,10 +110,8 @@ void ReportFrontier(TextTable* table, int frontier_n) {
   const double seconds = timer.Seconds();
   const bool decided = r.decision != core::Decision::kUnknown;
 
-  std::ostringstream secs;
-  secs << std::fixed << std::setprecision(3) << seconds;
   table->AddRow({"exact_frontier", "Cov", std::to_string(frontier_n), "1",
-                 secs.str(), "-", "-",
+                 FormatSeconds(seconds), "-",
                  std::string(core::DecisionName(r.decision)) + " @" +
                      std::to_string(rows) + " rows",
                  decided ? "yes" : "undecided"});
@@ -293,153 +127,84 @@ void ReportFrontier(TextTable* table, int frontier_n) {
                 seconds, metrics, /*timed_out=*/!decided);
 }
 
-Measurement MeasureEncodeOnly(const eval::Evaluator& evaluator, int k) {
-  Measurement m;
-  const schema::SignatureIndex& index = evaluator.index();
-  const auto taus = eval::EnumerateTauCounts(evaluator.rule(), index);
+/// Reweight across the theta grid vs a fresh BuildRefinementIlp per grid
+/// point. Returns false when a reweighted model differs from a fresh build.
+bool ReportEncodeOnly(TextTable* table, int n, int k) {
+  const schema::SignatureIndex index = MakeClusteredIndex(n, 42);
+  auto evaluator = eval::MakeEvaluator(rules::CovRule(), &index);
+  const auto taus = eval::EnumerateTauCounts(evaluator->rule(), index);
   const auto shapes = core::AnalyzeTaus(taus, index);
   // The same grid FindHighestTheta would walk, from the dataset's sigma up.
-  const eval::SigmaCounts all = evaluator.CountsAll();
+  const eval::SigmaCounts all = evaluator->CountsAll();
   Rational sigma_all(1);
   if (all.total > 0) {
     sigma_all = Rational(static_cast<std::int64_t>(all.favorable),
                          static_cast<std::int64_t>(all.total));
   }
   const core::ThetaGrid grid = core::MakeThetaGrid(sigma_all, 0.01);
-  m.instances = static_cast<int>(grid.last - grid.first + 1);
+  const int instances = static_cast<int>(grid.last - grid.first + 1);
 
-  WallTimer reuse_timer;
+  WallTimer reweight_timer;
   core::RefinementIlpInstance instance(index, shapes, k, {});
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
     instance.Reweight(grid.Theta(g));
   }
-  m.reuse_seconds = reuse_timer.Seconds();
+  const double reweight_seconds = reweight_timer.Seconds();
 
   std::size_t rows = 0;
   WallTimer rebuild_timer;
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
     const core::IlpEncoding enc = core::BuildRefinementIlp(
-        index, evaluator.rule(), taus, k, grid.Theta(g), {});
+        index, evaluator->rule(), taus, k, grid.Theta(g), {});
     rows = enc.model.num_constraints();
   }
-  m.rebuild_seconds = rebuild_timer.Seconds();
+  const double rebuild_seconds = rebuild_timer.Seconds();
 
   // Identity spot-check at the grid's ends and middle (a full per-point
   // comparison would itself cost a rebuild per point).
+  bool match = true;
   for (std::int64_t g : {grid.first, (grid.first + grid.last) / 2, grid.last}) {
     instance.Reweight(grid.Theta(g));
     const core::IlpEncoding fresh = core::BuildRefinementIlp(
-        index, evaluator.rule(), taus, k, grid.Theta(g), {});
-    if (instance.model().ToString() != fresh.model.ToString()) m.match = false;
+        index, evaluator->rule(), taus, k, grid.Theta(g), {});
+    if (instance.model().ToString() != fresh.model.ToString()) match = false;
   }
-  m.result = std::to_string(rows) + " rows";
-  return m;
+
+  table->AddRow({"encode_only", "Cov", std::to_string(n),
+                 std::to_string(instances), FormatSeconds(reweight_seconds),
+                 FormatSeconds(rebuild_seconds),
+                 std::to_string(rows) + " rows", match ? "yes" : "MISMATCH"});
+  if (!match) {
+    std::cerr << "FAIL: a reweighted encoding differs from a fresh build at n = "
+              << n << "\n";
+  }
+  Json().Record("solver/encode_only/Cov",
+                {{"config", "encode_only"},
+                 {"rule", "Cov"},
+                 {"signatures", std::to_string(n)}},
+                reweight_seconds,
+                {{"signatures", static_cast<double>(n)},
+                 {"instances", static_cast<double>(instances)},
+                 {"rows", static_cast<double>(rows)},
+                 {"rebuild_seconds", rebuild_seconds},
+                 {"match", match ? 1.0 : 0.0}});
+  return match;
 }
 
-Measurement MeasureLowestK(const eval::Evaluator& evaluator, Rational theta) {
-  Measurement m;
-  core::RefinementSolver reused(&evaluator, Options(true, true));
-  core::RefinementSolver rebuilt(&evaluator, Options(false, true));
-  WallTimer reuse_timer;
-  const auto a = reused.FindLowestK(theta);
-  m.reuse_seconds = reuse_timer.Seconds();
-  WallTimer rebuild_timer;
-  const auto b = rebuilt.FindLowestK(theta);
-  m.rebuild_seconds = rebuild_timer.Seconds();
-  if (a.ok() != b.ok()) {
-    m.match = false;
-    m.result = "k=?";
-    return m;
-  }
-  if (!a.ok()) {
-    m.result = "none<=max_k";
-    m.match = a.status().code() == b.status().code();
-    return m;
-  }
-  m.instances = a->instances;
-  m.result = "k=" + std::to_string(a->k);
-  m.timed_out = a->timed_out || b->timed_out;
-  m.match = a->k == b->k && a->instances == b->instances &&
-            a->proven_minimal == b->proven_minimal &&
-            RenderSorts(a->refinement) == RenderSorts(b->refinement);
-  m.extra_metrics = EngineMetrics(a->mip_nodes, a->lp_stats);
-  return m;
-}
-
-int Run(int n, int exact_n, int ladder_n, int frontier_n) {
-  Banner("Refinement searches: instance-reuse exact path vs rebuild",
+int Run(int n, int frontier_n) {
+  Banner("Solver encoding reuse and exact frontier",
          "Sections 6-7; Figures 4-7 search modes");
 
-  TextTable table({"config", "rule", "n", "instances", "reuse_s", "rebuild_s",
-                   "speedup", "result", "identical"});
-  bool ok = true;
-
-  // Heuristic regime: at this size the encoding exceeds the MIP row ceiling,
-  // so every instance is answered (or left open) by the ladder — the rebuild
-  // side re-runs greedy and fixed-k agglomerative per grid point.
-  const schema::SignatureIndex clustered = MakeClusteredIndex(n, 42);
-  for (const auto& rule : {rules::CovRule(), rules::SimRule()}) {
-    auto evaluator = eval::MakeEvaluator(rule, &clustered);
-    Report(&table, &ok, "highest_theta", rule.name(), n,
-           MeasureHighestTheta(*evaluator, 4, /*greedy_first=*/true));
-  }
-  {
-    // Bisection meets many infeasible/undecided instances (the reason the
-    // paper prefers the sequential scan), and every failing instance runs
-    // the whole heuristic ladder — the regime where once-per-k greedy and
-    // fixed-k reuse pays off.
-    auto evaluator = eval::MakeEvaluator(rules::CovRule(), &clustered);
-    Report(&table, &ok, "highest_theta_bisect", "Cov", n,
-           MeasureHighestTheta(*evaluator, 4, /*greedy_first=*/true,
-                               /*bisect=*/true));
-  }
-  {
-    // Pure exact mode: every grid instance goes to the MIP, over the
-    // reweighted vs rebuilt encoding.
-    const schema::SignatureIndex small =
-        MakeClusteredIndex(exact_n, 9, /*families=*/3, /*block=*/3);
-    auto evaluator = eval::MakeEvaluator(rules::CovRule(), &small);
-    Report(&table, &ok, "highest_theta_pure_exact", "Cov", exact_n,
-           MeasureHighestTheta(*evaluator, 2, /*greedy_first=*/false));
-  }
-  {
-    // Encoding in isolation: the tentpole skeleton-rebuild saving without
-    // any solver time on either side.
-    auto evaluator = eval::MakeEvaluator(rules::CovRule(), &clustered);
-    Report(&table, &ok, "encode_only", "Cov", n,
-           MeasureEncodeOnly(*evaluator, 4));
-  }
-  {
-    // The sparse engine against the dense pre-rewrite baseline, pure exact
-    // at full size — the ISSUE 9 headline number. ~90 s worst case for the
-    // capped dense side.
-    gen::RandomIndexSpec spec;
-    spec.num_signatures = n;
-    spec.num_properties = 10;
-    spec.seed = 42;
-    const schema::SignatureIndex random = gen::GenerateRandomIndex(spec);
-    auto evaluator = eval::MakeEvaluator(rules::CovRule(), &random);
-    Report(&table, &ok, "exact_sparse_vs_dense", "Cov", n,
-           MeasureSparseVsDense(*evaluator, 2, /*dense_cap_seconds=*/90.0));
-  }
+  TextTable table({"config", "rule", "n", "instances", "seconds", "rebuild_s",
+                   "result", "ok"});
+  const bool ok = ReportEncodeOnly(&table, n, /*k=*/4);
   if (frontier_n > 0) ReportFrontier(&table, frontier_n);
-  // The k ladder visits each k once, so encoding/heuristic reuse cannot
-  // amortize across instances — this config is here for the bit-identical
-  // contract (and the shared agglomerative-per-theta cache) rather than a
-  // speedup claim.
-  const schema::SignatureIndex ladder = MakeClusteredIndex(ladder_n, 42);
-  for (const auto& rule : {rules::CovRule(), rules::SimRule()}) {
-    auto evaluator = eval::MakeEvaluator(rule, &ladder);
-    Report(&table, &ok, "lowest_k", rule.name(), ladder_n,
-           MeasureLowestK(*evaluator, Rational(9, 10)));
-  }
 
   std::cout << table.ToString();
-  std::cout << "\nreuse = one ILP encoding per k reweighted per theta + "
-               "once-per-k heuristics\n  (SolverOptions::reuse_instances); "
-               "rebuild = fresh encoding and heuristic runs\n  per decision "
-               "instance. identical = theta/k, instance counts, and "
-               "refinements\n  agree exactly (the bit-identical contract).\n";
+  std::cout << "\nencode_only: seconds = one encoding reweighted per theta, "
+               "rebuild_s = a fresh\n  encoding per theta; ok = the two "
+               "models are identical. exact_frontier:\n  ok = decided inside "
+               "the default MIP budget.\n";
   return ok ? 0 : 1;
 }
 
@@ -448,29 +213,21 @@ int Run(int n, int exact_n, int ladder_n, int frontier_n) {
 
 int main(int argc, char** argv) {
   int n = 128;
-  int exact_n = 10;
-  int ladder_n = 32;
   int frontier_n = 512;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       rdfsr::bench::Json().Open(argv[++i], "bench_solver");
     } else if (std::strcmp(argv[i], "--signatures") == 0 && i + 1 < argc) {
       n = std::stoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--exact-signatures") == 0 &&
-               i + 1 < argc) {
-      exact_n = std::stoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--ladder-signatures") == 0 &&
-               i + 1 < argc) {
-      ladder_n = std::stoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--frontier-signatures") == 0 &&
                i + 1 < argc) {
       frontier_n = std::stoi(argv[++i]);  // 0 skips the frontier probe
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [--json <path>] [--signatures N] [--exact-signatures N]"
-                   " [--ladder-signatures N] [--frontier-signatures N]\n";
+                << " [--json <path>] [--signatures N]"
+                   " [--frontier-signatures N]\n";
       return 2;
     }
   }
-  return rdfsr::bench::Run(n, exact_n, ladder_n, frontier_n);
+  return rdfsr::bench::Run(n, frontier_n);
 }

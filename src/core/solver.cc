@@ -56,17 +56,11 @@ ThetaGrid MakeThetaGrid(Rational sigma_all, double theta_step) {
 
 RefinementSolver::RefinementSolver(const eval::Evaluator* evaluator,
                                    SolverOptions options)
-    : evaluator_(evaluator), options_(std::move(options)) {
-  RDFSR_CHECK(evaluator_ != nullptr);
-  if (options_.cache_evaluations) {
-    cached_ = std::make_unique<eval::CachedEvaluator>(evaluator_);
-  }
-}
+    : cached_(evaluator), options_(std::move(options)) {}
 
 const std::vector<eval::TauCount>& RefinementSolver::TauCounts() {
   if (!tau_counts_ready_) {
-    tau_counts_ =
-        eval::EnumerateTauCounts(evaluator_->rule(), evaluator_->index());
+    tau_counts_ = eval::EnumerateTauCounts(Eval().rule(), Eval().index());
     tau_counts_ready_ = true;
   }
   return tau_counts_;
@@ -74,22 +68,15 @@ const std::vector<eval::TauCount>& RefinementSolver::TauCounts() {
 
 const std::vector<TauShape>& RefinementSolver::Shapes() {
   if (!shapes_.has_value()) {
-    shapes_ = AnalyzeTaus(TauCounts(), evaluator_->index());
+    shapes_ = AnalyzeTaus(TauCounts(), Eval().index());
   }
   return *shapes_;
 }
 
 RefinementIlpInstance& RefinementSolver::InstanceFor(int k) {
-  if (!options_.reuse_instances) {
-    // Rebuild-per-instance baseline: a fresh skeleton every call.
-    instance_ = std::make_unique<RefinementIlpInstance>(
-        evaluator_->index(), Shapes(), k, options_.build);
-    instance_k_ = k;
-    return *instance_;
-  }
   if (instance_ == nullptr || instance_k_ != k) {
     instance_ = std::make_unique<RefinementIlpInstance>(
-        evaluator_->index(), Shapes(), k, options_.build);
+        Eval().index(), Shapes(), k, options_.build);
     instance_k_ = k;
   }
   return *instance_;
@@ -112,8 +99,7 @@ const RefinementSolver::ScoredRefinement& RefinementSolver::AgglomerativeCut(
         cut) {
   const int n = static_cast<int>(Eval().index().num_signatures());
   if (!merges_.has_value()) {
-    // Cached regardless of reuse_instances: one dendrogram serves every
-    // theta and k.
+    // One dendrogram serves every theta and k.
     const util::CancellationToken token = options_.deadline.token();
     std::vector<AgglomerativeMerge> merges =
         AgglomerativeMerges(Eval(), options_.heuristic_threads, token);
@@ -156,10 +142,6 @@ RefinementSolver::AgglomerativeFixedKFor(int k) {
 const RefinementSolver::ScoredRefinement& RefinementSolver::GreedyFor(int k) {
   GreedyOptions greedy = options_.greedy;
   greedy.cancel = options_.deadline.token();
-  if (!options_.reuse_instances) {
-    scratch_scored_ = Score(GreedyMaxMinSigma(Eval(), k, greedy));
-    return scratch_scored_;
-  }
   auto it = greedy_cache_.find(k);
   if (it != greedy_cache_.end()) return it->second;
   ScoredRefinement scored = Score(GreedyMaxMinSigma(Eval(), k, greedy));
@@ -300,10 +282,10 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
     return result;
   }
 
-  // Exact decision via the Section 6 ILP. The row count the dense simplex
-  // will actually see is known exactly from the theta-independent tau
-  // analysis, so oversized instances resolve to kUnknown before any model
-  // (or skeleton) is built. With presolve on (default) the deactivated link
+  // Exact decision via the Section 6 ILP. The row count the simplex will
+  // actually see is known exactly from the theta-independent tau analysis,
+  // so oversized instances resolve to kUnknown before any model (or
+  // skeleton) is built. With presolve on (default) the deactivated link
   // sides are dropped before the simplex, so only the active rows count;
   // without it the simplex is handed the whole skeleton.
   const std::size_t simplex_rows =
@@ -342,13 +324,13 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   // the same k (a Reweight step keeps the variable space). A mismatched shape
   // — presolve reductions can differ between thetas — is rejected inside the
   // MIP and simply falls back to a cold start.
-  if (options_.warm_start && warm_basis_k_ == k && !warm_basis_.empty()) {
+  if (warm_basis_k_ == k && !warm_basis_.empty()) {
     mip_options.warm_basis = &warm_basis_;
   }
   ilp::MipResult mip = ilp::SolveMip(instance.model(), mip_options);
   result.mip_nodes = mip.nodes;
   result.lp_stats = mip.lp_stats;
-  if (options_.warm_start && !mip.root_basis.empty()) {
+  if (!mip.root_basis.empty()) {
     warm_basis_ = std::move(mip.root_basis);
     warm_basis_k_ = k;
   }

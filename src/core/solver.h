@@ -14,9 +14,11 @@
 //
 // Both searches drive many closely-related instances, and everything but the
 // threshold is shared between them, so the solver is incremental across
-// instances (reuse_instances, on by default):
+// instances:
 //  * one RefinementIlpInstance per k, reweighted per theta instead of
 //    rebuilding the O(k * |P| * n) encoding,
+//  * the root basis of each exact solve seeds the next same-k instance's
+//    root LP (a Reweight step keeps the variable space),
 //  * the agglomerative merge sequence (a dendrogram) is built once per
 //    solver and serves every theta and k: the threshold rung is its prefix
 //    before the first merge below theta, the fixed-k rung its first n - k
@@ -27,8 +29,12 @@
 //  * the theta grid itself is derived in exact integer arithmetic
 //    (ThetaGrid), so no grid point is skipped or re-tested and theta = 1 is
 //    always the endpoint.
-// Outputs are bit-identical with reuse off — bench/bench_solver.cc asserts it
-// while measuring the speedup.
+// What a solver decided before never changes a later answer: decisions,
+// theta/k values, instance counts and proof flags match a fresh solver's
+// whenever no solver limit fires. Only the witness of an exact solve whose
+// root LP was warm-started from an earlier instance may differ (degenerate
+// optima admit several); it is validated exactly like any other.
+// tests/solver_reuse_test.cc checks this against a fresh solver per call.
 
 #ifndef RDFSR_CORE_SOLVER_H_
 #define RDFSR_CORE_SOLVER_H_
@@ -96,22 +102,6 @@ struct SolverOptions {
   /// solution to a feasible instance" — bisection front-loads infeasible
   /// instances. Kept as an option for the ablation bench.
   bool binary_theta_search = false;
-  /// Memoize sigma evaluations across heuristic and validation calls.
-  bool cache_evaluations = true;
-  /// Reuse work across decision instances: one ILP encoding per k reweighted
-  /// per theta, and the greedy max-min refinement computed once per k.
-  /// Outputs are bit-identical with the flag off (the heuristics are
-  /// deterministic and a reweighted instance equals a fresh build); off
-  /// exists as the rebuild-per-instance baseline for bench_solver and the
-  /// regression tests. The agglomerative dendrogram is cached either way.
-  bool reuse_instances = true;
-  /// Warm-start the exact solves across the search grid: each SolveMip's root
-  /// basis (same k) seeds the next instance's root LP, so a Reweight(theta)
-  /// step usually re-optimizes in a handful of pivots instead of a cold
-  /// phase-1. Mismatched shapes (presolve reductions differ between thetas)
-  /// fall back to a cold start automatically. Off exists as the measured
-  /// baseline for bench_solver.
-  bool warm_start = true;
   /// Skip the exact MIP when the encoding exceeds this many rows; the
   /// instance then resolves to kUnknown unless the heuristic found a witness.
   /// The ceiling is a time guard, not a memory one, and it bounds the ROOT
@@ -232,16 +222,14 @@ class RefinementSolver {
     bool structure_ok = false;
   };
 
-  /// The evaluator actually consulted (the cache wrapper when enabled).
-  const eval::Evaluator& Eval() const {
-    return cached_ != nullptr ? *cached_ : *evaluator_;
-  }
+  /// Every sigma evaluation goes through the memo table.
+  const eval::Evaluator& Eval() const { return cached_; }
 
   const std::vector<eval::TauCount>& TauCounts();
   /// Theta-independent tau link analysis, shared by every encoding.
   const std::vector<TauShape>& Shapes();
   /// The reusable encoding for k (single slot — the searches drive one k at
-  /// a time). With reuse_instances off, builds a fresh instance per call.
+  /// a time).
   RefinementIlpInstance& InstanceFor(int k);
   ScoredRefinement Score(SortRefinement refinement) const;
   /// The dendrogram prefix of `cut(merges)` merges, scored. Builds the merge
@@ -253,22 +241,21 @@ class RefinementSolver {
   const ScoredRefinement& AgglomerativeFixedKFor(int k);
   const ScoredRefinement& GreedyFor(int k);
 
-  const eval::Evaluator* evaluator_;
-  std::unique_ptr<eval::CachedEvaluator> cached_;
+  eval::CachedEvaluator cached_;
   SolverOptions options_;
   // Tau counts and shapes depend only on (rule, dataset) — theta enters the
   // encoding via the weights — so both are cached across instances.
   std::vector<eval::TauCount> tau_counts_;
   bool tau_counts_ready_ = false;
   std::optional<std::vector<TauShape>> shapes_;
-  // The reusable exact encoding (reuse_instances): rebuilt only when k
-  // changes, reweighted per theta.
+  // The reusable exact encoding: rebuilt only when k changes, reweighted per
+  // theta.
   std::unique_ptr<RefinementIlpInstance> instance_;
   int instance_k_ = -1;
-  // Warm-start chain (SolverOptions::warm_start): the root basis of the last
-  // exact solve, keyed by its k. A Reweight(theta) step keeps the variable
-  // space, so the basis usually transplants; shape mismatches (different
-  // presolve reductions) are rejected inside the MIP and cost nothing.
+  // Warm-start chain: the root basis of the last exact solve, keyed by its
+  // k. A Reweight(theta) step keeps the variable space, so the basis usually
+  // transplants; shape mismatches (different presolve reductions) are
+  // rejected inside the MIP and cost nothing.
   ilp::SimplexBasis warm_basis_;
   int warm_basis_k_ = -1;
   // Heuristic-ladder caches. The agglomerative merge list, built once, and
@@ -279,8 +266,7 @@ class RefinementSolver {
   std::map<std::size_t, ScoredRefinement> cut_cache_;
   std::map<int, ScoredRefinement> greedy_cache_;
   // Single-slot scratch for results that stay out of the caches (computed
-  // under a tripped token, or greedy with reuse_instances off), so the
-  // accessors can still hand out references.
+  // under a tripped token), so the accessors can still hand out references.
   ScoredRefinement scratch_scored_;
 };
 

@@ -7,23 +7,20 @@
 //   * Btran:  y = B^-T c_B      (duals for pricing)
 //   * Update: replace the column at one basis position after a pivot
 //   * Factorize: rebuild the representation from the basic variable list
-// Two interchangeable implementations live behind BasisRep:
 //
-//   LuFactorization (default) — sparse LU of B via a left-looking
-//   column-by-column elimination: columns are processed in ascending-nonzero
-//   order and the pivot row is chosen among numerically acceptable candidates
-//   (within a threshold of the column's max) by smallest static row count — a
-//   Markowitz-style choice that controls fill. Pivots append product-form eta
-//   matrices to the factorization; the simplex refactorizes periodically
-//   (SimplexOptions::refactor_interval) or when an update pivot is too small
-//   to be stable. Ftran/Btran are triangular solves plus an eta sweep:
-//   O(m + fill) instead of the dense O(m^2).
+// The library's implementation (MakeLuFactorization) is a sparse LU of B via
+// a left-looking column-by-column elimination: columns are processed in
+// ascending-nonzero order and the pivot row is chosen among numerically
+// acceptable candidates (within a threshold of the column's max) by smallest
+// static row count — a Markowitz-style choice that controls fill. Pivots
+// append product-form eta matrices to the factorization; the simplex
+// refactorizes periodically (SimplexOptions::refactor_interval) or when an
+// update pivot is too small to be stable. Ftran/Btran are triangular solves
+// plus an eta sweep: O(m + fill) instead of a dense inverse's O(m^2). The
+// explicit dense inverse lives in tests/dense_inverse_oracle.h as the
+// differential oracle for this interface.
 //
-//   DenseInverse — the explicit m x m basis inverse updated by elementary row
-//   operations, i.e. the pre-sparse solver. Kept as the measured baseline
-//   (bench_solver) and as the oracle for the randomized LP property suite.
-//
-// Both support warm starts from an arbitrary SimplexBasis: Factorize repairs
+// Warm starts from an arbitrary SimplexBasis are supported: Factorize repairs
 // a structurally or numerically singular basis by replacing dependent columns
 // with the slacks of unpivoted rows (the ejected variables are reported so
 // the caller can move them to a bound).
@@ -102,8 +99,8 @@ class BasisRep {
   /// v := B^-1 v. Input indexed by matrix row, output by basis position.
   virtual void Ftran(std::vector<double>* v) const = 0;
 
-  /// w := B^-1 a for a sparse column (the pivot-column hot path; the dense
-  /// representation exploits the column's sparsity directly).
+  /// w := B^-1 a for a sparse column (the pivot-column hot path; an
+  /// implementation may exploit the column's sparsity directly).
   virtual void FtranColumn(const std::vector<std::pair<int, double>>& column,
                            std::vector<double>* w) const = 0;
 
@@ -120,7 +117,6 @@ class BasisRep {
 };
 
 std::unique_ptr<BasisRep> MakeLuFactorization(int m);
-std::unique_ptr<BasisRep> MakeDenseInverse(int m);
 
 }  // namespace rdfsr::ilp
 

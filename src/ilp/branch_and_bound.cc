@@ -69,7 +69,7 @@ class BranchAndBound {
 
   MipResult Run() {
     bool root_infeasible = false;
-    if (options_.root_probing && !ShouldStop()) root_infeasible = !Probe();
+    if (!ShouldStop()) root_infeasible = !Probe();
     if (!root_infeasible) Dfs(options_.warm_basis, nullptr);
     MipResult result;
     result.nodes = nodes_;
@@ -186,7 +186,7 @@ class BranchAndBound {
     ++nodes_;
 
     SimplexOptions lp_options = options_.lp;
-    if (options_.warm_start_lps && warm != nullptr && !warm->empty()) {
+    if (warm != nullptr && !warm->empty()) {
       lp_options.warm_start = warm;
     }
     const LpResult lp = SolveLp(model_, lp_options, &lb_, &ub_);
@@ -214,41 +214,26 @@ class BranchAndBound {
       return;
     }
 
-    // Branch-candidate scan: total fractionality feeds the pseudo-cost
-    // update; the selected variable depends on the branching rule.
+    // Branch-candidate scan, pseudo-cost product rule. Total fractionality
+    // feeds the pseudo-cost update. Unvisited directions score 1.0, so with
+    // no history this reduces exactly to the most-fractional rule (f * (1-f)
+    // is monotone in the distance to the nearest integer).
     int branch_var = -1;
     double total_frac = 0.0;
-    if (options_.branching == BranchingRule::kMostFractional) {
-      double branch_frac = options_.integer_tol;
-      for (std::size_t j = 0; j < model_.num_variables(); ++j) {
-        if (!model_.variable(j).is_integer) continue;
-        const double v = lp.x[j];
-        const double frac = std::abs(v - std::round(v));
-        total_frac += frac;
-        if (frac > branch_frac) {
-          branch_frac = frac;
-          branch_var = static_cast<int>(j);
-        }
-      }
-    } else {
-      // Pseudo-cost product rule; unvisited directions score 1.0, so with no
-      // history this reduces exactly to the most-fractional rule (f * (1-f)
-      // is monotone in the distance to the nearest integer).
-      double best_score = 0.0;
-      for (std::size_t j = 0; j < model_.num_variables(); ++j) {
-        if (!model_.variable(j).is_integer) continue;
-        const double v = lp.x[j];
-        const double f = v - std::floor(v);
-        const double frac = std::min(f, 1.0 - f);
-        total_frac += frac;
-        if (frac <= options_.integer_tol) continue;
-        const double down = cnt_down_[j] > 0 ? pc_down_[j] / cnt_down_[j] : kOne;
-        const double up = cnt_up_[j] > 0 ? pc_up_[j] / cnt_up_[j] : kOne;
-        const double score = (down * f) * (up * (1.0 - f));
-        if (branch_var < 0 || score > best_score) {
-          best_score = score;
-          branch_var = static_cast<int>(j);
-        }
+    double best_score = 0.0;
+    for (std::size_t j = 0; j < model_.num_variables(); ++j) {
+      if (!model_.variable(j).is_integer) continue;
+      const double v = lp.x[j];
+      const double f = v - std::floor(v);
+      const double frac = std::min(f, 1.0 - f);
+      total_frac += frac;
+      if (frac <= options_.integer_tol) continue;
+      const double down = cnt_down_[j] > 0 ? pc_down_[j] / cnt_down_[j] : kOne;
+      const double up = cnt_up_[j] > 0 ? pc_up_[j] / cnt_up_[j] : kOne;
+      const double score = (down * f) * (up * (1.0 - f));
+      if (branch_var < 0 || score > best_score) {
+        best_score = score;
+        branch_var = static_cast<int>(j);
       }
     }
     if (pending != nullptr) {

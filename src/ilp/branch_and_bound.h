@@ -81,12 +81,6 @@ struct MipResult {
   SimplexBasis root_basis;
 };
 
-/// Branch-variable selection rule.
-enum class BranchingRule {
-  kPseudoCost,       ///< Fractionality-seeded pseudo-costs (default).
-  kMostFractional,   ///< Classic most-fractional (the pre-pseudo-cost rule).
-};
-
 /// Search limits and behavior.
 struct MipOptions {
   double integer_tol = 1e-6;
@@ -98,13 +92,6 @@ struct MipOptions {
   bool stop_at_first_incumbent = true;
   /// Run the root presolve (ilp/presolve.h) before branch-and-bound.
   bool use_presolve = true;
-  BranchingRule branching = BranchingRule::kPseudoCost;
-  /// Warm-start every node LP from its parent's optimal basis.
-  bool warm_start_lps = true;
-  /// Root-fixing pass: probe free binaries by bound propagation before
-  /// diving; variables whose opposite value propagates to infeasibility are
-  /// fixed for the whole tree.
-  bool root_probing = true;
   /// Optional warm-start basis for the root LP (not owned; must outlive the
   /// solve). Ignored when its shape does not match the model branch-and-bound
   /// actually solves (i.e. after presolve).

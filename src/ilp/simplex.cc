@@ -25,6 +25,9 @@ const char* LpStatusName(LpStatus status) {
 namespace {
 
 constexpr double kPivotEps = 1e-9;
+/// Basic values are recomputed from the factorization every this many
+/// iterations, so drift from the incremental step updates stays bounded.
+constexpr int kRefreshInterval = 128;
 
 /// Internal solver state for one LP solve.
 class Simplex {
@@ -36,7 +39,8 @@ class Simplex {
         n_struct_(static_cast<int>(model.num_variables())),
         m_(static_cast<int>(model.num_constraints())),
         n_(n_struct_ + m_),
-        segment_(std::max(64, n_ / 8)) {
+        segment_(std::max(64, n_ / 8)),
+        basis_(MakeLuFactorization(m_)) {
     lb_.resize(n_);
     ub_.resize(n_);
     cost_.assign(n_, 0.0);
@@ -57,11 +61,7 @@ class Simplex {
     }
     for (const LinTerm& t : model.objective()) cost_[t.var] = t.coef;
 
-    basis_ = options_.basis_kind == BasisKind::kDenseInverse
-                 ? MakeDenseInverse(m_)
-                 : MakeLuFactorization(m_);
-
-    warm_started_ = AdoptWarmBasis(options_.warm_start);
+    warm_started_ = AdoptWarmBasis(options.warm_start);
     if (!warm_started_) {
       // Cold start: slack basis (B = -I), structurals parked at a bound.
       basic_.resize(m_);
@@ -95,7 +95,7 @@ class Simplex {
         Extract(&result);
         return result;
       }
-      if (iter > 0 && iter % options_.refresh_interval == 0) RecomputeBasics();
+      if (iter > 0 && iter % kRefreshInterval == 0) RecomputeBasics();
       const bool phase1 = ComputePhase1Costs();
       const std::vector<double>& cost = phase1 ? phase1_cost_ : cost_;
 
@@ -240,10 +240,14 @@ class Simplex {
         state_[j] = BasisStatus::kBasic;
         continue;
       }
-      // Sanitize nonbasic states against the (possibly changed) bounds.
+      // Sanitize nonbasic states against the (possibly changed) bounds: a
+      // status whose bound is gone, or a free variable parked at zero that
+      // has since gained a bound, moves to the default placement.
       if (state_[j] == BasisStatus::kBasic ||
           (state_[j] == BasisStatus::kAtLower && lb_[j] <= -kInfinity) ||
-          (state_[j] == BasisStatus::kAtUpper && ub_[j] >= kInfinity)) {
+          (state_[j] == BasisStatus::kAtUpper && ub_[j] >= kInfinity) ||
+          (state_[j] == BasisStatus::kAtZero &&
+           (lb_[j] > -kInfinity || ub_[j] < kInfinity))) {
         SetNonbasicAtBound(j);
       }
     }
@@ -315,24 +319,6 @@ class Simplex {
         }
       }
       return -1;
-    }
-
-    if (options_.pricing == PricingRule::kDantzig) {
-      int best = -1;
-      int best_dir = 0;
-      double best_score = options_.tol;
-      for (int j = 0; j < n_; ++j) {
-        double d;
-        int dir;
-        if (!eligible(j, &d, &dir)) continue;
-        if (std::abs(d) > best_score) {
-          best_score = std::abs(d);
-          best = j;
-          best_dir = dir;
-        }
-      }
-      *direction = best_dir;
-      return best;
     }
 
     // Partial Dantzig: scan fixed-size segments from a rotating cursor and

@@ -10,14 +10,12 @@
 // basic bound violations, costs recomputed each iteration), then phase 2
 // optimizes the true objective.
 //
-// The basis is held behind a BasisRep (see ilp/basis.h): by default a sparse
-// LU factorization with product-form eta updates, refactorized every
-// `refactor_interval` pivots or when an update pivot is numerically unsafe;
-// the explicit dense inverse remains available as a baseline/oracle. Pricing
-// defaults to partial Dantzig (segment scan with a rotating cursor) with the
-// classic full-scan Dantzig rule available; a Bland fallback guards against
-// cycling in either mode. Basic values are refreshed from the factorization
-// periodically for numerical hygiene.
+// The basis is held behind a BasisRep (see ilp/basis.h): a sparse LU
+// factorization with product-form eta updates, refactorized every
+// `refactor_interval` pivots or when an update pivot is numerically unsafe.
+// Pricing is partial Dantzig (segment scan with a rotating cursor); a Bland
+// fallback guards against cycling. Basic values are refreshed from the
+// factorization every 128 iterations for numerical hygiene.
 //
 // Warm starts: every solve returns its final basis in LpResult::basis, and
 // SimplexOptions::warm_start replays such a snapshot — the factorization
@@ -58,27 +56,12 @@ struct LpResult {
   bool warm_started = false; ///< True when a warm basis was actually adopted.
 };
 
-/// Which basis representation backs the solve.
-enum class BasisKind {
-  kLuFactorization,  ///< Sparse LU + eta file (default).
-  kDenseInverse,     ///< Explicit dense inverse (baseline / oracle).
-};
-
-/// Entering-variable pricing rule.
-enum class PricingRule {
-  kPartialDantzig,  ///< Most-negative within a rotating segment (default).
-  kDantzig,         ///< Most-negative over all columns.
-};
-
 /// Solver options.
 struct SimplexOptions {
   int max_iterations = 200000;
-  double tol = 1e-7;           ///< Feasibility / reduced-cost tolerance.
-  int refresh_interval = 128;  ///< Recompute basic values every N pivots.
-  /// Refactorize once the eta file reaches this length (LU only).
+  double tol = 1e-7;  ///< Feasibility / reduced-cost tolerance.
+  /// Refactorize once the eta file reaches this length.
   int refactor_interval = 100;
-  BasisKind basis_kind = BasisKind::kLuFactorization;
-  PricingRule pricing = PricingRule::kPartialDantzig;
   /// Optional warm-start basis (not owned; must outlive the solve). Ignored
   /// unless its shape matches the model; repaired if stale.
   const SimplexBasis* warm_start = nullptr;

@@ -226,33 +226,6 @@ TEST(BnbTest, CutoffToleranceScalesWithObjectiveMagnitude) {
   EXPECT_NEAR(r.x[c], 1.0, 1e-6);
 }
 
-TEST(BnbTest, BranchingRulesAgreeOnTheOptimum) {
-  // Pseudo-cost and most-fractional branching explore different trees but
-  // must land on the same optimal value.
-  Model m;
-  std::vector<int> vars;
-  const double value[6] = {9, 7, 6, 5, 4, 3};
-  const double weight[6] = {5, 4, 4, 3, 2, 2};
-  std::vector<LinTerm> cap, obj;
-  for (int i = 0; i < 6; ++i) {
-    vars.push_back(m.AddBinary("v"));
-    cap.push_back({vars[i], weight[i]});
-    obj.push_back({vars[i], -value[i]});
-  }
-  m.AddConstraint("cap", std::move(cap), -kInfinity, 9);
-  m.SetObjective(std::move(obj));
-  MipOptions pseudo;
-  pseudo.stop_at_first_incumbent = false;
-  pseudo.branching = BranchingRule::kPseudoCost;
-  MipOptions fractional = pseudo;
-  fractional.branching = BranchingRule::kMostFractional;
-  const MipResult rp = SolveMip(m, pseudo);
-  const MipResult rf = SolveMip(m, fractional);
-  ASSERT_EQ(rp.status, MipStatus::kOptimal);
-  ASSERT_EQ(rf.status, MipStatus::kOptimal);
-  EXPECT_NEAR(rp.objective, rf.objective, 1e-6);
-}
-
 TEST(BnbTest, RootProbingFixesForcedBinaries) {
   // x + y + z = 3 over binaries forces all three to 1: bound propagation
   // proves it at the root, so the dive needs at most the root node.

@@ -95,18 +95,5 @@ TEST(BinaryThetaSearchTest, AgreesWithSequentialSearch) {
   }
 }
 
-TEST(BinaryThetaSearchTest, CacheOffStillWorks) {
-  gen::RandomIndexSpec spec;
-  spec.num_signatures = 4;
-  spec.seed = 8;
-  const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-  auto cov = eval::MakeEvaluator(rules::CovRule(), &index);
-  SolverOptions options;
-  options.cache_evaluations = false;
-  RefinementSolver solver(cov.get(), options);
-  const HighestThetaResult r = solver.FindHighestTheta(2);
-  EXPECT_TRUE(ValidateRefinement(*cov, r.refinement, r.theta).ok());
-}
-
 }  // namespace
 }  // namespace rdfsr::core

@@ -1,14 +1,19 @@
-// Sparse-basis simplex tests: the LU factorization + eta-file engine against
-// the dense-inverse oracle on randomized bounded-variable LPs, partial vs
-// full pricing, warm starts, degenerate/cycling fixtures under the Bland
-// fallback, and refactorization stats.
+// Sparse-basis simplex tests: the LU factorization + eta-file basis against
+// the dense-inverse oracle (tests/dense_inverse_oracle.h) at the basis level,
+// the default engine against refactorization after every pivot on randomized
+// bounded-variable LPs, warm starts, degenerate/cycling fixtures under the
+// Bland fallback, and refactorization stats.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <vector>
 
+#include "dense_inverse_oracle.h"
+#include "ilp/basis.h"
 #include "ilp/simplex.h"
 
 namespace rdfsr::ilp {
@@ -78,42 +83,156 @@ Model RandomLp(std::mt19937_64* rng) {
   return m;
 }
 
-SimplexOptions WithBasis(BasisKind kind) {
-  SimplexOptions options;
-  options.basis_kind = kind;
-  return options;
+// The columns of [A | -I] for `m`, as the simplex lays them out: structural
+// variables in model order, then one slack per row.
+SparseColumns ColumnsOf(const Model& m) {
+  const int n_struct = static_cast<int>(m.num_variables());
+  const int rows = static_cast<int>(m.num_constraints());
+  SparseColumns cols(n_struct + rows);
+  for (int r = 0; r < rows; ++r) {
+    for (const LinTerm& t : m.constraint(r).terms) {
+      cols[t.var].push_back({r, t.coef});
+    }
+    cols[n_struct + r].push_back({r, -1.0});
+  }
+  return cols;
 }
 
-TEST(SimplexSparseTest, RandomizedLpsMatchDenseInverseOracle) {
+// Largest |a_i - b_i| relative to the larger magnitude (at least 1).
+double MaxRelDiff(const std::vector<double>& a, const std::vector<double>& b) {
+  double diff = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double scale = std::max({1.0, std::abs(a[i]), std::abs(b[i])});
+    diff = std::max(diff, std::abs(a[i] - b[i]) / scale);
+  }
+  return diff;
+}
+
+TEST(SimplexSparseTest, LuBasisMatchesDenseInverseOracle) {
+  // Both representations run the same chains: Factorize a random basis of
+  // [A | -I], then FtranColumn -> Update pivots, refactorizing both whenever
+  // either reports an unsafe update, and compare the Ftran / FtranColumn /
+  // Btran images after every step. Most leaving positions are numerically
+  // safe (within 10x of the largest |w|, as threshold pivoting would pick);
+  // now and then one the entering column does not touch, which makes the
+  // update unsafe and the new basis singular, so the refactorization has to
+  // repair it.
+  constexpr double kTol = 1e-7;
   std::mt19937_64 rng(20140814);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> one_in_eight(0, 7);
+  long long updates = 0;
+  long long unsafe_updates = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const Model m = RandomLp(&rng);
-    const LpResult lu = SolveLp(m, WithBasis(BasisKind::kLuFactorization));
-    const LpResult dense = SolveLp(m, WithBasis(BasisKind::kDenseInverse));
-    ASSERT_EQ(lu.status, dense.status)
-        << "trial " << trial << ": LU " << LpStatusName(lu.status)
-        << " vs dense " << LpStatusName(dense.status);
-    if (lu.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(lu.objective, dense.objective, kObjTol) << "trial " << trial;
+    const int n_struct = static_cast<int>(m.num_variables());
+    const int rows = static_cast<int>(m.num_constraints());
+    const int n = n_struct + rows;
+    const SparseColumns cols = ColumnsOf(m);
+
+    std::vector<int> order(n);
+    for (int j = 0; j < n; ++j) order[j] = j;
+    std::shuffle(order.begin(), order.end(), rng);
+    std::vector<int> basic(order.begin(), order.begin() + rows);
+    std::vector<int> oracle_basic = basic;
+
+    const std::unique_ptr<BasisRep> lu = MakeLuFactorization(rows);
+    oracle::DenseInverse dense(rows);
+    const auto factorize = [&] {
+      std::vector<int> ejected, oracle_ejected;
+      lu->Factorize(cols, n_struct, &basic, &ejected);
+      dense.Factorize(cols, n_struct, &oracle_basic, &oracle_ejected);
+      // The oracle factorizes through the LU, so repairs must coincide.
+      ASSERT_EQ(basic, oracle_basic) << "trial " << trial;
+      ASSERT_EQ(ejected, oracle_ejected) << "trial " << trial;
+    };
+    factorize();
+    if (HasFatalFailure()) return;
+
+    for (int step = 0; step < 3 * rows; ++step) {
+      std::vector<double> v(rows), v_dense;
+      for (double& x : v) x = unit(rng);
+      v_dense = v;
+      lu->Ftran(&v);
+      dense.Ftran(&v_dense);
+      EXPECT_LT(MaxRelDiff(v, v_dense), kTol) << "Ftran, trial " << trial;
+      for (double& x : v) x = unit(rng);
+      v_dense = v;
+      lu->Btran(&v);
+      dense.Btran(&v_dense);
+      EXPECT_LT(MaxRelDiff(v, v_dense), kTol) << "Btran, trial " << trial;
+
+      // A random nonbasic column enters.
+      std::vector<char> in_basis(n, 0);
+      for (int j : basic) in_basis[j] = 1;
+      std::vector<int> candidates;
+      for (int j = 0; j < n; ++j) {
+        if (in_basis[j] == 0) candidates.push_back(j);
+      }
+      if (candidates.empty()) break;
+      const int entering = candidates[std::uniform_int_distribution<int>(
+          0, static_cast<int>(candidates.size()) - 1)(rng)];
+      std::vector<double> w, w_dense;
+      lu->FtranColumn(cols[entering], &w);
+      dense.FtranColumn(cols[entering], &w_dense);
+      EXPECT_LT(MaxRelDiff(w, w_dense), kTol) << "FtranColumn, trial " << trial;
+
+      double w_max = 0.0;
+      for (double x : w) w_max = std::max(w_max, std::abs(x));
+      std::vector<int> safe, untouched;
+      for (int r = 0; r < rows; ++r) {
+        if (w_max > 1e-6 && std::abs(w[r]) >= 0.1 * w_max) {
+          safe.push_back(r);
+        } else if (w[r] == 0.0) {
+          untouched.push_back(r);
+        }
+      }
+      const bool pick_untouched =
+          !untouched.empty() && (safe.empty() || one_in_eight(rng) == 0);
+      const std::vector<int>& pool = pick_untouched ? untouched : safe;
+      if (pool.empty()) continue;
+      const int pos = pool[std::uniform_int_distribution<int>(
+          0, static_cast<int>(pool.size()) - 1)(rng)];
+      basic[pos] = entering;
+      oracle_basic[pos] = entering;
+      const bool lu_stable = lu->Update(pos, w);
+      const bool dense_stable = dense.Update(pos, w_dense);
+      if (lu_stable && dense_stable) {
+        ++updates;
+      } else {
+        ++unsafe_updates;
+        factorize();
+        if (HasFatalFailure()) return;
+      }
     }
   }
+  // The chains must exercise both the eta updates and the repair path.
+  EXPECT_GT(updates, 1000);
+  EXPECT_GT(unsafe_updates, 100);
 }
 
-TEST(SimplexSparseTest, PartialAndFullPricingAgree) {
-  std::mt19937_64 rng(271828);
-  for (int trial = 0; trial < 120; ++trial) {
+TEST(SimplexSparseTest, RandomizedLpsMatchRefactorizationEveryPivot) {
+  // The eta file against a fresh LU after every pivot: same statuses and
+  // objectives, and the default run must actually grow its eta file.
+  std::mt19937_64 rng(20140814);
+  SimplexOptions eager;
+  eager.refactor_interval = 1;
+  int grown = 0;
+  for (int trial = 0; trial < 200; ++trial) {
     const Model m = RandomLp(&rng);
-    SimplexOptions partial;
-    partial.pricing = PricingRule::kPartialDantzig;
-    SimplexOptions full;
-    full.pricing = PricingRule::kDantzig;
-    const LpResult a = SolveLp(m, partial);
-    const LpResult b = SolveLp(m, full);
-    ASSERT_EQ(a.status, b.status) << "trial " << trial;
-    if (a.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(a.objective, b.objective, kObjTol) << "trial " << trial;
+    const LpResult lazy = SolveLp(m);
+    const LpResult fresh = SolveLp(m, eager);
+    ASSERT_EQ(lazy.status, fresh.status)
+        << "trial " << trial << ": default " << LpStatusName(lazy.status)
+        << " vs refactor-every-pivot " << LpStatusName(fresh.status);
+    if (lazy.status == LpStatus::kOptimal) {
+      EXPECT_NEAR(lazy.objective, fresh.objective, kObjTol)
+          << "trial " << trial;
     }
+    EXPECT_LE(fresh.stats.max_eta_length, 1) << "trial " << trial;
+    if (lazy.stats.max_eta_length > 1) ++grown;
   }
+  EXPECT_GT(grown, 100);
 }
 
 TEST(SimplexSparseTest, WarmStartFromOwnOptimumNeedsNoPivots) {
@@ -169,6 +288,34 @@ TEST(SimplexSparseTest, WarmStartAfterBoundPerturbationMatchesColdStart) {
   ASSERT_GT(compared, 20);
 }
 
+TEST(SimplexSparseTest, WarmBasisMovesParkedFreeVariableOntoItsNewBound) {
+  // x is free in the first solve, so it ends nonbasic parked at 0. The
+  // re-solve boxes it into [1, 2]; the warm start must move it onto a bound
+  // rather than report a point outside its box.
+  Model m;
+  const int x = m.AddVariable("x", -kInfinity, kInfinity, false);
+  const int y = m.AddVariable("y", 0, 3, false);
+  m.AddConstraint("sum", {{x, 1.0}, {y, 1.0}}, -10, kInfinity);
+  m.AddConstraint("cap", {{y, 1.0}}, 0, 3);
+  m.SetObjective({{y, 1.0}});
+  const LpResult first = SolveLp(m);
+  ASSERT_EQ(first.status, LpStatus::kOptimal);
+
+  const std::vector<double> lower = {1.0, 0.0};
+  const std::vector<double> upper = {2.0, 3.0};
+  const LpResult cold = SolveLp(m, {}, &lower, &upper);
+  ASSERT_EQ(cold.status, LpStatus::kOptimal);
+  SimplexOptions options;
+  options.warm_start = &first.basis;
+  const LpResult warm = SolveLp(m, options, &lower, &upper);
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_GE(warm.x[x], 1.0);
+  EXPECT_LE(warm.x[x], 2.0);
+  EXPECT_NEAR(warm.x[x], cold.x[x], kObjTol);
+  EXPECT_NEAR(warm.objective, cold.objective, kObjTol);
+}
+
 TEST(SimplexSparseTest, MismatchedWarmBasisFallsBackToColdStart) {
   Model m;
   const int x = m.AddVariable("x", 0, 2, false);
@@ -190,8 +337,8 @@ TEST(SimplexSparseTest, MismatchedWarmBasisFallsBackToColdStart) {
 
 // Beale's classic cycling LP: Dantzig pricing cycles forever without an
 // anti-cycling guard; the iteration-count trigger must switch to Bland's rule
-// and finish at the true optimum (objective -1/20) with either basis backend.
-TEST(SimplexSparseTest, BealeCyclingFixtureTerminatesUnderBothBackends) {
+// and finish at the true optimum (objective -1/20).
+TEST(SimplexSparseTest, BealeCyclingFixtureTerminates) {
   Model m;
   const int x1 = m.AddVariable("x1", 0, kInfinity, false);
   const int x2 = m.AddVariable("x2", 0, kInfinity, false);
@@ -203,11 +350,9 @@ TEST(SimplexSparseTest, BealeCyclingFixtureTerminatesUnderBothBackends) {
                   -kInfinity, 0.0);
   m.AddConstraint("cap", {{x3, 1.0}}, -kInfinity, 1.0);
   m.SetObjective({{x1, -0.75}, {x2, 150.0}, {x3, -0.02}, {x4, 6.0}});
-  for (BasisKind kind : {BasisKind::kLuFactorization, BasisKind::kDenseInverse}) {
-    const LpResult r = SolveLp(m, WithBasis(kind));
-    ASSERT_EQ(r.status, LpStatus::kOptimal) << LpStatusName(r.status);
-    EXPECT_NEAR(r.objective, -0.05, kObjTol);
-  }
+  const LpResult r = SolveLp(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal) << LpStatusName(r.status);
+  EXPECT_NEAR(r.objective, -0.05, kObjTol);
 }
 
 TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
@@ -223,11 +368,9 @@ TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
     m.AddConstraint("mix", {{x, 1.0 * s}, {y, 2.0 * s}}, -kInfinity, 2.0 * s);
   }
   m.SetObjective({{x, -1.0}, {y, -1.0}, {z, -1.0}});
-  for (BasisKind kind : {BasisKind::kLuFactorization, BasisKind::kDenseInverse}) {
-    const LpResult r = SolveLp(m, WithBasis(kind));
-    ASSERT_EQ(r.status, LpStatus::kOptimal);
-    EXPECT_NEAR(r.objective, -2.0, kObjTol);
-  }
+  const LpResult r = SolveLp(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, -2.0, kObjTol);
 }
 
 TEST(SimplexSparseTest, RefactorizationEveryPivotStaysExactAndCounts) {
