@@ -4,49 +4,41 @@
 // independent of the number of subjects: ingestion must not be the part that
 // scales badly. This harness measures the full load chain on synthetic
 // DBpedia-shaped files (one sort, ~64 signature templates, ~10 triples per
-// subject) at several sizes, comparing:
+// subject) at several sizes, in two configurations:
 //
-//   legacy    double-buffered file read, whole-Term interning (3 string
-//             copies per triple), sort slice rebuilt as a second Graph, dense
-//             |S| x |P| PropertyMatrix collapsed by SignatureIndex::FromMatrix
-//   stream    single-allocation read, zero-copy string_view parse with
-//             heterogeneous interning, IndexBuilder pairs -> sort -> group
-//             (no dense intermediate)
 //   api       api::Dataset::FromNTriplesFile — the production façade path
+//             (single read, zero-copy parse, IndexBuilder pairs -> sort ->
+//             group, no dense intermediate)
 //   api-mt8   same, with parse_threads = 8 (clamped to the input's chunk
 //             count; the sharded parse merges through Graph::MergeShards)
 //
-// The mt run also asserts the tentpole's bit-identical contract: an 8-thread
-// parse of the same file must produce exactly the same dictionary (ids,
-// kinds, lexical forms) and triple/subject/property orders as the 1-thread
-// parse, fingerprint-compared. Every record carries the effective thread
-// count and the process peak RSS.
+// Two checks make the exit code meaningful: api-mt8 must yield the same
+// subject, property and signature counts as api, and an 8-thread parse of
+// the file must produce exactly the same dictionary (ids, kinds, lexical
+// forms) and triple/subject/property orders as a 1-thread parse,
+// fingerprint-compared. Every record carries the effective thread count and
+// the process peak RSS.
 //
-// The `intermediate_bytes` metric is the peak transient state of the
-// index-construction stage: S x P matrix cells for legacy, 8-byte pairs plus
-// dense remap tables for the streaming builder. This is the O(subjects x
-// properties) -> O(triples) reduction; the JSON records capture it per run.
+// The `intermediate_bytes` metric is the index-construction stage's
+// transient state, 8 bytes per (subject, property) pair — O(triples) — read
+// against `dense_cells_equiv`, the subjects x properties cells a dense
+// matrix would take.
 //
 // Usage: bench_ingest [--json <path>] [--triples N[,N...]]   (default sizes
 // 100k and 1M; CI runs the small size and archives the JSON.)
 
 #include <cstring>
-#include <deque>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "api/rdfsr.h"
 #include "bench_util.h"
 #include "rdf/ntriples.h"
 #include "rdf/vocab.h"
-#include "schema/index_builder.h"
-#include "schema/property_set.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -136,169 +128,6 @@ std::uint64_t FingerprintGraph(const rdf::Graph& g) {
   return h;
 }
 
-// --- The seed's load chain, mirrored verbatim so the speedup is measured
-// --- against what this repo actually did before the streaming pipeline:
-// ---  * dictionary storing every Term twice (deque + map key), non-view
-// ---    lookups constructing a temporary Term per FindIri,
-// ---  * node-based unordered_set per-triple dedup plus an (s,p) set insert
-// ---    on every Add,
-// ---  * sort slicing by rebuilding the slice as a second graph (two full
-// ---    triple scans, every slice triple re-hashed),
-// ---  * the dense |S| x |P| matrix collapsed row-by-row into signatures.
-namespace seed {
-
-struct Dict {
-  std::deque<rdf::Term> terms;
-  std::unordered_map<rdf::Term, rdf::TermId, rdf::TermHash> ids;
-  rdf::TermId Intern(const rdf::Term& t) {
-    auto it = ids.find(t);
-    if (it != ids.end()) return it->second;
-    const auto id = static_cast<rdf::TermId>(terms.size());
-    terms.push_back(t);  // double storage, as the seed did
-    ids.emplace(t, id);
-    return id;
-  }
-  rdf::TermId FindIri(const std::string& iri) const {
-    auto it = ids.find(rdf::Term::Iri(iri));  // temporary Term per lookup
-    return it == ids.end() ? rdf::kInvalidTermId : it->second;
-  }
-};
-
-struct Graph {
-  Dict dict;
-  std::vector<rdf::Triple> triples;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> triple_set;
-  std::vector<rdf::TermId> subjects, properties;
-  std::unordered_set<rdf::TermId> subject_set, property_set;
-  std::unordered_set<std::uint64_t> subject_property;
-
-  void Add(rdf::Triple t) {
-    if (!triple_set.insert(t).second) return;
-    triples.push_back(t);
-    if (subject_set.insert(t.subject).second) subjects.push_back(t.subject);
-    if (property_set.insert(t.predicate).second) {
-      properties.push_back(t.predicate);
-    }
-    subject_property.insert((static_cast<std::uint64_t>(t.subject) << 32) |
-                            t.predicate);
-  }
-};
-
-}  // namespace seed
-
-/// The pre-IndexBuilder load chain: stream-buffer double read, Term
-/// materialization + whole-Term interning per triple, the sort slice rebuilt
-/// as a second graph, and the dense matrix intermediate.
-LoadResult LoadLegacy(const std::string& path) {
-  WallTimer timer;
-  std::ifstream in(path, std::ios::binary);
-  RDFSR_CHECK(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();                   // copy 1: stream buffer
-  const std::string text = buf.str();  // copy 2: materialized string
-
-  seed::Graph graph;
-  const Status st = rdf::ParseNTriplesStream(
-      text, [&graph](const rdf::TermView& s, const rdf::TermView& p,
-                     const rdf::TermView& o) {
-        graph.Add(rdf::Triple{graph.dict.Intern(s.ToTerm()),
-                              graph.dict.Intern(p.ToTerm()),
-                              graph.dict.Intern(o.ToTerm())});
-      });
-  RDFSR_CHECK(st.ok()) << st.ToString();
-
-  // Sort slice as a second graph: membership scan + full re-add (seed
-  // Graph::SortSlice).
-  const rdf::TermId type_prop = graph.dict.FindIri(rdf::vocab::kRdfType);
-  const rdf::TermId sort = graph.dict.FindIri(kSort);
-  RDFSR_CHECK(type_prop != rdf::kInvalidTermId && sort != rdf::kInvalidTermId);
-  std::unordered_set<rdf::TermId> members;
-  for (const rdf::Triple& t : graph.triples) {
-    if (t.predicate == type_prop && t.object == sort) members.insert(t.subject);
-  }
-  seed::Graph slice;
-  slice.dict = std::move(graph.dict);  // seed slices shared the dictionary
-  for (const rdf::Triple& t : graph.triples) {
-    if (!members.count(t.subject)) continue;
-    if (t.predicate == type_prop) continue;
-    slice.Add(t);
-  }
-
-  // Dense |S| x |P| matrix (PropertyMatrix::FromGraph) ...
-  std::unordered_map<rdf::TermId, std::size_t> subj_index, prop_index;
-  for (rdf::TermId s : slice.subjects) subj_index.emplace(s, subj_index.size());
-  for (rdf::TermId p : slice.properties) {
-    prop_index.emplace(p, prop_index.size());
-  }
-  const std::size_t num_subjects = subj_index.size();
-  const std::size_t num_props = prop_index.size();
-  std::vector<std::uint8_t> cells(num_subjects * num_props, 0);
-  for (const rdf::Triple& t : slice.triples) {
-    cells[subj_index.at(t.subject) * num_props + prop_index.at(t.predicate)] =
-        1;
-  }
-  // ... collapsed row-by-row into signature groups (FromMatrix).
-  std::unordered_map<schema::PropertySet, std::int64_t,
-                     schema::PropertySetHash>
-      groups;
-  for (std::size_t s = 0; s < num_subjects; ++s) {
-    schema::PropertySet row(num_props);
-    for (std::size_t p = 0; p < num_props; ++p) {
-      if (cells[s * num_props + p]) row.Insert(p);
-    }
-    ++groups[std::move(row)];
-  }
-
-  LoadResult r;
-  r.seconds = timer.Seconds();
-  r.intermediate_bytes = cells.size();
-  r.subjects = num_subjects;
-  r.properties = num_props;
-  r.signatures = groups.size();
-  r.peak_rss = PeakRssBytes();
-  return r;
-}
-
-/// The streaming chain, spelled out so the builder's intermediate-bytes
-/// metric is observable: single read, view parse, pairs -> canonical index.
-LoadResult LoadStreaming(const std::string& path) {
-  WallTimer timer;
-  auto text = rdf::ReadFileToString(path);
-  RDFSR_CHECK(text.ok()) << text.status().ToString();
-  rdf::Graph graph;
-  const Status st = rdf::ParseNTriplesInto(*text, &graph);
-  RDFSR_CHECK(st.ok()) << st.ToString();
-
-  const rdf::Dictionary& dict = graph.dict();
-  const rdf::TermId type_prop = dict.FindIri(rdf::vocab::kRdfType);
-  const rdf::TermId sort = dict.FindIri(kSort);
-  RDFSR_CHECK(type_prop != rdf::kInvalidTermId && sort != rdf::kInvalidTermId);
-  std::unordered_set<rdf::TermId> members;
-  for (std::uint32_t i : graph.TypePostings()) {
-    if (graph.triples()[i].object == sort) {
-      members.insert(graph.triples()[i].subject);
-    }
-  }
-  schema::IndexBuilder builder;
-  builder.ReservePairs(graph.size());
-  for (const rdf::Triple& t : graph.triples()) {
-    if (t.predicate == type_prop || members.count(t.subject) == 0) continue;
-    builder.Add(t.subject, t.predicate);
-  }
-  const std::size_t intermediate = builder.intermediate_bytes();
-  const schema::SignatureIndex index =
-      builder.Build(dict, /*keep_subject_names=*/true);
-
-  LoadResult r;
-  r.seconds = timer.Seconds();
-  r.intermediate_bytes = intermediate;
-  r.subjects = static_cast<std::size_t>(index.total_subjects());
-  r.properties = index.num_properties();
-  r.signatures = index.num_signatures();
-  r.peak_rss = PeakRssBytes();
-  return r;
-}
-
 /// The production façade path (optionally multi-threaded parse).
 LoadResult LoadApi(const std::string& path, int parse_threads) {
   WallTimer timer;
@@ -320,26 +149,19 @@ LoadResult LoadApi(const std::string& path, int parse_threads) {
 }
 
 void RecordRun(const std::string& config, std::size_t triples,
-               const LoadResult& r, double speedup_vs_legacy,
-               double speedup_vs_1thread = 0) {
+               const LoadResult& r, double speedup_vs_1thread) {
   std::vector<std::pair<std::string, double>> metrics = {
       {"triples", static_cast<double>(triples)},
       {"triples_per_sec", static_cast<double>(triples) / r.seconds},
       {"threads", static_cast<double>(r.threads)},
       {"peak_rss_bytes", static_cast<double>(r.peak_rss)},
       {"intermediate_bytes", static_cast<double>(r.intermediate_bytes)},
-      // What a dense |S| x |P| intermediate would cost for this view — the
-      // legacy config's intermediate_bytes equals this; the streaming
-      // configs' intermediate_bytes must stay independent of it.
       {"dense_cells_equiv",
        static_cast<double>(r.subjects) * static_cast<double>(r.properties)},
       {"subjects", static_cast<double>(r.subjects)},
       {"properties", static_cast<double>(r.properties)},
       {"signatures", static_cast<double>(r.signatures)},
   };
-  if (speedup_vs_legacy > 0) {
-    metrics.emplace_back("speedup_vs_legacy", speedup_vs_legacy);
-  }
   if (speedup_vs_1thread > 0) {
     metrics.emplace_back("speedup_vs_1thread", speedup_vs_1thread);
   }
@@ -353,15 +175,13 @@ int Run(const std::vector<std::size_t>& sizes) {
          "Section 7 datasets; Figure 8 scalability reading");
 
   TextTable table({"triples", "config", "seconds", "Mtriples/s",
-                   "intermediate", "speedup"});
+                   "intermediate", "vs 1 thread"});
   bool ok = true;
   for (std::size_t target : sizes) {
     const std::string path =
         "/tmp/bench_ingest_" + std::to_string(target) + ".nt";
     const std::size_t triples = WriteSyntheticFile(path, target, /*seed=*/42);
 
-    const LoadResult legacy = LoadLegacy(path);
-    const LoadResult stream = LoadStreaming(path);
     const LoadResult api = LoadApi(path, /*parse_threads=*/1);
     const LoadResult api_mt = LoadApi(path, /*parse_threads=*/8);
 
@@ -388,19 +208,17 @@ int Run(const std::vector<std::size_t>& sizes) {
     }
     std::remove(path.c_str());
 
-    // All paths must agree on the resulting view.
-    for (const LoadResult* r : {&stream, &api, &api_mt}) {
-      if (r->subjects != legacy.subjects ||
-          r->properties != legacy.properties ||
-          r->signatures != legacy.signatures) {
-        std::cerr << "FAIL: index mismatch vs legacy at " << triples
-                  << " triples\n";
-        ok = false;
-      }
+    // Both loads must agree on the resulting view.
+    if (api_mt.subjects != api.subjects ||
+        api_mt.properties != api.properties ||
+        api_mt.signatures != api.signatures) {
+      std::cerr << "FAIL: api-mt8 index differs from api at " << triples
+                << " triples\n";
+      ok = false;
     }
 
     const auto row = [&](const std::string& config, const LoadResult& r,
-                         double speedup, double speedup_mt = 0) {
+                         double speedup) {
       std::ostringstream mb;
       mb << std::fixed << std::setprecision(1)
          << static_cast<double>(r.intermediate_bytes) / (1024.0 * 1024.0)
@@ -418,13 +236,10 @@ int Run(const std::vector<std::size_t>& sizes) {
       }
       table.AddRow({std::to_string(triples), config, sec.str(), rate.str(),
                     mb.str(), sp.str()});
-      RecordRun(config, triples, r, speedup, speedup_mt);
+      RecordRun(config, triples, r, speedup);
     };
-    row("legacy", legacy, 0);
-    row("stream", stream, legacy.seconds / stream.seconds);
-    row("api", api, legacy.seconds / api.seconds);
-    row("api-mt8", api_mt, legacy.seconds / api_mt.seconds,
-        api.seconds / api_mt.seconds);
+    row("api", api, 0);
+    row("api-mt8", api_mt, api.seconds / api_mt.seconds);
     std::cout << "  parse determinism @" << triples
               << " triples: 8-thread fingerprint "
               << (fp1 == fp8 ? "== 1-thread (bit-identical)\n"
@@ -432,9 +247,8 @@ int Run(const std::vector<std::size_t>& sizes) {
   }
   std::cout << table.ToString();
   std::cout << "\nintermediate = transient bytes of the index-construction "
-               "stage\n  (legacy: dense |S| x |P| matrix cells; stream/api: "
-               "8-byte (subject, property)\n  pairs + dense id remap — "
-               "O(triples), independent of |S| x |P|)\n";
+               "stage: 8-byte\n  (subject, property) pairs — O(triples), "
+               "independent of |S| x |P|\n";
   return ok ? 0 : 1;
 }
 

@@ -22,8 +22,8 @@ Result<Dataset> Dataset::Build(std::shared_ptr<const rdf::Graph> graph,
   auto rep = std::make_shared<Rep>();
   rep->parse_threads = parse_threads;
   // Both paths stream (subject, property) pairs straight into the signature
-  // index — no dense PropertyMatrix, and slicing never materializes the
-  // slice as a second graph (membership comes from the rdf:type postings).
+  // index — no dense subject x property matrix, and no sort slice copied
+  // into a second graph (membership comes from the rdf:type postings).
   if (!sort.empty()) {
     std::size_t slice_triples = 0;
     rep->index = schema::IndexBuilder::FromSortSlice(

@@ -2,7 +2,8 @@
 
 #include <vector>
 
-#include "schema/property_matrix.h"
+#include "rdf/dictionary.h"
+#include "schema/index_builder.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -101,14 +102,24 @@ MixedDataset GenerateMixed(const MixedConfig& config) {
     }
   }
 
-  std::vector<std::string> property_names(kProperties,
-                                          kProperties + kNumProperties);
-  schema::PropertyMatrix matrix = schema::PropertyMatrix::FromRows(
-      rows, subject_names, property_names);
+  // Add the 1-cells column by column. Every subject has `type` (column 0),
+  // so subjects first appear in row order and properties in column order —
+  // the orders IndexBuilder gives the index's rows and columns.
+  rdf::Dictionary dict;
+  std::vector<rdf::TermId> subject_ids;
+  for (const std::string& name : subject_names) {
+    subject_ids.push_back(dict.InternIri(name));
+  }
+  schema::IndexBuilder builder;
+  for (int p = 0; p < kNumProperties; ++p) {
+    const rdf::TermId property = dict.InternIri(kProperties[p]);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (rows[r][p] == 1) builder.Add(subject_ids[r], property);
+    }
+  }
 
   MixedDataset dataset;
-  dataset.index =
-      schema::SignatureIndex::FromMatrix(matrix, /*keep_subject_names=*/true);
+  dataset.index = builder.Build(dict, /*keep_subject_names=*/true);
   dataset.subject_names = std::move(subject_names);
   dataset.is_drug_company = std::move(is_drug);
   dataset.plumbing_properties = {"type", "label", "sameAs", "subClassOf"};

@@ -10,32 +10,6 @@
 
 namespace rdfsr::gen {
 
-schema::PropertyMatrix GenerateRandomMatrix(const RandomMatrixSpec& spec) {
-  RDFSR_CHECK_GT(spec.num_subjects, 0);
-  RDFSR_CHECK_GT(spec.num_properties, 0);
-  Rng rng(spec.seed);
-  std::vector<std::vector<int>> rows(
-      spec.num_subjects, std::vector<int>(spec.num_properties, 0));
-  for (auto& row : rows) {
-    for (int p = 0; p < spec.num_properties; ++p) {
-      row[p] = rng.Chance(spec.density) ? 1 : 0;
-    }
-  }
-  // Repair all-zero rows (subjects must have >= 1 property) and all-zero
-  // columns (properties must be mentioned).
-  for (auto& row : rows) {
-    bool any = false;
-    for (int v : row) any = any || v == 1;
-    if (!any) row[rng.Below(spec.num_properties)] = 1;
-  }
-  for (int p = 0; p < spec.num_properties; ++p) {
-    bool any = false;
-    for (const auto& row : rows) any = any || row[p] == 1;
-    if (!any) rows[rng.Below(spec.num_subjects)][p] = 1;
-  }
-  return schema::PropertyMatrix::FromRows(rows);
-}
-
 schema::SignatureIndex GenerateRandomIndex(const RandomIndexSpec& spec) {
   RDFSR_CHECK_GT(spec.num_signatures, 0);
   RDFSR_CHECK_GT(spec.num_properties, 0);

@@ -1,8 +1,9 @@
 // Random datasets for property-based testing.
 //
-// Valid dataset views (no empty subject rows, no unused property columns) so
-// the brute-force semantics, the signature-level enumerator, and the closed
-// forms are all defined on the same object.
+// Valid dataset views (no empty signature supports, no unused property
+// columns) so the signature-level enumerator, the closed forms, and the
+// brute-force semantics of the tests' dense-matrix oracle are all defined on
+// the same object.
 
 #ifndef RDFSR_GEN_RANDOM_GRAPH_H_
 #define RDFSR_GEN_RANDOM_GRAPH_H_
@@ -10,21 +11,9 @@
 #include <cstdint>
 
 #include "rdf/graph.h"
-#include "schema/property_matrix.h"
 #include "schema/signature_index.h"
 
 namespace rdfsr::gen {
-
-/// Shape of a random explicit matrix.
-struct RandomMatrixSpec {
-  int num_subjects = 6;
-  int num_properties = 4;
-  double density = 0.5;  ///< Bernoulli probability of a 1 cell.
-  std::uint64_t seed = 1;
-};
-
-/// Random 0/1 matrix with no all-zero row and no all-zero column.
-schema::PropertyMatrix GenerateRandomMatrix(const RandomMatrixSpec& spec);
 
 /// Shape of a random signature index.
 struct RandomIndexSpec {
@@ -39,9 +28,9 @@ struct RandomIndexSpec {
 schema::SignatureIndex GenerateRandomIndex(const RandomIndexSpec& spec);
 
 /// Shape of a random RDF graph — the ingestion-path test generator. Exercises
-/// the messy inputs the streaming IndexBuilder must agree with the legacy
-/// matrix path on: duplicate triples (set semantics), blank-node subjects,
-/// subjects declared in several sorts, and untyped subjects.
+/// the messy inputs on which IndexBuilder must agree with the tests'
+/// dense-matrix oracle: duplicate triples (set semantics), blank-node
+/// subjects, subjects declared in several sorts, and untyped subjects.
 struct RandomGraphSpec {
   int num_subjects = 20;
   int num_properties = 8;

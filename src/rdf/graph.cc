@@ -412,28 +412,6 @@ const std::vector<std::uint32_t>& Graph::TypePostings() const {
   return type_postings_;
 }
 
-Graph Graph::SortSlice(const std::string& type_iri, bool include_type) const {
-  Graph slice(dict_);
-  const TermId type_prop = dict_->FindIri(vocab::kRdfType);
-  const TermId sort = dict_->FindIri(type_iri);
-  if (type_prop == kInvalidTermId || sort == kInvalidTermId) return slice;
-
-  // Membership comes from the rdf:type posting list, so only the triple
-  // collection below still walks the full triple vector.
-  std::unordered_set<TermId> members;
-  for (std::uint32_t i : TypePostings()) {
-    const Triple& t = triples_[i];
-    if (t.object == sort) members.insert(t.subject);
-  }
-  if (members.empty()) return slice;
-  for (const Triple& t : triples_) {
-    if (!members.count(t.subject)) continue;
-    if (!include_type && t.predicate == type_prop) continue;
-    slice.Add(t);
-  }
-  return slice;
-}
-
 std::vector<TermId> Graph::SortConstants() const {
   std::vector<TermId> sorts;
   std::unordered_set<TermId> seen;

@@ -3,7 +3,8 @@
 // Implements the schema-oriented representation of Section 2.1:
 //  * S(D), P(D) — subjects and properties mentioned in D,
 //  * "s has property p in D",
-//  * the sort slice D_t = { (s,p,o) in D | (s, type, t) in D }.
+//  * the rdf:type postings from which schema::IndexBuilder::FromSortSlice
+//    reads the sort slice D_t = { (s,p,o) in D | (s, type, t) in D }.
 
 #ifndef RDFSR_RDF_GRAPH_H_
 #define RDFSR_RDF_GRAPH_H_
@@ -59,18 +60,14 @@ struct TripleHash {
 
 /// A finite set of RDF triples sharing a Dictionary. Insertion order of the
 /// first occurrence of each triple/subject/property is preserved, which keeps
-/// downstream views (matrices, signature indexes) deterministic.
+/// downstream views (signature indexes) deterministic.
 class Graph {
  public:
   /// Creates a graph with a fresh dictionary.
   Graph() : dict_(std::make_shared<Dictionary>()) {}
 
-  /// Creates a graph sharing an existing dictionary (used by slices).
-  explicit Graph(std::shared_ptr<Dictionary> dict) : dict_(std::move(dict)) {}
-
   Dictionary& dict() { return *dict_; }
   const Dictionary& dict() const { return *dict_; }
-  const std::shared_ptr<Dictionary>& dict_ptr() const { return dict_; }
 
   /// Pre-sizes the triple store, dedup index, and dictionary for a bulk load
   /// of ~`triples` triples mentioning ~`terms` distinct terms. Purely an
@@ -116,12 +113,6 @@ class Graph {
   /// mutable cache: warm it before sharing const references across threads.
   bool HasProperty(TermId s, TermId p) const;
 
-  /// D_t: the subgraph of all triples whose subject is declared of sort t via
-  /// (s, type, t). The slice shares this graph's dictionary. `include_type`
-  /// controls whether the (s, type, t) triples themselves are copied (the
-  /// paper's datasets exclude the type property from the analysis).
-  Graph SortSlice(const std::string& type_iri, bool include_type = false) const;
-
   /// All sort constants t appearing in (s, type, t) triples.
   std::vector<TermId> SortConstants() const;
 
@@ -149,8 +140,8 @@ class Graph {
 
   /// Positions (indices into triples()) of all (s, rdf:type, t) triples, in
   /// insertion order. Built lazily on first use and extended incrementally as
-  /// triples are added, so repeated sort slicing / sort enumeration never
-  /// rescans the full triple vector.
+  /// triples are added, so repeated sort-slice indexing / sort enumeration
+  /// never rescans the full triple vector.
   ///
   /// Thread-safety: the build mutates a mutable cache, so call this once
   /// while the graph is still exclusively owned if const references will be

@@ -3,6 +3,8 @@
 #include <functional>
 #include <string>
 
+#include "rdf/dictionary.h"
+#include "schema/index_builder.h"
 #include "util/check.h"
 
 namespace rdfsr::reduction {
@@ -38,7 +40,7 @@ UndirectedGraph UndirectedGraph::Cycle(int num_nodes) {
   return g;
 }
 
-schema::PropertyMatrix BuildReductionMatrix(const UndirectedGraph& graph) {
+schema::SignatureIndex BuildReductionIndex(const UndirectedGraph& graph) {
   const int n = graph.num_nodes();
   const int cols = 2 * n + 3;
 
@@ -80,7 +82,22 @@ schema::PropertyMatrix BuildReductionMatrix(const UndirectedGraph& graph) {
     rows.push_back(std::move(row));
     subjects.push_back("v" + std::to_string(i));
   }
-  return schema::PropertyMatrix::FromRows(rows, subjects, props);
+
+  // Add the 1-cells column by column: every column is non-empty, so the
+  // properties first appear (and are numbered) in column order.
+  rdf::Dictionary dict;
+  std::vector<rdf::TermId> subject_ids;
+  for (const std::string& name : subjects) {
+    subject_ids.push_back(dict.InternIri(name));
+  }
+  schema::IndexBuilder builder;
+  for (int c = 0; c < cols; ++c) {
+    const rdf::TermId property = dict.InternIri(props[c]);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      if (rows[r][c] == 1) builder.Add(subject_ids[r], property);
+    }
+  }
+  return builder.Build(dict, /*keep_subject_names=*/true);
 }
 
 rules::Rule BuildRuleR0() {
@@ -174,12 +191,20 @@ bool IsValidColoring(const UndirectedGraph& graph,
 std::vector<std::vector<int>> ColoringToRowPartition(
     const UndirectedGraph& graph, const std::vector<int>& coloring) {
   RDFSR_CHECK(IsValidColoring(graph, coloring));
+  const schema::SignatureIndex index = BuildReductionIndex(graph);
   const int n = graph.num_nodes();
   std::vector<std::vector<int>> parts(3);
+  const char* group_name[3] = {"a", "b", "c"};
   for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < n; ++i) parts[g].push_back(g * n + i);
+    for (int i = 0; i < n; ++i) {
+      parts[g].push_back(
+          index.FindSubjectSignature(group_name[g] + std::to_string(i)));
+    }
   }
-  for (int i = 0; i < n; ++i) parts[coloring[i]].push_back(3 * n + i);
+  for (int i = 0; i < n; ++i) {
+    parts[coloring[i]].push_back(
+        index.FindSubjectSignature("v" + std::to_string(i)));
+  }
   return parts;
 }
 

@@ -7,8 +7,9 @@
 // diagonal column blocks, and the complemented adjacency matrix in the lower
 // right) and a fixed 11-variable rule r0 such that G is 3-colorable iff M_G
 // admits a sigma_{r0}-sort refinement with threshold 1 and at most 3 implicit
-// sorts. This module constructs both artifacts programmatically, plus a
-// direct 3-coloring search used to cross-check the construction in tests.
+// sorts. This module constructs both artifacts programmatically — M_G as its
+// signature index, one signature per row — plus a direct 3-coloring search
+// used to cross-check the construction in tests.
 
 #ifndef RDFSR_REDUCTION_THREE_COLORING_H_
 #define RDFSR_REDUCTION_THREE_COLORING_H_
@@ -17,7 +18,7 @@
 #include <vector>
 
 #include "rules/ast.h"
-#include "schema/property_matrix.h"
+#include "schema/signature_index.h"
 
 namespace rdfsr::reduction {
 
@@ -40,12 +41,13 @@ class UndirectedGraph {
   std::vector<std::vector<bool>> adj_;
 };
 
-/// Builds M_G: 4n rows x (2n+3) columns. Column names: "sp1", "sp2", "idp",
-/// "L0".."L{n-1}" (left diagonal block), "R0".."R{n-1}" (right block holding
-/// the complemented adjacency matrix in the lower section). Row (subject)
-/// names: "a<i>", "b<i>", "c<i>" for the three auxiliary groups, "v<i>" for
-/// the node rows.
-schema::PropertyMatrix BuildReductionMatrix(const UndirectedGraph& graph);
+/// Builds M_G (4n rows x (2n+3) columns) as a signature index with subject
+/// names kept: 4n signatures of one subject each. Properties, in column
+/// order: "sp1", "sp2", "idp", "L0".."L{n-1}" (left diagonal block),
+/// "R0".."R{n-1}" (right block holding the complemented adjacency matrix in
+/// the lower section). Row (subject) names: "a<i>", "b<i>", "c<i>" for the
+/// three auxiliary groups, "v<i>" for the node rows.
+schema::SignatureIndex BuildReductionIndex(const UndirectedGraph& graph);
 
 /// The fixed rule r0 of Appendix A (equation 2), 11 variables.
 rules::Rule BuildRuleR0();
@@ -59,8 +61,8 @@ bool IsValidColoring(const UndirectedGraph& graph,
                      const std::vector<int>& coloring);
 
 /// The row partition of M_G induced by a coloring, as in the appendix: part i
-/// holds auxiliary group i plus the rows of nodes colored i. Rows are indexed
-/// as in BuildReductionMatrix.
+/// holds auxiliary group i plus the rows of nodes colored i. Each row is given
+/// by its signature id in BuildReductionIndex(graph).
 std::vector<std::vector<int>> ColoringToRowPartition(
     const UndirectedGraph& graph, const std::vector<int>& coloring);
 

@@ -7,6 +7,11 @@ namespace rdfsr::rules {
 
 namespace {
 
+// Bound on the combined nesting of '(' and '!'. The parser recurses once per
+// level, so an unbounded depth lets hostile rule text exhaust the stack; the
+// printed rule r0 of Appendix A nests 2 deep.
+constexpr int kMaxNesting = 256;
+
 enum class TokenKind {
   kIdent,
   kUri,     // <...>
@@ -186,21 +191,24 @@ class Parser {
   }
 
   Result<FormulaPtr> ParseUnary() {
-    if (Peek().kind == TokenKind::kNot) {
-      Advance();
-      Result<FormulaPtr> inner = ParseUnary();
-      if (!inner.ok()) return inner;
-      return Not(*inner);
+    const TokenKind kind = Peek().kind;
+    if (kind != TokenKind::kNot && kind != TokenKind::kLParen) {
+      return ParseAtom();
     }
-    if (Peek().kind == TokenKind::kLParen) {
-      Advance();
-      Result<FormulaPtr> inner = ParseOr();
-      if (!inner.ok()) return inner;
-      if (Peek().kind != TokenKind::kRParen) return Error("expected ')'");
-      Advance();
-      return inner;
+    if (depth_ == kMaxNesting) {
+      return Error("'(' and '!' nested deeper than " +
+                   std::to_string(kMaxNesting) + " levels");
     }
-    return ParseAtom();
+    Advance();
+    ++depth_;
+    Result<FormulaPtr> inner =
+        kind == TokenKind::kNot ? ParseUnary() : ParseOr();
+    --depth_;
+    if (!inner.ok()) return inner;
+    if (kind == TokenKind::kNot) return Not(*inner);
+    if (Peek().kind != TokenKind::kRParen) return Error("expected ')'");
+    Advance();
+    return inner;
   }
 
   /// Parses the equality operator; sets `negated` for '!='.
@@ -314,6 +322,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
+  int depth_ = 0;  // '(' and '!' levels open around the current token
 };
 
 }  // namespace

@@ -14,6 +14,9 @@
 //   const    := "<" uri ">" | identifier
 //   var      := identifier            (not one of val/subj/prop)
 //
+// "(" and "!" may nest at most 256 levels deep, combined; deeper input is a
+// ParseError rather than a stack overflow.
+//
 // Examples (the builtin rules of Section 2.2 in this syntax):
 //   Cov:    c = c -> val(c) = 1
 //   Sim:    !(c1 = c2) && prop(c1) = prop(c2) && val(c1) = 1 -> val(c2) = 1

@@ -82,8 +82,8 @@ SignatureIndex IndexBuilder::Build(const rdf::Dictionary& dict,
   SignatureIndex index;
   if (cancel.stop_requested()) return index;
   // Sorting ascending groups each subject's columns contiguously; dense ids
-  // are first-appearance ordinals, so subject runs come out in the same row
-  // order as the legacy matrix.
+  // are first-appearance ordinals, so subject runs come out in M(D)'s row
+  // order.
   ParallelSortPairs(&pairs_, pool);
   pairs_.erase(std::unique(pairs_.begin(), pairs_.end()), pairs_.end());
   if (cancel.stop_requested()) return index;

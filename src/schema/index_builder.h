@@ -1,22 +1,22 @@
 // Streaming construction of a SignatureIndex from (subject, property) id
-// pairs — the ingestion fast path.
+// pairs — the one way the library builds an index from subjects (synthetic
+// generators that never materialize subjects use
+// SignatureIndex::FromSignatures instead).
 //
-// The legacy load chain materialized the dense |S(D)| x |P(D)| PropertyMatrix
-// before collapsing it into signatures: O(subjects x properties) bytes of
-// intermediate state, which is exactly what makes DBpedia/WordNet-scale inputs
-// (tens of millions of triples) memory-infeasible long before the refinement
-// solver matters. IndexBuilder replaces that chain on the Dataset hot path:
-// it accumulates dictionary-encoded (subject_id, property_id) pairs as they
+// The dense |S(D)| x |P(D)| matrix M(D) of Section 2.1 is never
+// materialized: it would cost O(subjects x properties) bytes, which is what
+// makes DBpedia/WordNet-scale inputs (tens of millions of triples)
+// memory-infeasible long before the refinement solver matters. IndexBuilder
+// accumulates dictionary-encoded (subject_id, property_id) pairs as they
 // stream out of the parser (8 bytes per triple, duplicates welcome), then
 // sorts + uniques + groups them into per-subject word-packed PropertySet rows
 // and hashes the rows into signature sets. Peak intermediate state is
 // O(triples + signatures), never O(subjects x properties).
 //
-// The result is canonically identical — property column order, signature
-// order, subject-name maps, byte for byte — to
-// SignatureIndex::FromMatrix(PropertyMatrix::FromGraph(g)), which remains the
-// reference implementation for tests and generators
-// (tests/index_builder_test.cc asserts the equivalence on random graphs).
+// The result is the canonical grouping of M(D)'s rows — property column
+// order, signature order, subject-name maps — that the dense-matrix oracle
+// in tests/dense_matrix_oracle.h computes; tests/index_builder_test.cc
+// asserts the equivalence on random graphs and sort slices.
 
 #ifndef RDFSR_SCHEMA_INDEX_BUILDER_H_
 #define RDFSR_SCHEMA_INDEX_BUILDER_H_
@@ -46,8 +46,8 @@ class IndexBuilder {
   void ReservePairs(std::size_t pairs) { pairs_.reserve(pairs); }
 
   /// Records that `subject` has `property`. Duplicates are fine (collapsed at
-  /// Build). First-call order defines the row/column order of the result,
-  /// matching the first-appearance order PropertyMatrix::FromGraph uses.
+  /// Build). First-call order numbers the properties (the index's column
+  /// order) and orders the subjects inside each signature's name list.
   void Add(rdf::TermId subject, rdf::TermId property) {
     const std::uint32_t s = DenseId(subject, &subj_dense_, &subjects_);
     const std::uint32_t p = DenseId(property, &prop_dense_, &properties_);
@@ -61,9 +61,9 @@ class IndexBuilder {
   std::size_t num_properties() const { return properties_.size(); }
 
   /// Bytes of transient state held by the builder — the ingestion
-  /// peak-memory proxy benchmarked against the legacy dense matrix (whose
-  /// equivalent figure is subjects x properties cells). The grouping stage of
-  /// Build adds one PropertySet row per distinct signature on top of this.
+  /// peak-memory proxy, to be read against the subjects x properties cells a
+  /// dense M(D) would take. The grouping stage of Build adds one PropertySet
+  /// row per distinct signature on top of this.
   std::size_t intermediate_bytes() const {
     return pairs_.capacity() * sizeof(std::uint64_t) +
            (subj_dense_.capacity() + prop_dense_.capacity()) *
@@ -93,8 +93,9 @@ class IndexBuilder {
                        util::ThreadPool* pool = nullptr,
                        const util::CancellationToken& cancel = {});
 
-  /// One-shot: the index of a whole graph, no dense intermediate. Canonically
-  /// identical to FromMatrix(PropertyMatrix::FromGraph(graph), ...).
+  /// One-shot: the index of a whole graph (rdf:type triples included), no
+  /// dense intermediate. Rows and columns follow first appearance in
+  /// graph.triples().
   static SignatureIndex FromGraph(const rdf::Graph& graph,
                                   bool keep_subject_names = true,
                                   util::ThreadPool* pool = nullptr,

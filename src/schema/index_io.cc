@@ -1,7 +1,10 @@
 #include "schema/index_io.h"
 
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 namespace rdfsr::schema {
@@ -57,10 +60,14 @@ Result<SignatureIndex> ParseIndex(std::string_view text) {
     }
   }
   std::vector<std::string> names;
+  std::unordered_set<std::string> seen_names;
   for (std::size_t p = 0; p < num_props; ++p) {
     Result<std::string> name = next_line("property name");
     if (!name.ok()) return name.status();
     if (name->empty()) return Status::ParseError("empty property name");
+    if (!seen_names.insert(*name).second) {
+      return Status::ParseError("duplicate property name '" + *name + "'");
+    }
     names.push_back(*name);
   }
 
@@ -76,6 +83,8 @@ Result<SignatureIndex> ParseIndex(std::string_view text) {
     }
   }
   std::vector<Signature> signatures;
+  std::set<std::vector<int>> seen_supports;
+  std::int64_t total_subjects = 0;
   for (std::size_t i = 0; i < num_sigs; ++i) {
     Result<std::string> row = next_line("signature row");
     if (!row.ok()) return row.status();
@@ -88,6 +97,10 @@ Result<SignatureIndex> ParseIndex(std::string_view text) {
     if (count <= 0) {
       return Status::ParseError("signature with non-positive count");
     }
+    if (count > std::numeric_limits<std::int64_t>::max() - total_subjects) {
+      return Status::ParseError("signature counts sum past 2^63 - 1");
+    }
+    total_subjects += count;
     std::vector<int> support;
     int prev = -1;
     for (std::size_t j = 0; j < support_size; ++j) {
@@ -109,6 +122,10 @@ Result<SignatureIndex> ParseIndex(std::string_view text) {
     }
     if (support.empty()) {
       return Status::ParseError("signature with empty support");
+    }
+    if (!seen_supports.insert(support).second) {
+      return Status::ParseError("duplicate signature support in row: '" +
+                                *row + "'");
     }
     signatures.emplace_back(std::move(support), count);
   }

@@ -8,14 +8,15 @@
 //
 //   # rdfsr-signature-index v1
 //   properties <P>
-//   <property name>            (P lines, may contain spaces)
+//   <property name>            (P distinct lines, may contain spaces)
 //   signatures <S>
 //   <count> <k> <p_1> ... <p_k>  (S lines; p_i are 0-based property ids,
-//                                 strictly increasing)
+//                                 strictly increasing; no two lines share a
+//                                 support; the counts sum to < 2^63)
 //
 // Subject names are intentionally not serialized (they defeat the size
 // reduction); deserialized indexes therefore cannot answer subj(c)=constant
-// rules, matching SignatureIndex::FromMatrix(..., keep_subject_names=false).
+// rules, like an index built with keep_subject_names=false.
 
 #ifndef RDFSR_SCHEMA_INDEX_IO_H_
 #define RDFSR_SCHEMA_INDEX_IO_H_

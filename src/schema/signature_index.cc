@@ -24,38 +24,6 @@ void Signature::Pack(std::size_t num_properties) {
   pending_support_.shrink_to_fit();
 }
 
-SignatureIndex SignatureIndex::FromMatrix(const PropertyMatrix& matrix,
-                                          bool keep_subject_names) {
-  SignatureIndex index;
-  for (std::size_t p = 0; p < matrix.num_properties(); ++p) {
-    index.property_names_.push_back(matrix.property_name(p));
-  }
-  const std::size_t num_props = matrix.num_properties();
-
-  // Group subjects by packed support row.
-  std::unordered_map<PropertySet, std::vector<std::size_t>, PropertySetHash>
-      groups;
-  for (std::size_t s = 0; s < matrix.num_subjects(); ++s) {
-    PropertySet row(num_props);
-    for (std::size_t p = 0; p < num_props; ++p) {
-      if (matrix.At(s, p)) row.Insert(p);
-    }
-    groups[std::move(row)].push_back(s);
-  }
-
-  for (auto& [row, members] : groups) {
-    index.signatures_.emplace_back(row,
-                                   static_cast<std::int64_t>(members.size()));
-    std::vector<std::string> names;
-    if (keep_subject_names) {
-      for (std::size_t s : members) names.push_back(matrix.subject_name(s));
-    }
-    index.subject_names_.push_back(std::move(names));
-  }
-  index.Canonicalize();
-  return index;
-}
-
 SignatureIndex SignatureIndex::FromSignatures(
     std::vector<std::string> property_names, std::vector<Signature> signatures) {
   SignatureIndex index;
@@ -117,9 +85,9 @@ void SignatureIndex::Canonicalize() {
   for (std::size_t p = 0; p < property_names_.size(); ++p) {
     property_index_.emplace(property_names_[p], static_cast<int>(p));
   }
-  // Every construction path (FromMatrix, FromSignatures, Restrict, and the
-  // streaming IndexBuilder) funnels through here, so this one audit hook
-  // covers the whole schema-layer boundary.
+  // Every construction path (FromSignatures, Restrict, and IndexBuilder)
+  // funnels through here, so this one audit hook covers the whole
+  // schema-layer boundary.
   RDFSR_AUDIT_CHECK_INVARIANTS(*this);
 }
 
@@ -239,26 +207,6 @@ SignatureIndex SignatureIndex::Restrict(const std::vector<int>& sig_ids,
   }
   sub.Canonicalize();
   return sub;
-}
-
-PropertyMatrix SignatureIndex::ToMatrix() const {
-  std::vector<std::vector<int>> rows;
-  std::vector<std::string> subject_names;
-  for (std::size_t i = 0; i < signatures_.size(); ++i) {
-    std::vector<int> row(property_names_.size(), 0);
-    signatures_[i].props().ForEach([&](int p) { row[p] = 1; });
-    for (std::int64_t j = 0; j < signatures_[i].count; ++j) {
-      rows.push_back(row);
-      if (!subject_names_[i].empty()) {
-        subject_names.push_back(subject_names_[i][j]);
-      } else {
-        subject_names.push_back("sig" + std::to_string(i) + "_" +
-                                std::to_string(j));
-      }
-    }
-  }
-  return PropertyMatrix::FromRows(rows, std::move(subject_names),
-                                  property_names_);
 }
 
 }  // namespace rdfsr::schema

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "schema/property_matrix.h"
 #include "schema/property_set.h"
 #include "util/check.h"
 
@@ -97,12 +96,6 @@ class SignatureIndex {
  public:
   SignatureIndex() = default;
 
-  /// Builds the index from an explicit matrix. When `keep_subject_names` is
-  /// true, the subject-name -> signature map needed by rules mentioning
-  /// subj(c) = <constant> is retained.
-  static SignatureIndex FromMatrix(const PropertyMatrix& matrix,
-                                   bool keep_subject_names = true);
-
   /// Builds the index from raw (support, count) pairs; property names given
   /// explicitly. Used by synthetic generators that never materialize subjects.
   static SignatureIndex FromSignatures(std::vector<std::string> property_names,
@@ -159,10 +152,6 @@ class SignatureIndex {
 
   /// Union of the supports of the given signatures (P(D_i) as a word set).
   PropertySet SupportUnion(const std::vector<int>& sig_ids) const;
-
-  /// Expands the index back to an explicit matrix with synthesized subject
-  /// names ("sig<i>_<j>") when names were not kept. For tests and rendering.
-  PropertyMatrix ToMatrix() const;
 
   /// Full structural validation (fatal on violation): every signature packed
   /// at |P| capacity with positive count and non-empty support, canonical

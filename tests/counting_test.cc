@@ -7,12 +7,12 @@
 #include <map>
 #include <set>
 
+#include "dense_matrix_oracle.h"
 #include "eval/counting.h"
 #include "eval/partitions.h"
 #include "gen/random_graph.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
-#include "rules/semantics.h"
 #include "schema/signature_index.h"
 
 namespace rdfsr::eval {
@@ -69,10 +69,8 @@ BigCount BruteForceCount(const rules::FormulaPtr& phi,
                          const std::vector<std::string>& variables,
                          const RoughAssignment& tau,
                          const schema::SignatureIndex& index) {
-  const schema::PropertyMatrix matrix = index.ToMatrix();
-  // Subject row -> signature id, via subject names ("sig<i>_<j>").
-  const schema::SignatureIndex rebuilt =
-      schema::SignatureIndex::FromMatrix(matrix, true);
+  const oracle::Expansion expansion = oracle::ExpandIndex(index);
+  const oracle::DenseMatrix& matrix = expansion.matrix;
 
   const int n = static_cast<int>(variables.size());
   const std::int64_t subjects = matrix.num_subjects();
@@ -80,20 +78,19 @@ BigCount BruteForceCount(const rules::FormulaPtr& phi,
   const std::int64_t cells = subjects * props;
   BigCount count = 0;
   std::vector<std::int64_t> odo(n, 0);
-  std::vector<rules::Cell> assign(n);
+  std::vector<oracle::Cell> assign(n);
   while (true) {
     bool compatible = true;
     for (int v = 0; v < n && compatible; ++v) {
       const int s = static_cast<int>(odo[v] / props);
       const int p = static_cast<int>(odo[v] % props);
       assign[v] = {s, p};
-      const int sig = rebuilt.FindSubjectSignature(matrix.subject_name(s));
-      // `rebuilt` canonical order equals `index` order (same content).
-      if (sig != tau.cells[v].first || p != tau.cells[v].second) {
+      if (expansion.row_signature[s] != tau.cells[v].first ||
+          p != tau.cells[v].second) {
         compatible = false;
       }
     }
-    if (compatible && rules::Satisfies(phi, matrix, variables, assign)) {
+    if (compatible && oracle::Satisfies(phi, matrix, variables, assign)) {
       ++count;
     }
     int pos = 0;
@@ -145,10 +142,9 @@ TEST(CountingTest, MatchesBruteForceOnRandomIndexes) {
 
 TEST(CountingTest, SubjectConstantsCounted) {
   // Two signatures: {p0} x2 (s0,s1), {p0,p1} x1 (s2).
-  const schema::PropertyMatrix m = schema::PropertyMatrix::FromRows(
-      {{1, 0}, {1, 0}, {1, 1}}, {"s0", "s1", "s2"}, {"p0", "p1"});
   const schema::SignatureIndex index =
-      schema::SignatureIndex::FromMatrix(m, true);
+      oracle::IndexOf(oracle::DenseMatrix::FromRows(
+          {{1, 0}, {1, 0}, {1, 1}}, {"s0", "s1", "s2"}, {"p0", "p1"}));
   // Signature 0 = {p0} (count 2), signature 1 = {p0,p1} (count 1).
   auto phi = rules::ParseFormula("subj(c) = s0");
   ASSERT_TRUE(phi.ok());

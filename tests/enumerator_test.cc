@@ -4,11 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_matrix_oracle.h"
 #include "eval/enumerator.h"
 #include "gen/random_graph.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
-#include "rules/semantics.h"
 #include "schema/signature_index.h"
 
 namespace rdfsr::eval {
@@ -48,13 +48,13 @@ TEST_P(EnumeratorPropertyTest, AgreesWithBruteForce) {
   spec.density = 0.45;
   spec.seed = seed;
   const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-  const schema::PropertyMatrix matrix = index.ToMatrix();
+  const oracle::DenseMatrix matrix = oracle::ExpandIndex(index).matrix;
 
   auto rule = rules::ParseRule(kRuleCases[rule_id].text);
   ASSERT_TRUE(rule.ok()) << rule.status().ToString();
 
   const SigmaCounts fast = EvaluateRuleOnIndex(*rule, index);
-  const rules::SigmaValue slow = rules::EvaluateBruteForce(*rule, matrix);
+  const oracle::SigmaValue slow = oracle::EvaluateBruteForce(*rule, matrix);
   EXPECT_EQ(static_cast<long long>(fast.total), slow.total)
       << kRuleCases[rule_id].name << " totals diverge (seed " << seed << ")";
   EXPECT_EQ(static_cast<long long>(fast.favorable), slow.favorable)

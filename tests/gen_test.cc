@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_matrix_oracle.h"
 #include "eval/closed_form.h"
 #include "gen/mixed.h"
 #include "gen/persons.h"
@@ -10,7 +11,7 @@
 #include "gen/wordnet.h"
 #include "gen/yago.h"
 #include "rdf/vocab.h"
-#include "schema/property_matrix.h"
+#include "schema/index_builder.h"
 
 namespace rdfsr::gen {
 namespace {
@@ -84,17 +85,10 @@ TEST(PersonsTest, GraphMaterializationConsistent) {
   PersonsConfig config;
   config.num_subjects = 200;
   const rdf::Graph graph = GeneratePersonsGraph(config);
-  const rdf::Graph persons = graph.SortSlice(rdf::vocab::kFoafPerson);
-  EXPECT_EQ(persons.subjects().size(), 200u);
-  const schema::PropertyMatrix matrix =
-      schema::PropertyMatrix::FromGraph(persons);
-  EXPECT_EQ(matrix.num_subjects(), 200u);
-  EXPECT_LE(matrix.num_properties(), 8u);
-  // Same seed, same sampling stream: signature histogram matches the
-  // index-only generator.
-  const schema::SignatureIndex from_graph =
-      schema::SignatureIndex::FromMatrix(matrix, false);
+  const schema::SignatureIndex from_graph = schema::IndexBuilder::FromSortSlice(
+      graph, rdf::vocab::kFoafPerson, /*keep_subject_names=*/false);
   EXPECT_EQ(from_graph.total_subjects(), 200);
+  EXPECT_LE(from_graph.num_properties(), 8u);
 }
 
 TEST(WordnetTest, MatchesPaperHeadlineNumbers) {
@@ -125,10 +119,8 @@ TEST(WordnetTest, GraphMaterializationConsistent) {
   WordnetConfig config;
   config.num_subjects = 150;
   const rdf::Graph graph = GenerateWordnetGraph(config);
-  const rdf::Graph nouns = graph.SortSlice(rdf::vocab::kWnNounSynset);
-  EXPECT_EQ(nouns.subjects().size(), 150u);
-  const schema::SignatureIndex index = schema::SignatureIndex::FromMatrix(
-      schema::PropertyMatrix::FromGraph(nouns), false);
+  const schema::SignatureIndex index = schema::IndexBuilder::FromSortSlice(
+      graph, rdf::vocab::kWnNounSynset, /*keep_subject_names=*/false);
   EXPECT_EQ(index.total_subjects(), 150);
   // The dominant properties remain universal in the materialized graph.
   bool found_gloss = false;
@@ -211,12 +203,12 @@ TEST(MixedTest, PopulationsUseDisjointSpecificProperties) {
 
 TEST(RandomGraphTest, MatrixHasNoEmptyRowsOrColumns) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    RandomMatrixSpec spec;
+    oracle::RandomMatrixSpec spec;
     spec.num_subjects = 8;
     spec.num_properties = 5;
     spec.density = 0.2;  // stress the repair path
     spec.seed = seed;
-    const schema::PropertyMatrix m = GenerateRandomMatrix(spec);
+    const oracle::DenseMatrix m = oracle::GenerateRandomMatrix(spec);
     for (std::size_t r = 0; r < m.num_subjects(); ++r) {
       int ones = 0;
       for (std::size_t c = 0; c < m.num_properties(); ++c) ones += m.At(r, c);

@@ -1,73 +1,64 @@
 // Equivalence tests for the streaming IndexBuilder: on any graph, the
-// pairs -> sort -> group pipeline must produce a SignatureIndex canonically
-// identical to the legacy PropertyMatrix::FromGraph + SignatureIndex::FromMatrix
-// reference path — including property column order, signature order, and
-// subject-name maps — across duplicate triples, blank nodes, multi-sort
-// membership, and sort slices.
+// pairs -> sort -> group pipeline must produce the canonical grouping of the
+// dense matrix M(D) computed by tests/dense_matrix_oracle.h — property
+// column order, signature order, supports, counts, and subject-name maps —
+// across duplicate triples, blank nodes, multi-sort membership, and sort
+// slices.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "dense_matrix_oracle.h"
 #include "gen/random_graph.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "rdf/vocab.h"
 #include "schema/index_builder.h"
-#include "schema/property_matrix.h"
 #include "schema/signature_index.h"
 #include "util/thread_pool.h"
 
 namespace rdfsr::schema {
 namespace {
 
-/// Reference implementation: the legacy dense-matrix chain.
-SignatureIndex LegacyFromGraph(const rdf::Graph& graph, bool keep_names) {
-  return SignatureIndex::FromMatrix(PropertyMatrix::FromGraph(graph),
-                                    keep_names);
-}
-
-/// Asserts canonical identity of two indexes: shape, property columns,
-/// signature order/supports/counts, and (when kept) subject-name maps.
-void ExpectIndexesIdentical(const SignatureIndex& actual,
-                            const SignatureIndex& expected,
-                            const std::vector<std::string>& subject_names) {
-  ASSERT_EQ(actual.num_properties(), expected.num_properties());
-  EXPECT_EQ(actual.property_names(), expected.property_names());
-  ASSERT_EQ(actual.num_signatures(), expected.num_signatures());
-  EXPECT_EQ(actual.total_subjects(), expected.total_subjects());
+/// Asserts that `actual` is the canonical grouping of `matrix`'s rows:
+/// property columns, signature order/supports/counts, and (when
+/// `check_names`) the signature of every subject.
+void ExpectMatchesOracle(const SignatureIndex& actual,
+                         const oracle::DenseMatrix& matrix, bool check_names) {
+  const oracle::Grouping expected = oracle::GroupRows(matrix);
+  std::vector<std::string> property_names;
+  for (std::size_t p = 0; p < matrix.num_properties(); ++p) {
+    property_names.push_back(matrix.property_name(p));
+  }
+  EXPECT_EQ(actual.property_names(), property_names);
+  ASSERT_EQ(actual.num_signatures(), expected.counts.size());
+  EXPECT_EQ(actual.total_subjects(),
+            static_cast<std::int64_t>(matrix.num_subjects()));
   for (std::size_t i = 0; i < actual.num_signatures(); ++i) {
-    EXPECT_EQ(actual.signature(i).count, expected.signature(i).count)
+    EXPECT_EQ(actual.signature(i).count, expected.counts[i])
         << "signature " << i;
-    EXPECT_EQ(actual.signature(i).support(), expected.signature(i).support())
+    EXPECT_EQ(actual.signature(i).support(), expected.supports[i])
         << "signature " << i;
   }
-  for (const std::string& name : subject_names) {
-    EXPECT_EQ(actual.FindSubjectSignature(name),
-              expected.FindSubjectSignature(name))
-        << "subject " << name;
+  if (!check_names) return;
+  for (std::size_t r = 0; r < matrix.num_subjects(); ++r) {
+    EXPECT_EQ(actual.FindSubjectSignature(matrix.subject_name(r)),
+              expected.row_signature[r])
+        << "subject " << matrix.subject_name(r);
   }
 }
 
-/// All subject names of a graph (dictionary lexical forms).
-std::vector<std::string> SubjectNames(const rdf::Graph& graph) {
-  std::vector<std::string> names;
-  for (rdf::TermId s : graph.subjects()) {
-    names.push_back(graph.dict().term(s).lexical);
-  }
-  return names;
-}
-
-TEST(IndexBuilderTest, MatchesLegacyOnTinyGraph) {
+TEST(IndexBuilderTest, MatchesDenseOracleOnTinyGraph) {
   auto g = rdf::ParseNTriples(
       "<http://x/a> <http://x/p> <http://x/o> .\n"
       "<http://x/a> <http://x/q> \"v\" .\n"
       "<http://x/b> <http://x/p> \"w\" .\n"
       "_:blank <http://x/q> <http://x/a> .\n");
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  ExpectIndexesIdentical(IndexBuilder::FromGraph(*g, true),
-                         LegacyFromGraph(*g, true), SubjectNames(*g));
+  ExpectMatchesOracle(IndexBuilder::FromGraph(*g, true),
+                      oracle::DenseMatrix::FromGraph(*g), true);
 }
 
 TEST(IndexBuilderTest, CollapsesDuplicatePairMentions) {
@@ -111,8 +102,8 @@ TEST(IndexBuilderTest, RandomizedEquivalenceWholeGraph) {
     const rdf::Graph g = gen::GenerateRandomGraph(spec);
     if (g.empty()) continue;
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ExpectIndexesIdentical(IndexBuilder::FromGraph(g, true),
-                           LegacyFromGraph(g, true), SubjectNames(g));
+    ExpectMatchesOracle(IndexBuilder::FromGraph(g, true),
+                        oracle::DenseMatrix::FromGraph(g), true);
   }
 }
 
@@ -127,18 +118,15 @@ TEST(IndexBuilderTest, RandomizedEquivalenceSortSlices) {
     const rdf::Graph g = gen::GenerateRandomGraph(spec);
     for (rdf::TermId sort_id : g.SortConstants()) {
       const std::string sort = g.dict().term(sort_id).lexical;
-      const rdf::Graph slice = g.SortSlice(sort);
+      std::size_t expected_triples = 0;
+      const oracle::DenseMatrix slice =
+          oracle::DenseMatrix::FromSortSlice(g, sort, &expected_triples);
       std::size_t slice_triples = 0;
       const SignatureIndex streaming =
           IndexBuilder::FromSortSlice(g, sort, true, &slice_triples);
-      EXPECT_EQ(slice_triples, slice.size()) << "sort " << sort;
-      if (slice.empty()) {
-        EXPECT_EQ(streaming.num_signatures(), 0u);
-        continue;
-      }
+      EXPECT_EQ(slice_triples, expected_triples) << "sort " << sort;
       SCOPED_TRACE("seed " + std::to_string(seed) + " sort " + sort);
-      ExpectIndexesIdentical(streaming, LegacyFromGraph(slice, true),
-                             SubjectNames(slice));
+      ExpectMatchesOracle(streaming, slice, true);
     }
   }
 }
@@ -186,27 +174,27 @@ TEST(IndexBuilderTest, IntermediateStateIsPairsNotDenseMatrix) {
   const std::size_t dense_cells =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   EXPECT_LT(builder.intermediate_bytes(), dense_cells);
-  ExpectIndexesIdentical(builder.Build(g.dict(), false),
-                         LegacyFromGraph(g, false), {});
+  ExpectMatchesOracle(builder.Build(g.dict(), false),
+                      oracle::DenseMatrix::FromGraph(g), false);
 }
 
 TEST(IndexBuilderTest, PooledBuildMatchesSerialAboveCutoff) {
   // Enough (subject, property) pairs to cross the parallel sort/grouping
-  // cutoff in Build (kParallelPairCutoff = 4096); the pooled build must be
-  // canonically identical to the serial one for any lane count.
+  // cutoff in Build (kParallelPairCutoff = 4096); the pooled build must, like
+  // the serial one, be the oracle's canonical grouping for any lane count.
   gen::RandomGraphSpec spec;
   spec.num_subjects = 900;
   spec.num_properties = 12;
   spec.density = 0.6;
   spec.seed = 17;
   const rdf::Graph g = gen::GenerateRandomGraph(spec);
-  const SignatureIndex serial = IndexBuilder::FromGraph(g, true);
-  ASSERT_GE(serial.total_subjects(), 800);
+  const oracle::DenseMatrix matrix = oracle::DenseMatrix::FromGraph(g);
+  ASSERT_GE(matrix.num_subjects(), 800u);
+  ExpectMatchesOracle(IndexBuilder::FromGraph(g, true), matrix, true);
   for (const int workers : {1, 3, 7}) {
     util::ThreadPool pool(workers);
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    ExpectIndexesIdentical(IndexBuilder::FromGraph(g, true, &pool), serial,
-                           SubjectNames(g));
+    ExpectMatchesOracle(IndexBuilder::FromGraph(g, true, &pool), matrix, true);
   }
 }
 

@@ -92,10 +92,20 @@ TEST(IndexIoTest, RejectsMalformedInput) {
       "# rdfsr-signature-index v1\nproperties 1\na\nsignatures 1\n3 1 0 9\n",
       // Truncated support list:
       "# rdfsr-signature-index v1\nproperties 2\na\nb\nsignatures 1\n3 2 0\n",
+      // Duplicate property name:
+      "# rdfsr-signature-index v1\nproperties 2\np\np\nsignatures 1\n"
+      "3 2 0 1\n",
+      // Two rows with the same support:
+      "# rdfsr-signature-index v1\nproperties 1\na\nsignatures 2\n"
+      "3 1 0\n4 1 0\n",
+      // Counts summing past INT64_MAX:
+      "# rdfsr-signature-index v1\nproperties 2\na\nb\nsignatures 2\n"
+      "9223372036854775807 1 0\n9223372036854775807 1 1\n",
   };
   for (const char* text : cases) {
     auto r = ParseIndex(text);
-    EXPECT_FALSE(r.ok()) << "accepted: " << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError)
+        << "accepted: " << text;
   }
 }
 

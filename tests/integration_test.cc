@@ -1,6 +1,6 @@
-// End-to-end pipeline tests: N-Triples text -> graph -> sort slice -> matrix
-// -> signature index -> structuredness -> sort refinement, mirroring how a
-// downstream user consumes the library (and how the examples do).
+// End-to-end pipeline tests: N-Triples text -> graph -> sort-slice signature
+// index -> structuredness -> sort refinement, mirroring how a downstream user
+// consumes the library (and how the examples do).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include "rdf/vocab.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
-#include "schema/property_matrix.h"
+#include "schema/index_builder.h"
 #include "schema/signature_index.h"
 
 namespace rdfsr {
@@ -34,13 +34,9 @@ TEST(IntegrationTest, TextToRefinement) {
   auto graph = rdf::ParseNTriples(kTinyDataset);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
 
-  const rdf::Graph persons = graph->SortSlice("http://x/Person");
-  EXPECT_EQ(persons.subjects().size(), 3u);
-
-  const schema::PropertyMatrix matrix =
-      schema::PropertyMatrix::FromGraph(persons);
   const schema::SignatureIndex index =
-      schema::SignatureIndex::FromMatrix(matrix, true);
+      schema::IndexBuilder::FromSortSlice(*graph, "http://x/Person");
+  EXPECT_EQ(index.total_subjects(), 3);
   EXPECT_EQ(index.num_signatures(), 2u);  // {name,email} x2, {name} x1
 
   auto cov = eval::MakeEvaluator(rules::CovRule(), &index);
@@ -56,9 +52,8 @@ TEST(IntegrationTest, TextToRefinement) {
 TEST(IntegrationTest, UserDefinedRuleThroughParser) {
   auto graph = rdf::ParseNTriples(kTinyDataset);
   ASSERT_TRUE(graph.ok());
-  const rdf::Graph persons = graph->SortSlice("http://x/Person");
-  const schema::SignatureIndex index = schema::SignatureIndex::FromMatrix(
-      schema::PropertyMatrix::FromGraph(persons), true);
+  const schema::SignatureIndex index =
+      schema::IndexBuilder::FromSortSlice(*graph, "http://x/Person");
 
   // "If a subject has email it also has name" as a Dep rule via the text
   // syntax, using full IRIs.
@@ -75,9 +70,8 @@ TEST(IntegrationTest, PersonsPipelineAtSmallScale) {
   config.num_subjects = 400;
   config.seed = 2024;
   const rdf::Graph graph = gen::GeneratePersonsGraph(config);
-  const rdf::Graph persons = graph.SortSlice(rdf::vocab::kFoafPerson);
-  const schema::SignatureIndex index = schema::SignatureIndex::FromMatrix(
-      schema::PropertyMatrix::FromGraph(persons), false);
+  const schema::SignatureIndex index = schema::IndexBuilder::FromSortSlice(
+      graph, rdf::vocab::kFoafPerson, /*keep_subject_names=*/false);
 
   auto cov = eval::MakeEvaluator(rules::CovRule(), &index);
   const double sigma = cov->SigmaAll();
@@ -103,9 +97,8 @@ TEST(IntegrationTest, RoundTripThroughNTriplesPreservesSigma) {
   ASSERT_TRUE(reparsed.ok());
 
   auto index_of = [](const rdf::Graph& g) {
-    return schema::SignatureIndex::FromMatrix(
-        schema::PropertyMatrix::FromGraph(g.SortSlice(rdf::vocab::kFoafPerson)),
-        false);
+    return schema::IndexBuilder::FromSortSlice(
+        g, rdf::vocab::kFoafPerson, /*keep_subject_names=*/false);
   };
   const schema::SignatureIndex a = index_of(graph);
   const schema::SignatureIndex b = index_of(*reparsed);

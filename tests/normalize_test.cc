@@ -3,13 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_matrix_oracle.h"
 #include "gen/random_graph.h"
 #include "rules/builtins.h"
 #include "rules/normalize.h"
 #include "rules/parser.h"
 #include "rules/printer.h"
 #include "eval/enumerator.h"
-#include "rules/semantics.h"
 
 namespace rdfsr::rules {
 namespace {
@@ -110,11 +110,11 @@ TEST_P(NormalizePropertyTest, PreservesSemanticsExactly) {
   EXPECT_TRUE(IsNnf(normalized)) << ToString(normalized);
 
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    gen::RandomMatrixSpec spec;
+    oracle::RandomMatrixSpec spec;
     spec.num_subjects = 4;
     spec.num_properties = 3;
     spec.seed = seed + GetParam() * 17;
-    const schema::PropertyMatrix matrix = gen::GenerateRandomMatrix(spec);
+    const oracle::DenseMatrix matrix = oracle::GenerateRandomMatrix(spec);
     // Same satisfying-assignment count == same semantics for counting.
     // Brute-force both with the ORIGINAL variable set (normalization may
     // collapse variables syntactically; counting is over var(original)).
@@ -129,8 +129,10 @@ TEST_P(NormalizePropertyTest, PreservesSemanticsExactly) {
       FormulaPtr self = VarEq(v, v);
       anchor = anchor == nullptr ? self : And(anchor, self);
     }
-    const std::int64_t a = CountSatisfying(And(anchor, original), matrix);
-    const std::int64_t b = CountSatisfying(And(anchor, normalized), matrix);
+    const std::int64_t a =
+        oracle::CountSatisfying(And(anchor, original), matrix);
+    const std::int64_t b =
+        oracle::CountSatisfying(And(anchor, normalized), matrix);
     EXPECT_EQ(a, b) << text << " seed " << seed;
   }
 }
@@ -144,10 +146,10 @@ TEST(NormalizeRuleTest, PreservesVariableSet) {
   const Rule normalized = NormalizeRule(cov);
   EXPECT_EQ(normalized.variables(), cov.variables());
   // And the sigma value is unchanged on a sample matrix.
-  const schema::PropertyMatrix m = schema::PropertyMatrix::FromRows(
-      {{1, 0}, {1, 1}}, {}, {"p", "q"});
-  EXPECT_EQ(EvaluateBruteForce(cov, m).Value(),
-            EvaluateBruteForce(normalized, m).Value());
+  const oracle::DenseMatrix m =
+      oracle::DenseMatrix::FromRows({{1, 0}, {1, 1}}, {}, {"p", "q"});
+  EXPECT_EQ(oracle::EvaluateBruteForce(cov, m).Value(),
+            oracle::EvaluateBruteForce(normalized, m).Value());
 }
 
 TEST(NormalizeRuleTest, SimplifiesRedundantRuleBodies) {
@@ -159,10 +161,10 @@ TEST(NormalizeRuleTest, SimplifiesRedundantRuleBodies) {
   EXPECT_EQ(ToString(normalized),
             "val(c1) = 1 && prop(c1) = prop(c2) -> val(c2) = 1");
 
-  const schema::PropertyMatrix m = schema::PropertyMatrix::FromRows(
+  const oracle::DenseMatrix m = oracle::DenseMatrix::FromRows(
       {{1, 0}, {1, 1}, {0, 1}}, {}, {"p", "q"});
-  const SigmaValue a = EvaluateBruteForce(*rule, m);
-  const SigmaValue b = EvaluateBruteForce(normalized, m);
+  const oracle::SigmaValue a = oracle::EvaluateBruteForce(*rule, m);
+  const oracle::SigmaValue b = oracle::EvaluateBruteForce(normalized, m);
   EXPECT_EQ(a.favorable, b.favorable);
   EXPECT_EQ(a.total, b.total);
 }

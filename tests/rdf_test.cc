@@ -1,4 +1,4 @@
-// Unit tests for rdf/: terms, dictionary interning, graphs, sort slices.
+// Unit tests for rdf/: terms, dictionary interning, graphs, rdf:type postings.
 
 #include <gtest/gtest.h>
 
@@ -125,40 +125,6 @@ TEST(GraphTest, HasProperty) {
   EXPECT_FALSE(g.HasProperty(s, o));
 }
 
-TEST(GraphTest, SortSliceSelectsDeclaredSubjects) {
-  Graph g;
-  g.AddIri("alice", vocab::kRdfType, "Person");
-  g.AddIri("alice", "name", "n1");
-  g.AddIri("alice", "age", "a1");
-  g.AddIri("acme", vocab::kRdfType, "Company");
-  g.AddIri("acme", "name", "n2");
-  g.AddIri("bob", vocab::kRdfType, "Person");
-  g.AddIri("bob", "name", "n3");
-
-  const Graph persons = g.SortSlice("Person");
-  EXPECT_EQ(persons.subjects().size(), 2u);
-  EXPECT_EQ(persons.size(), 3u);  // alice:name, alice:age, bob:name
-  // The type triples themselves are excluded by default.
-  const TermId type_prop = persons.dict().FindIri(vocab::kRdfType);
-  for (const Triple& t : persons.triples()) {
-    EXPECT_NE(t.predicate, type_prop);
-  }
-}
-
-TEST(GraphTest, SortSliceCanKeepTypeTriples) {
-  Graph g;
-  g.AddIri("alice", vocab::kRdfType, "Person");
-  g.AddIri("alice", "name", "n1");
-  const Graph persons = g.SortSlice("Person", /*include_type=*/true);
-  EXPECT_EQ(persons.size(), 2u);
-}
-
-TEST(GraphTest, SortSliceOfUnknownSortIsEmpty) {
-  Graph g;
-  g.AddIri("s", "p", "o");
-  EXPECT_TRUE(g.SortSlice("Nothing").empty());
-}
-
 TEST(GraphTest, SortConstants) {
   Graph g;
   g.AddIri("a", vocab::kRdfType, "Person");
@@ -168,14 +134,6 @@ TEST(GraphTest, SortConstants) {
   ASSERT_EQ(sorts.size(), 2u);
   EXPECT_EQ(g.dict().term(sorts[0]).lexical, "Person");
   EXPECT_EQ(g.dict().term(sorts[1]).lexical, "Company");
-}
-
-TEST(GraphTest, SharedDictionaryAcrossSlices) {
-  Graph g;
-  g.AddIri("a", vocab::kRdfType, "T");
-  g.AddIri("a", "p", "o");
-  const Graph slice = g.SortSlice("T");
-  EXPECT_EQ(slice.dict_ptr().get(), g.dict_ptr().get());
 }
 
 TEST(GraphTest, TypePostingsTrackTypeTriplesIncrementally) {

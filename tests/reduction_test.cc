@@ -1,7 +1,12 @@
-// Appendix A reduction tests: the M_G construction, the rule r0, and the
-// correspondence between 3-colorings and row partitions.
+// Appendix A reduction tests: the M_G construction (as its signature index),
+// the rule r0, and the correspondence between 3-colorings and row partitions.
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "reduction/three_coloring.h"
 #include "rules/printer.h"
@@ -52,24 +57,37 @@ TEST(ReductionMatrixTest, DimensionsAndBlocks) {
   // Example A.1: the 3-node path graph 1-2 (edge), 3 isolated.
   UndirectedGraph g(3);
   g.AddEdge(0, 1);
-  const schema::PropertyMatrix m = BuildReductionMatrix(g);
-  ASSERT_EQ(m.num_subjects(), 12u);   // 4n
-  ASSERT_EQ(m.num_properties(), 9u);  // 2n + 3
+  const schema::SignatureIndex index = BuildReductionIndex(g);
+  ASSERT_EQ(index.total_subjects(), 12);  // 4n
+  EXPECT_EQ(index.property_names(),
+            (std::vector<std::string>{"sp1", "sp2", "idp", "L0", "L1", "L2",
+                                      "R0", "R1", "R2"}));  // 2n + 3
+  // M_G[subject][property], read off the subject's signature.
+  const auto cell = [&](const std::string& subject,
+                        const std::string& property) {
+    const int sig = index.FindSubjectSignature(subject);
+    const int prop = index.FindProperty(property);
+    EXPECT_GE(sig, 0) << subject;
+    EXPECT_GE(prop, 0) << property;
+    return sig >= 0 && prop >= 0 && index.Has(sig, prop) ? 1 : 0;
+  };
 
   // Upper section: sp1/sp2 patterns per auxiliary group, idp = 1.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(m.At(i, 0), 0);      // group a: sp1 = 0
-    EXPECT_EQ(m.At(i, 1), 0);      // group a: sp2 = 0
-    EXPECT_EQ(m.At(i, 2), 1);      // idp
-    EXPECT_EQ(m.At(3 + i, 1), 1);  // group b: sp2 = 1
-    EXPECT_EQ(m.At(6 + i, 0), 1);  // group c: sp1 = 1
+    const std::string k = std::to_string(i);
+    EXPECT_EQ(cell("a" + k, "sp1"), 0);
+    EXPECT_EQ(cell("a" + k, "sp2"), 0);
+    EXPECT_EQ(cell("a" + k, "idp"), 1);
+    EXPECT_EQ(cell("b" + k, "sp2"), 1);
+    EXPECT_EQ(cell("c" + k, "sp1"), 1);
   }
   // Diagonal blocks in the upper section.
-  for (int g_i = 0; g_i < 3; ++g_i) {
+  for (const char* group : {"a", "b", "c"}) {
     for (int i = 0; i < 3; ++i) {
       for (int j = 0; j < 3; ++j) {
-        EXPECT_EQ(m.At(g_i * 3 + i, 3 + j), i == j ? 1 : 0);
-        EXPECT_EQ(m.At(g_i * 3 + i, 6 + j), i == j ? 1 : 0);
+        const std::string row = group + std::to_string(i);
+        EXPECT_EQ(cell(row, "L" + std::to_string(j)), i == j ? 1 : 0);
+        EXPECT_EQ(cell(row, "R" + std::to_string(j)), i == j ? 1 : 0);
       }
     }
   }
@@ -77,11 +95,13 @@ TEST(ReductionMatrixTest, DimensionsAndBlocks) {
   // Example A.1: rows (1 0 1 / 0 1 1 / 1 1 1).
   const int expect[3][3] = {{1, 0, 1}, {0, 1, 1}, {1, 1, 1}};
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(m.At(9 + i, 0), 1);
-    EXPECT_EQ(m.At(9 + i, 1), 1);
-    EXPECT_EQ(m.At(9 + i, 2), 0);
+    const std::string row = "v" + std::to_string(i);
+    EXPECT_EQ(cell(row, "sp1"), 1);
+    EXPECT_EQ(cell(row, "sp2"), 1);
+    EXPECT_EQ(cell(row, "idp"), 0);
     for (int j = 0; j < 3; ++j) {
-      EXPECT_EQ(m.At(9 + i, 6 + j), expect[i][j]) << i << "," << j;
+      EXPECT_EQ(cell(row, "R" + std::to_string(j)), expect[i][j])
+          << i << "," << j;
     }
   }
 }
@@ -92,10 +112,9 @@ TEST(ReductionMatrixTest, EveryRowHasUniqueSignature) {
   UndirectedGraph g(4);
   g.AddEdge(0, 1);
   g.AddEdge(2, 3);
-  const schema::PropertyMatrix m = BuildReductionMatrix(g);
-  const schema::SignatureIndex index =
-      schema::SignatureIndex::FromMatrix(m, false);
-  EXPECT_EQ(index.num_signatures(), m.num_subjects());
+  const schema::SignatureIndex index = BuildReductionIndex(g);
+  EXPECT_EQ(index.total_subjects(), 16);  // 4n rows
+  EXPECT_EQ(index.num_signatures(), 16u);
   for (std::size_t i = 0; i < index.num_signatures(); ++i) {
     EXPECT_EQ(index.signature(i).count, 1);
   }
@@ -123,39 +142,53 @@ TEST(ColoringPartitionTest, PartitionCoversAllRowsOnce) {
   const UndirectedGraph c5 = UndirectedGraph::Cycle(5);
   auto coloring = ThreeColor(c5);
   ASSERT_TRUE(coloring.has_value());
+  const schema::SignatureIndex index = BuildReductionIndex(c5);
   const auto parts = ColoringToRowPartition(c5, *coloring);
   ASSERT_EQ(parts.size(), 3u);
   std::vector<int> seen(4 * 5, 0);
   for (const auto& part : parts) {
-    for (int row : part) {
-      ASSERT_GE(row, 0);
-      ASSERT_LT(row, 20);
-      ++seen[row];
+    for (int sig : part) {
+      ASSERT_GE(sig, 0);
+      ASSERT_LT(sig, 20);
+      ++seen[sig];
     }
   }
-  for (int row = 0; row < 20; ++row) EXPECT_EQ(seen[row], 1) << row;
-  // Each part has one copy of the auxiliary rows (n rows) plus its color
-  // class.
-  for (int color = 0; color < 3; ++color) {
-    int aux = 0, nodes = 0;
-    for (int row : parts[color]) {
-      (row < 15) ? ++aux : ++nodes;
+  for (int sig = 0; sig < 20; ++sig) EXPECT_EQ(seen[sig], 1) << sig;
+  // Part g holds auxiliary group g (n rows) plus the nodes colored g.
+  const char* group_name[3] = {"a", "b", "c"};
+  for (int g = 0; g < 3; ++g) {
+    const std::set<int> part(parts[g].begin(), parts[g].end());
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_TRUE(part.count(index.FindSubjectSignature(
+          group_name[g] + std::to_string(i))))
+          << group_name[g] << i;
     }
-    EXPECT_EQ(aux, 5);
+  }
+  for (int i = 0; i < 5; ++i) {
+    const std::set<int> part(parts[(*coloring)[i]].begin(),
+                             parts[(*coloring)[i]].end());
+    EXPECT_TRUE(part.count(index.FindSubjectSignature("v" + std::to_string(i))))
+        << "v" << i;
   }
 }
 
 TEST(ColoringPartitionTest, PartsAreIndependentSets) {
   // The reduction's soundness hinges on color classes being independent
-  // sets; check the partition rows against the graph.
+  // sets; check the partition's node rows against the graph.
   const UndirectedGraph c5 = UndirectedGraph::Cycle(5);
   auto coloring = ThreeColor(c5);
   ASSERT_TRUE(coloring.has_value());
+  const schema::SignatureIndex index = BuildReductionIndex(c5);
+  std::map<int, int> node_of_signature;
+  for (int i = 0; i < 5; ++i) {
+    node_of_signature[index.FindSubjectSignature("v" + std::to_string(i))] = i;
+  }
   const auto parts = ColoringToRowPartition(c5, *coloring);
   for (const auto& part : parts) {
     std::vector<int> nodes;
-    for (int row : part) {
-      if (row >= 15) nodes.push_back(row - 15);
+    for (int sig : part) {
+      const auto it = node_of_signature.find(sig);
+      if (it != node_of_signature.end()) nodes.push_back(it->second);
     }
     for (std::size_t a = 0; a < nodes.size(); ++a) {
       for (std::size_t b = a + 1; b < nodes.size(); ++b) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rules/ast.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
@@ -78,6 +80,30 @@ TEST(ParserTest, RejectsSyntaxErrors) {
   EXPECT_FALSE(ParseFormula("subj(c) = val(d)").ok());
   EXPECT_FALSE(ParseRule("val(c) = 1").ok());  // no arrow
   EXPECT_FALSE(ParseRule("val(c) = 1 -> ").ok());
+  // '(' and '!' nest at most 256 deep, combined; hostile depth is a
+  // ParseError instead of a stack overflow.
+  const std::string atom = "val(c) = 1";
+  EXPECT_TRUE(ParseFormula(std::string(256, '(') + atom + std::string(256, ')'))
+                  .ok());
+  EXPECT_TRUE(ParseFormula(std::string(256, '!') + atom).ok());
+  EXPECT_EQ(ParseFormula(std::string(257, '!') + atom).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseFormula("!(" + std::string(255, '!') + atom + ")")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  const std::size_t deep = 100000;
+  EXPECT_EQ(ParseFormula(std::string(deep, '(') + atom + std::string(deep, ')'))
+                .status()
+                .code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseFormula(std::string(deep, '!') + atom).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseRule(std::string(deep, '(') + atom + std::string(deep, ')') +
+                      " -> " + atom)
+                .status()
+                .code(),
+            StatusCode::kParseError);
 }
 
 TEST(ParserTest, ErrorsMentionOffset) {

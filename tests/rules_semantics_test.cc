@@ -1,37 +1,41 @@
-// Tests of the reference (brute-force) rule semantics against the paper's
-// worked examples: the D1/D2/D3 matrices of Figure 1 and the Section 2.2
-// behaviour of Cov, Sim, Dep and SymDep.
+// Tests of the reference (brute-force) rule semantics of the dense-matrix
+// oracle against the paper's worked examples: the D1/D2/D3 matrices of
+// Figure 1 and the Section 2.2 behaviour of Cov, Sim, Dep and SymDep.
 
 #include <gtest/gtest.h>
 
+#include "dense_matrix_oracle.h"
 #include "rules/builtins.h"
 #include "rules/parser.h"
-#include "rules/semantics.h"
-#include "schema/property_matrix.h"
 
 namespace rdfsr::rules {
 namespace {
 
-using schema::PropertyMatrix;
+using oracle::Cell;
+using oracle::CountSatisfying;
+using oracle::EvaluateBruteForce;
+using oracle::Satisfies;
+using oracle::SigmaValue;
+using oracle::DenseMatrix;
 
 /// D1 of Figure 1a: N subjects, all with only property p.
-PropertyMatrix MakeD1(int n) {
+DenseMatrix MakeD1(int n) {
   std::vector<std::vector<int>> rows(n, {1});
-  return PropertyMatrix::FromRows(rows, {}, {"p"});
+  return DenseMatrix::FromRows(rows, {}, {"p"});
 }
 
 /// D2 of Figure 1b: D1 plus property q on the first subject only.
-PropertyMatrix MakeD2(int n) {
+DenseMatrix MakeD2(int n) {
   std::vector<std::vector<int>> rows(n, {1, 0});
   rows[0][1] = 1;
-  return PropertyMatrix::FromRows(rows, {}, {"p", "q"});
+  return DenseMatrix::FromRows(rows, {}, {"p", "q"});
 }
 
 /// D3 of Figure 1c: diagonal — subject i has only property i.
-PropertyMatrix MakeD3(int n) {
+DenseMatrix MakeD3(int n) {
   std::vector<std::vector<int>> rows(n, std::vector<int>(n, 0));
   for (int i = 0; i < n; ++i) rows[i][i] = 1;
-  return PropertyMatrix::FromRows(rows);
+  return DenseMatrix::FromRows(rows);
 }
 
 TEST(SemanticsTest, CovOnD1IsOne) {
@@ -76,7 +80,7 @@ TEST(SemanticsTest, CovOnD3IsOneOverN) {
 
 TEST(SemanticsTest, DepCountsPairsThroughSharedSubject) {
   // s0: p1,p2; s1: p1; s2: p2.
-  const PropertyMatrix m = PropertyMatrix::FromRows(
+  const DenseMatrix m = DenseMatrix::FromRows(
       {{1, 1}, {1, 0}, {0, 1}}, {}, {"p1", "p2"});
   const SigmaValue dep = EvaluateBruteForce(DepRule("p1", "p2"), m);
   EXPECT_EQ(dep.total, 2);      // s0 and s1 have p1
@@ -85,7 +89,7 @@ TEST(SemanticsTest, DepCountsPairsThroughSharedSubject) {
 }
 
 TEST(SemanticsTest, SymDepIsSymmetric) {
-  const PropertyMatrix m = PropertyMatrix::FromRows(
+  const DenseMatrix m = DenseMatrix::FromRows(
       {{1, 1}, {1, 0}, {0, 1}, {0, 1}}, {}, {"a", "b"});
   const SigmaValue ab = EvaluateBruteForce(SymDepRule("a", "b"), m);
   const SigmaValue ba = EvaluateBruteForce(SymDepRule("b", "a"), m);
@@ -96,7 +100,7 @@ TEST(SemanticsTest, SymDepIsSymmetric) {
 }
 
 TEST(SemanticsTest, DepWithMissingColumnHasNoTotalCases) {
-  const PropertyMatrix m = PropertyMatrix::FromRows({{1}}, {}, {"p1"});
+  const DenseMatrix m = DenseMatrix::FromRows({{1}}, {}, {"p1"});
   const SigmaValue dep = EvaluateBruteForce(DepRule("p1", "nope"), m);
   EXPECT_EQ(dep.total, 0);
   EXPECT_DOUBLE_EQ(dep.Value(), 1.0);  // trivially satisfied
@@ -105,7 +109,7 @@ TEST(SemanticsTest, DepWithMissingColumnHasNoTotalCases) {
 TEST(SemanticsTest, DepDisjunctiveCountsImplication) {
   // has-p1-implies-has-p2 per subject: s0 yes (both), s1 no (p1 only),
   // s2 yes (neither... has p2 only -> implication holds).
-  const PropertyMatrix m = PropertyMatrix::FromRows(
+  const DenseMatrix m = DenseMatrix::FromRows(
       {{1, 1}, {1, 0}, {0, 1}}, {}, {"p1", "p2"});
   const SigmaValue v = EvaluateBruteForce(DepDisjunctiveRule("p1", "p2"), m);
   EXPECT_EQ(v.total, 3);
@@ -113,7 +117,7 @@ TEST(SemanticsTest, DepDisjunctiveCountsImplication) {
 }
 
 TEST(SemanticsTest, CovIgnoringSkipsColumn) {
-  const PropertyMatrix m = MakeD2(10);  // q nearly empty
+  const DenseMatrix m = MakeD2(10);  // q nearly empty
   const SigmaValue full = EvaluateBruteForce(CovRule(), m);
   const SigmaValue ignoring = EvaluateBruteForce(CovRuleIgnoring({"q"}), m);
   EXPECT_LT(full.Value(), 1.0);
@@ -122,7 +126,7 @@ TEST(SemanticsTest, CovIgnoringSkipsColumn) {
 }
 
 TEST(SemanticsTest, SatisfiesAtomByAtom) {
-  const PropertyMatrix m = PropertyMatrix::FromRows(
+  const DenseMatrix m = DenseMatrix::FromRows(
       {{1, 0}, {1, 1}}, {"s0", "s1"}, {"p", "q"});
   const std::vector<std::string> vars = {"c1", "c2"};
 
@@ -147,14 +151,14 @@ TEST(SemanticsTest, SatisfiesAtomByAtom) {
 }
 
 TEST(SemanticsTest, EmptyMatrixHasSigmaOne) {
-  const PropertyMatrix m;
+  const DenseMatrix m;
   const SigmaValue sigma = EvaluateBruteForce(CovRule(), m);
   EXPECT_EQ(sigma.total, 0);
   EXPECT_DOUBLE_EQ(sigma.Value(), 1.0);
 }
 
 TEST(SemanticsTest, CountSatisfyingMatchesManualEnumeration) {
-  const PropertyMatrix m = PropertyMatrix::FromRows({{1, 0}}, {}, {"p", "q"});
+  const DenseMatrix m = DenseMatrix::FromRows({{1, 0}}, {}, {"p", "q"});
   auto f = ParseFormula("val(c) = 1");
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(CountSatisfying(*f, m), 1);

@@ -1,62 +1,27 @@
-// Unit tests for schema/: property matrices, signatures, the signature index,
-// restriction (implicit-sort views), and ASCII rendering.
+// Unit tests for schema/: signatures, the signature index, restriction
+// (implicit-sort views), and ASCII rendering.
 
 #include <gtest/gtest.h>
 
-#include "gen/random_graph.h"
-#include "rdf/graph.h"
-#include "rdf/vocab.h"
+#include "dense_matrix_oracle.h"
 #include "schema/ascii_view.h"
-#include "schema/property_matrix.h"
 #include "schema/signature_index.h"
 
 namespace rdfsr::schema {
 namespace {
 
-PropertyMatrix SampleMatrix() {
+oracle::DenseMatrix SampleMatrix() {
   // Fig 1b-like: s0 has p and q, s1/s2 only p.
-  return PropertyMatrix::FromRows({{1, 1}, {1, 0}, {1, 0}}, {"s0", "s1", "s2"},
-                                  {"p", "q"});
+  return oracle::DenseMatrix::FromRows({{1, 1}, {1, 0}, {1, 0}},
+                                       {"s0", "s1", "s2"}, {"p", "q"});
 }
 
-TEST(PropertyMatrixTest, FromRowsBasics) {
-  const PropertyMatrix m = SampleMatrix();
-  EXPECT_EQ(m.num_subjects(), 3u);
-  EXPECT_EQ(m.num_properties(), 2u);
-  EXPECT_EQ(m.At(0, 1), 1);
-  EXPECT_EQ(m.At(2, 1), 0);
-  EXPECT_EQ(m.CountOnes(), 4);
-  EXPECT_EQ(m.FindProperty("q"), 1);
-  EXPECT_EQ(m.FindProperty("zz"), -1);
-  EXPECT_EQ(m.FindSubject("s2"), 2);
-  EXPECT_EQ(m.FindSubject("zz"), -1);
-}
-
-TEST(PropertyMatrixTest, FromGraphMatchesHasProperty) {
-  rdf::Graph g;
-  g.AddIri("s1", "p1", "o");
-  g.AddIri("s1", "p2", "o");
-  g.AddIri("s2", "p2", "o2");
-  const PropertyMatrix m = PropertyMatrix::FromGraph(g);
-  EXPECT_EQ(m.num_subjects(), 2u);
-  EXPECT_EQ(m.num_properties(), 2u);
-  EXPECT_EQ(m.At(0, 0), 1);
-  EXPECT_EQ(m.At(0, 1), 1);
-  EXPECT_EQ(m.At(1, 0), 0);
-  EXPECT_EQ(m.At(1, 1), 1);
-}
-
-TEST(PropertyMatrixTest, MultipleObjectsSameProperty) {
-  rdf::Graph g;
-  g.AddIri("s", "p", "o1");
-  g.AddIri("s", "p", "o2");  // same cell
-  const PropertyMatrix m = PropertyMatrix::FromGraph(g);
-  EXPECT_EQ(m.CountOnes(), 1);
+SignatureIndex SampleIndex(bool keep_subject_names) {
+  return oracle::IndexOf(SampleMatrix(), keep_subject_names);
 }
 
 TEST(SignatureIndexTest, GroupsIdenticalRows) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), true);
+  const SignatureIndex index = SampleIndex(true);
   ASSERT_EQ(index.num_signatures(), 2u);
   // Canonical order: larger signature set first.
   EXPECT_EQ(index.signature(0).count, 2);  // {p} x2
@@ -65,8 +30,7 @@ TEST(SignatureIndexTest, GroupsIdenticalRows) {
 }
 
 TEST(SignatureIndexTest, HasAndPropertyCount) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), true);
+  const SignatureIndex index = SampleIndex(true);
   const int p = index.FindProperty("p");
   const int q = index.FindProperty("q");
   ASSERT_GE(p, 0);
@@ -79,8 +43,7 @@ TEST(SignatureIndexTest, HasAndPropertyCount) {
 }
 
 TEST(SignatureIndexTest, SubjectSignatureLookup) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), true);
+  const SignatureIndex index = SampleIndex(true);
   EXPECT_EQ(index.FindSubjectSignature("s0"), 1);
   EXPECT_EQ(index.FindSubjectSignature("s1"), 0);
   EXPECT_EQ(index.FindSubjectSignature("nope"), -1);
@@ -89,8 +52,7 @@ TEST(SignatureIndexTest, SubjectSignatureLookup) {
 }
 
 TEST(SignatureIndexTest, NamesNotKeptMeansNoLookup) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), false);
+  const SignatureIndex index = SampleIndex(false);
   EXPECT_EQ(index.FindSubjectSignature("s0"), -1);
 }
 
@@ -123,25 +85,29 @@ TEST(SignatureIndexTest, RestrictDropsUnusedColumns) {
 }
 
 TEST(SignatureIndexTest, RestrictKeepsSubjectNames) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), true);
+  const SignatureIndex index = SampleIndex(true);
   const SignatureIndex sub = index.Restrict({1});  // the {p,q} signature
   EXPECT_EQ(sub.FindSubjectSignature("s0"), 0);
 }
 
-TEST(SignatureIndexTest, ToMatrixRoundTripsCounts) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), true);
-  const PropertyMatrix m = index.ToMatrix();
+TEST(SignatureIndexTest, DenseExpansionRoundTripsCounts) {
+  const SignatureIndex index = SampleIndex(true);
+  const oracle::Expansion expansion = oracle::ExpandIndex(index);
+  const oracle::DenseMatrix& m = expansion.matrix;
   EXPECT_EQ(m.num_subjects(), 3u);
   EXPECT_EQ(m.num_properties(), 2u);
-  EXPECT_EQ(m.CountOnes(), 4);
-  const SignatureIndex again = SignatureIndex::FromMatrix(m, false);
-  ASSERT_EQ(again.num_signatures(), index.num_signatures());
-  for (std::size_t i = 0; i < index.num_signatures(); ++i) {
-    EXPECT_EQ(again.signature(i).count, index.signature(i).count);
-    EXPECT_EQ(again.signature(i).support(), index.signature(i).support());
+  int ones = 0;
+  for (std::size_t r = 0; r < m.num_subjects(); ++r) {
+    for (std::size_t p = 0; p < m.num_properties(); ++p) ones += m.At(r, p);
   }
+  EXPECT_EQ(ones, 4);
+  const oracle::Grouping again = oracle::GroupRows(m);
+  ASSERT_EQ(again.counts.size(), index.num_signatures());
+  for (std::size_t i = 0; i < index.num_signatures(); ++i) {
+    EXPECT_EQ(again.counts[i], index.signature(i).count);
+    EXPECT_EQ(again.supports[i], index.signature(i).support());
+  }
+  EXPECT_EQ(again.row_signature, expansion.row_signature);
 }
 
 TEST(SignatureIndexTest, CanonicalOrderIsDeterministic) {
@@ -160,12 +126,12 @@ TEST(SignatureIndexTest, CanonicalOrderIsDeterministic) {
 
 TEST(SignatureIndexTest, RandomMatrixGroupingPreservesSubjects) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    gen::RandomMatrixSpec spec;
+    oracle::RandomMatrixSpec spec;
     spec.num_subjects = 20;
     spec.num_properties = 5;
     spec.seed = seed;
-    const PropertyMatrix m = gen::GenerateRandomMatrix(spec);
-    const SignatureIndex index = SignatureIndex::FromMatrix(m, true);
+    const SignatureIndex index =
+        oracle::IndexOf(oracle::GenerateRandomMatrix(spec));
     EXPECT_EQ(index.total_subjects(), 20);
     // Sizes are non-increasing in canonical order.
     for (std::size_t i = 1; i < index.num_signatures(); ++i) {
@@ -182,8 +148,7 @@ TEST(AsciiViewTest, AbbreviateProperty) {
 }
 
 TEST(AsciiViewTest, RendersSignatureView) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), false);
+  const SignatureIndex index = SampleIndex(false);
   const std::string view = RenderSignatureView(index);
   EXPECT_NE(view.find("subjects=3"), std::string::npos);
   EXPECT_NE(view.find("#."), std::string::npos);   // {p} row
@@ -191,8 +156,7 @@ TEST(AsciiViewTest, RendersSignatureView) {
 }
 
 TEST(AsciiViewTest, RendersRefinementView) {
-  const SignatureIndex index =
-      SignatureIndex::FromMatrix(SampleMatrix(), false);
+  const SignatureIndex index = SampleIndex(false);
   const std::string view = RenderRefinementView(index, {{0}, {1}});
   EXPECT_NE(view.find("sort 1"), std::string::npos);
   EXPECT_NE(view.find("sort 2"), std::string::npos);
