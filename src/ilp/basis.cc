@@ -31,7 +31,9 @@ struct Entry {
 
 class LuFactorization final : public BasisRep {
  public:
-  explicit LuFactorization(int m) : m_(m) {}
+  explicit LuFactorization(int m) : m_(m), is_nonzero_(m, 0) {
+    nonzeros_.reserve(m);
+  }
 
   void Factorize(const SparseColumns& cols, int n_struct,
                  std::vector<int>* basic, std::vector<int>* ejected) override;
@@ -57,26 +59,36 @@ class LuFactorization final : public BasisRep {
   //   l_cols_[k]     L multipliers (matrix row, l)        (unit diagonal)
   //   u_cols_[k]     U off-diagonals (position k' < k, value)
   //   u_diag_[k]     U diagonal
-  std::vector<int> col_order_, pivot_row_, row_pos_;
+  //   l_steps_       the k whose L column is non-empty, ascending (slack and
+  //                  singleton pivots have none, and the L passes skip them)
+  std::vector<int> col_order_, pivot_row_, row_pos_, l_steps_;
   std::vector<std::vector<Entry>> l_cols_, u_cols_;
   std::vector<double> u_diag_;
 
-  // Product-form updates since the last factorization, oldest first. `pos`
-  // and `others` indices live in basis-position space.
+  // Product-form updates since the last factorization, oldest first, in
+  // basis-position space. Eta e's column is the dense slice
+  // eta_cols_[e * m_, (e + 1) * m_): the entering column's Ftran image with
+  // its pivot slot zeroed.
   struct Eta {
     int pos;
     double pivot;
-    std::vector<Entry> others;
   };
   std::vector<Eta> etas_;
+  std::vector<double> eta_cols_;
 
   mutable std::vector<double> scratch_;
+  // Btran's eta sweep state: the positions of y that may be nonzero,
+  // ascending, and a membership mark per position (all 0 between calls).
+  mutable std::vector<int> nonzeros_;
+  mutable std::vector<char> is_nonzero_;
 };
 
 void LuFactorization::Factorize(const SparseColumns& cols, int n_struct,
                                 std::vector<int>* basic,
                                 std::vector<int>* ejected) {
   etas_.clear();
+  eta_cols_.clear();
+  l_steps_.clear();
   l_cols_.assign(m_, {});
   u_cols_.assign(m_, {});
   u_diag_.assign(m_, 0.0);
@@ -148,9 +160,9 @@ bool LuFactorization::FactorColumn(
   }
 
   // Apply the already-computed L columns in elimination order; each op can
-  // spread the column into new rows, so the scan walks all finished columns.
-  const int finished = *done;
-  for (int k = 0; k < finished; ++k) {
+  // spread the column into new rows, so the scan walks every finished step
+  // that has an L column.
+  for (const int k : l_steps_) {
     const double val = work[pivot_row_[k]];
     if (val == 0.0) continue;
     for (const Entry& e : l_cols_[k]) {
@@ -208,13 +220,18 @@ bool LuFactorization::FactorColumn(
       l_cols_[k].push_back({i, v / diag});
     }
   }
+  if (!l_cols_[k].empty()) l_steps_.push_back(k);
   return true;
 }
+
+// Every skip below drops only a product with an exactly-zero factor, and
+// every sum keeps the full loop's order, so nonzero results stay
+// bit-identical (see basis.h).
 
 void LuFactorization::Ftran(std::vector<double>* v) const {
   std::vector<double>& x = *v;
   // L pass in elimination order, in row space.
-  for (int k = 0; k < m_; ++k) {
+  for (const int k : l_steps_) {
     const double val = x[pivot_row_[k]];
     if (val == 0.0) continue;
     for (const Entry& e : l_cols_[k]) x[e.idx] -= e.val * val;
@@ -224,19 +241,24 @@ void LuFactorization::Ftran(std::vector<double>* v) const {
   z.resize(m_);
   for (int k = 0; k < m_; ++k) z[k] = x[pivot_row_[k]];
   for (int k = m_ - 1; k >= 0; --k) {
+    if (z[k] == 0.0) continue;
     const double xk = z[k] / u_diag_[k];
     z[k] = xk;
-    if (xk == 0.0) continue;
     for (const Entry& e : u_cols_[k]) z[e.idx] -= e.val * xk;
   }
   // Scatter to basis-position space, then sweep the eta file oldest-first:
-  // B_new = B_old * E, so B_new^-1 applies E^-1 after the base solve.
+  // B_new = B_old * E, so B_new^-1 applies E^-1 after the base solve. The
+  // dense column's zeroed pivot slot leaves x[pos] = piv untouched.
   for (int k = 0; k < m_; ++k) x[col_order_[k]] = z[k];
+  double* xs = x.data();
+  const double* col = eta_cols_.data();
   for (const Eta& eta : etas_) {
-    const double piv = x[eta.pos] / eta.pivot;
-    x[eta.pos] = piv;
-    if (piv == 0.0) continue;
-    for (const Entry& e : eta.others) x[e.idx] -= e.val * piv;
+    const double piv = xs[eta.pos] / eta.pivot;
+    xs[eta.pos] = piv;
+    if (piv != 0.0) {
+      for (int i = 0; i < m_; ++i) xs[i] -= col[i] * piv;
+    }
+    col += m_;
   }
 }
 
@@ -250,25 +272,51 @@ void LuFactorization::FtranColumn(
 
 void LuFactorization::Btran(std::vector<double>* v) const {
   std::vector<double>& y = *v;
-  // Eta file newest-first: B_new^-T applies E^-T before the base solve.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = y[it->pos];
-    for (const Entry& e : it->others) acc -= e.val * y[e.idx];
-    y[it->pos] = acc / it->pivot;
+  // Eta file newest-first: B_new^-T applies E^-T before the base solve. Each
+  // step is a dot product of the eta column with y, and y is hyper-sparse
+  // here (a phase-1 cost vector has a handful of nonzeros), so the sum runs
+  // over y's nonzero positions only, ascending. A step can make y[pos]
+  // nonzero, and y[pos] can also cancel to exactly 0 and come back at a later
+  // step on the same position, so membership is tracked by mark, never by
+  // y[pos]'s previous value: a position listed twice would count twice.
+  if (!etas_.empty()) {
+    nonzeros_.clear();
+    for (int i = 0; i < m_; ++i) {
+      if (y[i] != 0.0) {
+        nonzeros_.push_back(i);
+        is_nonzero_[i] = 1;
+      }
+    }
+    for (std::size_t e = etas_.size(); e-- > 0;) {
+      const Eta& eta = etas_[e];
+      const double* col = &eta_cols_[e * m_];
+      double acc = y[eta.pos];
+      for (const int i : nonzeros_) acc -= col[i] * y[i];
+      y[eta.pos] = acc / eta.pivot;
+      if (acc != 0.0 && is_nonzero_[eta.pos] == 0) {
+        is_nonzero_[eta.pos] = 1;
+        nonzeros_.insert(
+            std::upper_bound(nonzeros_.begin(), nonzeros_.end(), eta.pos),
+            eta.pos);
+      }
+    }
+    for (const int i : nonzeros_) is_nonzero_[i] = 0;
   }
-  // Gather to elimination order, solve U^T forward.
+  // Gather to elimination order, solve U^T forward. A zero accumulator is
+  // stored as is: it replaces z[k]'s pre-subtraction value.
   std::vector<double>& z = scratch_;
   z.resize(m_);
   for (int k = 0; k < m_; ++k) z[k] = y[col_order_[k]];
   for (int k = 0; k < m_; ++k) {
     double acc = z[k];
     for (const Entry& e : u_cols_[k]) acc -= e.val * z[e.idx];
-    z[k] = acc / u_diag_[k];
+    z[k] = acc == 0.0 ? acc : acc / u_diag_[k];
   }
   // Scatter to row space, then apply the transposed L ops in reverse order:
   // each op adjusts only its own pivot row from rows eliminated later.
   for (int k = 0; k < m_; ++k) y[pivot_row_[k]] = z[k];
-  for (int k = m_ - 1; k >= 0; --k) {
+  for (auto it = l_steps_.rbegin(); it != l_steps_.rend(); ++it) {
+    const int k = *it;
     double acc = y[pivot_row_[k]];
     for (const Entry& e : l_cols_[k]) acc -= e.val * y[e.idx];
     y[pivot_row_[k]] = acc;
@@ -278,14 +326,9 @@ void LuFactorization::Btran(std::vector<double>* v) const {
 bool LuFactorization::Update(int pos, const std::vector<double>& w) {
   const double piv = w[pos];
   if (std::fabs(piv) < kUpdatePivotTol) return false;
-  Eta eta;
-  eta.pos = pos;
-  eta.pivot = piv;
-  for (int i = 0; i < m_; ++i) {
-    if (i == pos) continue;
-    if (w[i] != 0.0) eta.others.push_back({i, w[i]});
-  }
-  etas_.push_back(std::move(eta));
+  etas_.push_back({pos, piv});
+  eta_cols_.insert(eta_cols_.end(), w.begin(), w.end());
+  eta_cols_[eta_cols_.size() - m_ + pos] = 0.0;
   return true;
 }
 

@@ -16,9 +16,29 @@
 // append product-form eta matrices to the factorization; the simplex
 // refactorizes periodically (SimplexOptions::refactor_interval) or when an
 // update pivot is too small to be stable. Ftran/Btran are triangular solves
-// plus an eta sweep: O(m + fill) instead of a dense inverse's O(m^2). The
-// explicit dense inverse lives in tests/dense_inverse_oracle.h as the
-// differential oracle for this interface.
+// plus an eta sweep. The explicit dense inverse lives in
+// tests/dense_inverse_oracle.h as the differential oracle for this interface.
+//
+// The kernel does only the arithmetic that can be nonzero (Hall & McKinnon
+// 2005, "Hyper-sparsity in the revised simplex method"):
+//   * Eta columns are dense: m doubles each, the Ftran image of the entering
+//     column with the pivot slot zeroed. Ftran's eta step is then one
+//     streaming x -= d * piv over m rows. Dense storage costs 8 bytes per
+//     row against 16 per stored (index, value) entry, so it is the smaller
+//     one above 50% density; the Section 6 encodings' eta columns run at
+//     55-68%.
+//   * Btran's eta sweep is hyper-sparse. A dual vector enters it with one or
+//     two nonzeros (a phase-1 cost vector) where an eta column holds
+//     hundreds, so each eta's dot product runs over y's nonzero positions
+//     only, ascending, and a position joins that list when its entry turns
+//     nonzero.
+//   * Slack and singleton pivots have an empty L column; the elimination
+//     scan and both L passes walk only the steps that have one. U's solves
+//     skip a division whose numerator is exactly 0.
+// Each skipped term is a product with an exactly-zero factor, and each sum
+// still visits its nonzero products in the full loop's order, so every
+// nonzero value is bit-identical to the full computation (a zero may change
+// sign, which nothing downstream reads): the simplex takes the same pivots.
 //
 // Warm starts from an arbitrary SimplexBasis are supported: Factorize repairs
 // a structurally or numerically singular basis by replacing dependent columns
@@ -109,7 +129,9 @@ class BasisRep {
 
   /// Records the basis change at position `pos`, where `w` is the Ftran image
   /// of the entering column. Returns false when the update is numerically
-  /// unsafe (tiny pivot / oversized eta file) — the caller must refactorize.
+  /// unsafe (|w[pos]| below the smallest accepted pivot) — the caller must
+  /// refactorize. The eta file has no length cap of its own; the caller
+  /// refactorizes at SimplexOptions::refactor_interval.
   virtual bool Update(int pos, const std::vector<double>& w) = 0;
 
   /// Current eta-file length (0 for representations without one).

@@ -106,12 +106,19 @@ class Simplex {
       const int entering = SelectEntering(cost, bland, &direction);
 
       if (entering < 0) {
+        // The verdict uses phase 1's own rule on the refreshed basics: a
+        // basic is infeasible when it alone violates a bound by more than
+        // feas_tol_ (a sum of violations would call many tiny, tolerated
+        // ones infeasible).
         RecomputeBasics();
-        if (TotalInfeasibility() > feas_tol_) {
+        const bool infeasible = AnyBasicInfeasible();
+        if (phase1 && infeasible) {
           result.status = LpStatus::kInfeasible;
-        } else if (phase1) {
-          // Violations were within tolerance after the refresh; re-price with
-          // the true objective (ComputePhase1Costs will come back false).
+        } else if (phase1 || infeasible) {
+          // Either phase 1's violations were within tolerance after the
+          // refresh (re-price with the true objective), or the refresh moved
+          // a phase-2 basic out of its box (restore feasibility first);
+          // ComputePhase1Costs picks the phase.
           continue;
         } else {
           result.status = LpStatus::kOptimal;
@@ -353,6 +360,15 @@ class Simplex {
     return -1;
   }
 
+  /// Phase 1's feasibility rule for variable i: -1 when it lies more than
+  /// feas_tol_ below its lower bound, +1 when more than feas_tol_ above its
+  /// upper bound, 0 otherwise.
+  int Violation(int i) const {
+    if (x_[i] < lb_[i] - feas_tol_) return -1;
+    if (x_[i] > ub_[i] + feas_tol_) return 1;
+    return 0;
+  }
+
   /// Fills phase1_cost_ from current basic violations; returns true when any
   /// basic variable is out of bounds (phase 1 needed).
   bool ComputePhase1Costs() {
@@ -360,28 +376,20 @@ class Simplex {
     phase1_cost_.assign(n_, 0.0);
     for (int r = 0; r < m_; ++r) {
       const int i = basic_[r];
-      if (x_[i] < lb_[i] - feas_tol_) {
-        phase1_cost_[i] = -1.0;
-        any = true;
-      } else if (x_[i] > ub_[i] + feas_tol_) {
-        phase1_cost_[i] = 1.0;
+      const int violation = Violation(i);
+      if (violation != 0) {
+        phase1_cost_[i] = violation;
         any = true;
       }
     }
     return any;
   }
 
-  double TotalInfeasibility() const {
-    double total = 0.0;
+  bool AnyBasicInfeasible() const {
     for (int r = 0; r < m_; ++r) {
-      const int i = basic_[r];
-      if (x_[i] < lb_[i]) {
-        total += lb_[i] - x_[i];
-      } else if (x_[i] > ub_[i]) {
-        total += x_[i] - ub_[i];
-      }
+      if (Violation(basic_[r]) != 0) return true;
     }
-    return total;
+    return false;
   }
 
   /// y = B^-T c_B.

@@ -12,6 +12,15 @@ namespace {
 // printed rule r0 of Appendix A nests 2 deep.
 constexpr int kMaxNesting = 256;
 
+// Bound on the operands '&&' and '||' join in one text: at most
+// kMaxOperands - 1 operators. The parser folds a chain into a left-deep tree
+// that the recursive walkers (printer, normalizer, evaluator) descend one
+// level per operand, so an unbounded chain exhausts the stack just as
+// unbounded nesting does (under AddressSanitizer the printer overflows an
+// 8 MiB stack near 2048 operands). The lexer counts, so an over-long chain
+// fails before it is tokenized in full; the builtin rules join at most four.
+constexpr int kMaxOperands = 1024;
+
 enum class TokenKind {
   kIdent,
   kUri,     // <...>
@@ -67,6 +76,7 @@ class Lexer {
         if (pos_ >= text_.size() || text_[pos_] != '&') {
           return Error(start, "expected '&&'");
         }
+        if (++operators_ == kMaxOperands) return TooManyOperands(start);
         tokens.push_back({TokenKind::kAnd, "&&", start});
         ++pos_;
       } else if (c == '|') {
@@ -74,6 +84,7 @@ class Lexer {
         if (pos_ >= text_.size() || text_[pos_] != '|') {
           return Error(start, "expected '||'");
         }
+        if (++operators_ == kMaxOperands) return TooManyOperands(start);
         tokens.push_back({TokenKind::kOr, "||", start});
         ++pos_;
       } else if (c == '-') {
@@ -130,8 +141,14 @@ class Lexer {
     return Status::ParseError("at offset " + std::to_string(pos) + ": " + msg);
   }
 
+  Status TooManyOperands(std::size_t pos) {
+    return Error(pos, "more than " + std::to_string(kMaxOperands) +
+                          " operands joined by '&&' and '||'");
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int operators_ = 0;  // '&&' and '||' tokens so far
 };
 
 /// Recursive-descent parser over the token stream.

@@ -14,8 +14,9 @@
 //   const    := "<" uri ">" | identifier
 //   var      := identifier            (not one of val/subj/prop)
 //
-// "(" and "!" may nest at most 256 levels deep, combined; deeper input is a
-// ParseError rather than a stack overflow.
+// "(" and "!" may nest at most 256 levels deep, combined, and one formula or
+// rule may join at most 1024 operands with "&&" and "||" (1023 operators in
+// total); deeper or longer input is a ParseError rather than a stack overflow.
 //
 // Examples (the builtin rules of Section 2.2 in this syntax):
 //   Cov:    c = c -> val(c) = 1

@@ -60,6 +60,21 @@ TEST(BnbTest, LpInfeasibleImmediately) {
   EXPECT_LE(r.nodes, 1);
 }
 
+TEST(BnbTest, ToleratedViolationsDoNotProveInfeasibility) {
+  // Three rows x_r + y_r in [5e-7, 1] over continuous x_r, y_r in [0, 1]:
+  // each row's slack start is within the LP tolerance of feasible, so the
+  // root LP must not report infeasible and the search must answer "yes".
+  Model m;
+  for (int r = 0; r < 3; ++r) {
+    const int x = m.AddVariable("x", 0, 1, false);
+    const int y = m.AddVariable("y", 0, 1, false);
+    m.AddConstraint("r", {{x, 1.0}, {y, 1.0}}, 5e-7, 1);
+  }
+  const MipResult r = SolveMip(m);
+  EXPECT_EQ(r.status, MipStatus::kFeasible) << MipStatusName(r.status);
+  EXPECT_TRUE(m.IsFeasible(r.x, 1e-5));
+}
+
 TEST(BnbTest, FeasibilityModeStopsAtFirstIncumbent) {
   // Set cover: pick at least one of each pair; many solutions exist.
   Model m;

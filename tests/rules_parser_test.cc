@@ -104,6 +104,27 @@ TEST(ParserTest, RejectsSyntaxErrors) {
                 .status()
                 .code(),
             StatusCode::kParseError);
+  // '&&' and '||' join at most 1024 operands per text; a longer chain is a
+  // ParseError instead of a left-deep tree the recursive walkers overflow on.
+  // At the cap, the printer's walk must still fit the stack.
+  const auto chain = [&](std::size_t operands, const std::string& op) {
+    std::string text = atom;
+    text.reserve(operands * (atom.size() + op.size() + 2));
+    for (std::size_t i = 1; i < operands; ++i) text += " " + op + " " + atom;
+    return text;
+  };
+  for (const std::string op : {"&&", "||"}) {
+    const auto longest = ParseFormula(chain(1024, op));
+    ASSERT_TRUE(longest.ok()) << op;
+    EXPECT_EQ(ToString(*longest), chain(1024, op));
+  }
+  EXPECT_EQ(ParseFormula(chain(1025, "&&")).status().code(),
+            StatusCode::kParseError);
+  for (const std::string op : {"&&", "||"}) {
+    EXPECT_EQ(ParseRule(chain(1000000, op) + " -> " + atom).status().code(),
+              StatusCode::kParseError)
+        << op;
+  }
 }
 
 TEST(ParserTest, ErrorsMentionOffset) {

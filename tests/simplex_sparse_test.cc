@@ -2,19 +2,29 @@
 // the dense-inverse oracle (tests/dense_inverse_oracle.h) at the basis level,
 // the default engine against refactorization after every pivot on randomized
 // bounded-variable LPs, warm starts, degenerate/cycling fixtures under the
-// Bland fallback, and refactorization stats.
+// Bland fallback, refactorization stats, and pinned pivot trajectories.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "core/ilp_builder.h"
 #include "dense_inverse_oracle.h"
+#include "eval/enumerator.h"
+#include "gen/random_graph.h"
 #include "ilp/basis.h"
+#include "ilp/branch_and_bound.h"
 #include "ilp/simplex.h"
+#include "rules/builtins.h"
 
 namespace rdfsr::ilp {
 namespace {
@@ -119,6 +129,8 @@ TEST(SimplexSparseTest, LuBasisMatchesDenseInverseOracle) {
   // repair it.
   constexpr double kTol = 1e-7;
   std::mt19937_64 rng(20140814);
+  // Draws the sparse right-hand sides, so `rng`'s chain stays as it was.
+  std::mt19937_64 sparse_rng(4669201);
   std::uniform_real_distribution<double> unit(-1.0, 1.0);
   std::uniform_int_distribution<int> one_in_eight(0, 7);
   long long updates = 0;
@@ -161,6 +173,35 @@ TEST(SimplexSparseTest, LuBasisMatchesDenseInverseOracle) {
       lu->Btran(&v);
       dense.Btran(&v_dense);
       EXPECT_LT(MaxRelDiff(v, v_dense), kTol) << "Btran, trial " << trial;
+
+      // Sparse right-hand sides, the simplex's usual case (a phase-1 cost
+      // vector has a handful of nonzeros): every unit vector, then vectors
+      // with two or three nonzeros.
+      std::vector<std::vector<double>> sparse;
+      for (int i = 0; i < rows; ++i) {
+        sparse.emplace_back(rows, 0.0);
+        sparse.back()[i] = 1.0;
+      }
+      for (const int nnz : {2, 3}) {
+        if (nnz > rows) break;
+        std::vector<int> at(rows);
+        for (int i = 0; i < rows; ++i) at[i] = i;
+        std::shuffle(at.begin(), at.end(), sparse_rng);
+        sparse.emplace_back(rows, 0.0);
+        for (int t = 0; t < nnz; ++t) sparse.back()[at[t]] = unit(sparse_rng);
+      }
+      for (const std::vector<double>& rhs : sparse) {
+        v = rhs;
+        v_dense = rhs;
+        lu->Ftran(&v);
+        dense.Ftran(&v_dense);
+        EXPECT_LT(MaxRelDiff(v, v_dense), kTol) << "sparse Ftran, " << trial;
+        v = rhs;
+        v_dense = rhs;
+        lu->Btran(&v);
+        dense.Btran(&v_dense);
+        EXPECT_LT(MaxRelDiff(v, v_dense), kTol) << "sparse Btran, " << trial;
+      }
 
       // A random nonbasic column enters.
       std::vector<char> in_basis(n, 0);
@@ -209,6 +250,57 @@ TEST(SimplexSparseTest, LuBasisMatchesDenseInverseOracle) {
   // The chains must exercise both the eta updates and the repair path.
   EXPECT_GT(updates, 1000);
   EXPECT_GT(unsafe_updates, 100);
+}
+
+TEST(SimplexSparseTest, BtranCountsARepositionedDualOnce) {
+  // A fixed chain on three rows whose arithmetic is exact in binary. From the
+  // slack basis (B = -I), column c0 = (1, 1, 0) enters at position 1, then
+  // c1 = (3, 1, 0) and c2 = (3.5, 1.5, 0) both enter at position 0, so one
+  // eta file replaces position 0 twice. Btran of y = (1, 2, 0) runs the etas
+  // newest first: c2's eta cancels y[0] to exactly 1 - 0.5 * 2 = 0, c1's eta
+  // makes it nonzero again, and c0's eta must then read y[0] once. Counting
+  // it twice gives y = (-1, 4, 0) instead of (-1, 3, 0).
+  const SparseColumns cols = {
+      {{0, 1.0}, {1, 1.0}},  {{0, 3.0}, {1, 1.0}}, {{0, 3.5}, {1, 1.5}},
+      {{0, -1.0}},           {{1, -1.0}},          {{2, -1.0}},
+  };
+  constexpr int kRows = 3;
+  constexpr int kStructurals = 3;
+  std::vector<int> basic = {3, 4, 5};
+  std::vector<int> oracle_basic = basic;
+  std::vector<int> ejected;
+  const std::unique_ptr<BasisRep> lu = MakeLuFactorization(kRows);
+  oracle::DenseInverse dense(kRows);
+  lu->Factorize(cols, kStructurals, &basic, &ejected);
+  dense.Factorize(cols, kStructurals, &oracle_basic, &ejected);
+  ASSERT_TRUE(ejected.empty());
+
+  const std::pair<int, int> chain[] = {{0, 1}, {1, 0}, {2, 0}};
+  const std::vector<double> images[] = {{-1, -1, 0}, {-2, 1, 0}, {1, 0.5, 0}};
+  for (int step = 0; step < 3; ++step) {
+    const auto [entering, pos] = chain[step];
+    std::vector<double> w, w_dense;
+    lu->FtranColumn(cols[entering], &w);
+    dense.FtranColumn(cols[entering], &w_dense);
+    EXPECT_EQ(w, images[step]) << "step " << step;
+    EXPECT_EQ(w_dense, images[step]) << "step " << step;
+    ASSERT_TRUE(lu->Update(pos, w));
+    ASSERT_TRUE(dense.Update(pos, w_dense));
+  }
+  ASSERT_EQ(lu->eta_length(), 3);
+
+  std::vector<double> y = {1, 2, 0};
+  std::vector<double> y_dense = y;
+  lu->Btran(&y);
+  dense.Btran(&y_dense);
+  EXPECT_EQ(y, (std::vector<double>{-1, 3, 0}));
+  EXPECT_EQ(y_dense, (std::vector<double>{-1, 3, 0}));
+
+  // The same basis through Ftran: B x = (1, 2, 0) has x = (-0.5, 2.75, 0)
+  // over the basis positions (c2, c0, slack 2).
+  std::vector<double> x = {1, 2, 0};
+  lu->Ftran(&x);
+  EXPECT_EQ(x, (std::vector<double>{-0.5, 2.75, 0}));
 }
 
 TEST(SimplexSparseTest, RandomizedLpsMatchRefactorizationEveryPivot) {
@@ -373,6 +465,29 @@ TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
   EXPECT_NEAR(r.objective, -2.0, kObjTol);
 }
 
+// Rows x_r + y_r in [5e-7, 1] over continuous x_r, y_r in [0, 1]: the slack
+// start violates each row's lower bound by 5e-7, inside the 1e-6 feasibility
+// tolerance, while the violations sum past it.
+Model TinyViolationRows(int rows) {
+  Model m;
+  for (int r = 0; r < rows; ++r) {
+    const int x = m.AddVariable("x", 0, 1, false);
+    const int y = m.AddVariable("y", 0, 1, false);
+    m.AddConstraint("r", {{x, 1.0}, {y, 1.0}}, 5e-7, 1);
+  }
+  return m;
+}
+
+TEST(SimplexSparseTest, ManyToleratedViolationsAreFeasible) {
+  // Feasibility is judged per variable, as phase 1 judges it: three rows
+  // each within tolerance are as feasible as two.
+  for (const int rows : {2, 3, 8}) {
+    const LpResult r = SolveLp(TinyViolationRows(rows));
+    EXPECT_EQ(r.status, LpStatus::kOptimal)
+        << rows << " rows: " << LpStatusName(r.status);
+  }
+}
+
 TEST(SimplexSparseTest, RefactorizationEveryPivotStaysExactAndCounts) {
   // refactor_interval = 1 forces a fresh LU after every pivot: slow but a
   // strong consistency check, and the stats must reflect it.
@@ -427,6 +542,153 @@ TEST(SimplexSparseTest, StatsSurfaceThroughLpResult) {
     EXPECT_FALSE(r.warm_started);
     break;
   }
+}
+
+// One solve's observable trajectory. `steps` is LpResult::iterations for an
+// LP and MipResult::nodes for a MIP; `x_hash` fingerprints the solution bits.
+struct Trajectory {
+  int status;
+  long long steps;
+  long long pivots;
+  long long refactorizations;
+  std::uint64_t x_hash;
+
+  bool operator==(const Trajectory&) const = default;
+};
+
+// FNV-1a over the bit patterns of x, with -0.0 read as +0.0: a kernel that
+// skips exact-zero arithmetic may flip the sign of a zero and nothing else.
+std::uint64_t HashBits(const std::vector<double>& x) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (double v : x) {
+    if (v == 0.0) v = 0.0;
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// The row as it would appear in the pinned tables below.
+std::string ToRow(const Trajectory& t) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "{%d, %lld, %lld, %lld, 0x%016" PRIx64 "ULL},",
+                t.status, t.steps, t.pivots, t.refactorizations, t.x_hash);
+  return buf;
+}
+
+// The first 50 draws of RandomLp(mt19937_64(27182818)) under SolveLp.
+constexpr Trajectory kPinnedLps[] = {
+    {1, 2, 1, 1, 0x30003bba6d57abc3ULL},
+    {1, 3, 3, 1, 0xa822b01fd169e72bULL},
+    {0, 3, 2, 1, 0x3c0497ea6968b591ULL},
+    {0, 2, 2, 1, 0x09a238d57ee051b4ULL},
+    {0, 4, 3, 1, 0x9a612b40a9e10420ULL},
+    {1, 4, 3, 1, 0x99a2a09b15983333ULL},
+    {0, 8, 4, 1, 0x85d126c8ab327d6aULL},
+    {1, 2, 2, 1, 0x9e06b8882c3c4eacULL},
+    {1, 4, 3, 1, 0x90c1a8918a572880ULL},
+    {0, 1, 1, 1, 0xd28a6f4d48337e10ULL},
+    {2, 6, 4, 1, 0x8b1f0b4c642a5553ULL},
+    {0, 3, 2, 1, 0x8afef04febdbe3fdULL},
+    {1, 2, 1, 1, 0xc5bf1900ff1bf924ULL},
+    {0, 1, 1, 1, 0xc1ac0602bfb21421ULL},
+    {1, 3, 2, 1, 0xf8fc0d086e729961ULL},
+    {2, 2, 2, 1, 0xcff914fc0fa2fa3eULL},
+    {1, 6, 6, 1, 0xa954a8d907ee03caULL},
+    {1, 3, 3, 1, 0x323c0522d7ae97f9ULL},
+    {1, 0, 0, 1, 0x1c43aec12c810e23ULL},
+    {1, 7, 6, 1, 0xe7921ac18d9b5ad4ULL},
+    {1, 4, 3, 1, 0xf9edcf54d48914dfULL},
+    {1, 2, 2, 1, 0x2b66e1959bdcab19ULL},
+    {1, 1, 1, 1, 0x8f1a656822e15f7fULL},
+    {1, 3, 3, 1, 0x257303215499f5a0ULL},
+    {0, 2, 2, 1, 0x7745fb5b57ebeb62ULL},
+    {0, 7, 4, 1, 0x87531340ae6086d8ULL},
+    {1, 3, 3, 1, 0x09ba20df6bf191dfULL},
+    {0, 6, 4, 1, 0xd9d5698a878e97a4ULL},
+    {1, 3, 3, 1, 0xdba759e3f8f82dffULL},
+    {1, 3, 2, 1, 0xc8cf4a8f1fc8668eULL},
+    {0, 7, 6, 1, 0x0fa0faf3ab2bb560ULL},
+    {2, 2, 1, 1, 0x02e943f8a5ba02a2ULL},
+    {0, 4, 4, 1, 0x5a9a48c8dc1fc392ULL},
+    {0, 7, 2, 1, 0xb15ff5973a23eb33ULL},
+    {0, 4, 4, 1, 0x1b63e65a9a291b4dULL},
+    {1, 4, 3, 1, 0x589123d505512f0bULL},
+    {0, 3, 3, 1, 0xd2eb599051c03181ULL},
+    {2, 3, 3, 1, 0x24b55d873e07636cULL},
+    {1, 8, 7, 1, 0xf31e4fbc6c976e76ULL},
+    {0, 3, 2, 1, 0x0a760f7d8a9bdc8fULL},
+    {1, 2, 2, 1, 0x35d53db5f4b29542ULL},
+    {1, 3, 2, 1, 0xe1d633288a489ef3ULL},
+    {0, 3, 3, 1, 0xb0a77b3c9cf7ef2aULL},
+    {1, 4, 4, 1, 0x9fe2a4046d3c5feaULL},
+    {1, 5, 4, 1, 0x3ff7429799f0d350ULL},
+    {1, 3, 2, 1, 0xf36b193b2b89fb15ULL},
+    {2, 2, 1, 1, 0xec1b1ee25a42e22dULL},
+    {1, 9, 6, 1, 0x362595582005e880ULL},
+    {0, 1, 0, 1, 0x3ff0d2b7108de692ULL},
+    {2, 3, 3, 1, 0xe9d23d96e87982fbULL},
+};
+
+// SolveMip on the Section 6 Cov encodings of one random index (18
+// signatures, 6 properties, seed 1) at k = 3: theta = 7/10 has no
+// refinement (an infeasibility proof), theta = 6/10 has one (a dive).
+constexpr Trajectory kPinnedMips[] = {
+    {2, 25, 3070, 47, 0xcbf29ce484222325ULL},
+    {1, 29, 1029, 31, 0xe897e55519e8b610ULL},
+};
+
+TEST(SimplexSparseTest, PinnedTrajectoriesStayBitIdentical) {
+  // The basis kernel may skip arithmetic that is exactly zero, but every
+  // nonzero value it computes must stay bit-identical, so branch-and-bound
+  // takes the same pivots. These pins hold the statuses, iteration and node
+  // counts, pivot and refactorization counts, and solution bits of a fixed
+  // set of solves to their recorded values. A change that moves the pivot
+  // sequence on purpose re-records them from the rows printed on failure.
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "pins record x86-64 SSE2 arithmetic without FMA contraction";
+#endif
+  std::mt19937_64 rng(27182818);
+  std::vector<Trajectory> lps;
+  for (int trial = 0; trial < 50; ++trial) {
+    const LpResult r = SolveLp(RandomLp(&rng));
+    lps.push_back({static_cast<int>(r.status), r.iterations, r.stats.pivots,
+                   r.stats.refactorizations, HashBits(r.x)});
+  }
+
+  gen::RandomIndexSpec spec;
+  spec.num_signatures = 18;
+  spec.num_properties = 6;
+  spec.seed = 1;
+  const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
+  const rules::Rule cov = rules::CovRule();
+  const auto taus = eval::EnumerateTauCounts(cov, index);
+  std::vector<Trajectory> mips;
+  for (const Rational theta : {Rational(7, 10), Rational(6, 10)}) {
+    const core::IlpEncoding enc =
+        core::BuildRefinementIlp(index, cov, taus, 3, theta);
+    const MipResult r = SolveMip(enc.model);
+    mips.push_back({static_cast<int>(r.status), r.nodes, r.lp_stats.pivots,
+                    r.lp_stats.refactorizations, HashBits(r.x)});
+  }
+  EXPECT_EQ(mips[0].status, static_cast<int>(MipStatus::kInfeasible));
+  EXPECT_EQ(mips[1].status, static_cast<int>(MipStatus::kFeasible));
+
+  const auto check = [](const char* what, const std::vector<Trajectory>& got,
+                        const Trajectory* want, std::size_t n) {
+    ASSERT_EQ(got.size(), n) << what;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(got[i] == want[i])
+          << what << " " << i << ": got " << ToRow(got[i]) << " want "
+          << ToRow(want[i]);
+    }
+  };
+  check("LP", lps, kPinnedLps, std::size(kPinnedLps));
+  check("MIP", mips, kPinnedMips, std::size(kPinnedMips));
 }
 
 }  // namespace
