@@ -83,13 +83,6 @@ Model RandomLp(std::mt19937_64* rng) {
       m.AddConstraint("r", std::move(terms), mid - 1.0, mid + 1.0);
     }
   }
-  if (unit(*rng) < 0.8) {
-    std::vector<LinTerm> obj;
-    for (int j = 0; j < n; ++j) {
-      if (unit(*rng) < 0.7) obj.push_back({j, coef(*rng)});
-    }
-    m.SetObjective(std::move(obj));
-  }
   return m;
 }
 
@@ -583,55 +576,55 @@ std::string ToRow(const Trajectory& t) {
 // The first 50 draws of RandomLp(mt19937_64(27182818)) under SolveLp.
 constexpr Trajectory kPinnedLps[] = {
     {1, 2, 1, 1, 0x30003bba6d57abc3ULL},
-    {1, 3, 3, 1, 0xa822b01fd169e72bULL},
-    {0, 3, 2, 1, 0x3c0497ea6968b591ULL},
-    {0, 2, 2, 1, 0x09a238d57ee051b4ULL},
-    {0, 4, 3, 1, 0x9a612b40a9e10420ULL},
-    {1, 4, 3, 1, 0x99a2a09b15983333ULL},
-    {0, 8, 4, 1, 0x85d126c8ab327d6aULL},
-    {1, 2, 2, 1, 0x9e06b8882c3c4eacULL},
-    {1, 4, 3, 1, 0x90c1a8918a572880ULL},
-    {0, 1, 1, 1, 0xd28a6f4d48337e10ULL},
-    {2, 6, 4, 1, 0x8b1f0b4c642a5553ULL},
-    {0, 3, 2, 1, 0x8afef04febdbe3fdULL},
-    {1, 2, 1, 1, 0xc5bf1900ff1bf924ULL},
-    {0, 1, 1, 1, 0xc1ac0602bfb21421ULL},
-    {1, 3, 2, 1, 0xf8fc0d086e729961ULL},
-    {2, 2, 2, 1, 0xcff914fc0fa2fa3eULL},
-    {1, 6, 6, 1, 0xa954a8d907ee03caULL},
-    {1, 3, 3, 1, 0x323c0522d7ae97f9ULL},
-    {1, 0, 0, 1, 0x1c43aec12c810e23ULL},
-    {1, 7, 6, 1, 0xe7921ac18d9b5ad4ULL},
-    {1, 4, 3, 1, 0xf9edcf54d48914dfULL},
-    {1, 2, 2, 1, 0x2b66e1959bdcab19ULL},
-    {1, 1, 1, 1, 0x8f1a656822e15f7fULL},
-    {1, 3, 3, 1, 0x257303215499f5a0ULL},
-    {0, 2, 2, 1, 0x7745fb5b57ebeb62ULL},
-    {0, 7, 4, 1, 0x87531340ae6086d8ULL},
-    {1, 3, 3, 1, 0x09ba20df6bf191dfULL},
-    {0, 6, 4, 1, 0xd9d5698a878e97a4ULL},
-    {1, 3, 3, 1, 0xdba759e3f8f82dffULL},
-    {1, 3, 2, 1, 0xc8cf4a8f1fc8668eULL},
-    {0, 7, 6, 1, 0x0fa0faf3ab2bb560ULL},
-    {2, 2, 1, 1, 0x02e943f8a5ba02a2ULL},
-    {0, 4, 4, 1, 0x5a9a48c8dc1fc392ULL},
-    {0, 7, 2, 1, 0xb15ff5973a23eb33ULL},
-    {0, 4, 4, 1, 0x1b63e65a9a291b4dULL},
-    {1, 4, 3, 1, 0x589123d505512f0bULL},
-    {0, 3, 3, 1, 0xd2eb599051c03181ULL},
-    {2, 3, 3, 1, 0x24b55d873e07636cULL},
-    {1, 8, 7, 1, 0xf31e4fbc6c976e76ULL},
-    {0, 3, 2, 1, 0x0a760f7d8a9bdc8fULL},
-    {1, 2, 2, 1, 0x35d53db5f4b29542ULL},
-    {1, 3, 2, 1, 0xe1d633288a489ef3ULL},
-    {0, 3, 3, 1, 0xb0a77b3c9cf7ef2aULL},
-    {1, 4, 4, 1, 0x9fe2a4046d3c5feaULL},
-    {1, 5, 4, 1, 0x3ff7429799f0d350ULL},
-    {1, 3, 2, 1, 0xf36b193b2b89fb15ULL},
-    {2, 2, 1, 1, 0xec1b1ee25a42e22dULL},
-    {1, 9, 6, 1, 0x362595582005e880ULL},
-    {0, 1, 0, 1, 0x3ff0d2b7108de692ULL},
-    {2, 3, 3, 1, 0xe9d23d96e87982fbULL},
+    {1, 6, 5, 1, 0x7ee4f4d1f2f9d195ULL},
+    {1, 1, 1, 1, 0xc74b86285e03eba3ULL},
+    {1, 0, 0, 1, 0x95a69d4602c051a1ULL},
+    {1, 3, 3, 1, 0x90d713800709b6b8ULL},
+    {1, 3, 2, 1, 0x7d62e00ca161d767ULL},
+    {1, 1, 1, 1, 0x0aec97b0efb87a9eULL},
+    {1, 4, 3, 1, 0xbe87c984573cf426ULL},
+    {1, 1, 1, 1, 0x5cc2ad19c923d0c1ULL},
+    {1, 3, 3, 1, 0x62fa03e904006e9bULL},
+    {1, 1, 0, 1, 0x60b639899ed47317ULL},
+    {0, 1, 1, 1, 0xee37229d7c97d817ULL},
+    {1, 4, 4, 1, 0x1626332457fe20dcULL},
+    {0, 5, 5, 1, 0x893a6cf097333cb8ULL},
+    {1, 3, 3, 1, 0xc5c59ef9dd500ebfULL},
+    {0, 0, 0, 1, 0x7d9c6e0fb2702c0fULL},
+    {1, 1, 0, 1, 0xce6e1bde99f038e2ULL},
+    {1, 4, 2, 1, 0x208abed1e4d112c0ULL},
+    {1, 0, 0, 1, 0x38bf0c771a2aad4aULL},
+    {1, 3, 2, 1, 0x4de4fd25e722b617ULL},
+    {0, 2, 2, 1, 0xc6ea55b064de18ffULL},
+    {1, 2, 2, 1, 0x26bb117aefeacf3fULL},
+    {1, 1, 1, 1, 0xd06a30e8a22960d7ULL},
+    {1, 2, 2, 1, 0xc91280cb680976b2ULL},
+    {0, 2, 2, 1, 0xe978e75a1f60d083ULL},
+    {0, 3, 3, 1, 0x94a57959bb8b1344ULL},
+    {1, 6, 5, 1, 0x301faa614393d343ULL},
+    {0, 2, 2, 1, 0x97f1842b538ac789ULL},
+    {0, 7, 7, 1, 0x5ac3f6c82cc37fddULL},
+    {1, 3, 3, 1, 0x169b7761899fcccdULL},
+    {1, 4, 3, 1, 0x3a0fe445b3696113ULL},
+    {1, 1, 1, 1, 0x31842f53d32c2211ULL},
+    {1, 5, 5, 1, 0x93e0cb52b72a4dc0ULL},
+    {1, 1, 1, 1, 0x933af7c16fafe258ULL},
+    {0, 2, 2, 1, 0xf02bf4f9fd99d9b4ULL},
+    {1, 1, 1, 1, 0xa492ce019618a25aULL},
+    {1, 1, 1, 1, 0xe2b207749da20c7fULL},
+    {1, 2, 1, 1, 0x9868aeb872f747f1ULL},
+    {0, 3, 3, 1, 0x61c573cd32755250ULL},
+    {0, 3, 2, 1, 0xb6988c530331ea16ULL},
+    {1, 7, 5, 1, 0x73c0a56903f2eac9ULL},
+    {1, 3, 3, 1, 0x13f25ef3fd8da100ULL},
+    {0, 5, 5, 1, 0x2325acab5e64d933ULL},
+    {0, 4, 4, 1, 0x13bf9cbcfd5b2e89ULL},
+    {1, 4, 3, 1, 0x1368252c6c31ce4dULL},
+    {0, 3, 3, 1, 0x5deee00169e3d33fULL},
+    {0, 3, 3, 1, 0x22e6dddf54cdaeecULL},
+    {1, 1, 0, 1, 0x30ad9f58a1ce1eedULL},
+    {1, 2, 2, 1, 0x12396fc47f7ab4acULL},
+    {0, 2, 2, 1, 0x716b5831c96c57c0ULL},
 };
 
 // SolveMip on the Section 6 Cov encodings of one random index (18
