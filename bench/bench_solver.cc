@@ -100,7 +100,7 @@ void ReportFrontier(TextTable* table, int frontier_n) {
   auto evaluator = eval::MakeEvaluator(rules::CovRule(), &index);
   const auto taus = eval::EnumerateTauCounts(evaluator->rule(), index);
   const auto shapes = core::AnalyzeTaus(taus, index);
-  const std::size_t rows = core::RefinementIlpActiveRows(index, shapes, 2, {});
+  const std::size_t rows = core::RefinementIlpActiveRows(index, shapes, 2);
 
   core::SolverOptions options;  // stock defaults on purpose
   options.greedy_first = false;
@@ -145,7 +145,7 @@ bool ReportEncodeOnly(TextTable* table, int n, int k) {
   const int instances = static_cast<int>(grid.last - grid.first + 1);
 
   WallTimer reweight_timer;
-  core::RefinementIlpInstance instance(index, shapes, k, {});
+  core::RefinementIlpInstance instance(index, shapes, k);
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
     instance.Reweight(grid.Theta(g));
   }
@@ -154,8 +154,8 @@ bool ReportEncodeOnly(TextTable* table, int n, int k) {
   std::size_t rows = 0;
   WallTimer rebuild_timer;
   for (std::int64_t g = grid.first; g <= grid.last; ++g) {
-    const core::IlpEncoding enc = core::BuildRefinementIlp(
-        index, evaluator->rule(), taus, k, grid.Theta(g), {});
+    const core::IlpEncoding enc =
+        core::BuildRefinementIlp(index, taus, k, grid.Theta(g));
     rows = enc.model.num_constraints();
   }
   const double rebuild_seconds = rebuild_timer.Seconds();
@@ -165,8 +165,8 @@ bool ReportEncodeOnly(TextTable* table, int n, int k) {
   bool match = true;
   for (std::int64_t g : {grid.first, (grid.first + grid.last) / 2, grid.last}) {
     instance.Reweight(grid.Theta(g));
-    const core::IlpEncoding fresh = core::BuildRefinementIlp(
-        index, evaluator->rule(), taus, k, grid.Theta(g), {});
+    const core::IlpEncoding fresh =
+        core::BuildRefinementIlp(index, taus, k, grid.Theta(g));
     if (instance.model().ToString() != fresh.model.ToString()) match = false;
   }
 

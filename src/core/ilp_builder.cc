@@ -46,20 +46,16 @@ std::vector<TauShape> AnalyzeTaus(const std::vector<eval::TauCount>& tau_counts,
 
 namespace {
 
-bool IsSubstituted(const TauShape& shape, const IlpBuildOptions& options) {
-  return options.substitute_singleton_taus && shape.sigs.size() == 1 &&
-         shape.linked_props.empty();
+/// A tau touching one signature whose properties all lie in its support has
+/// T == X_{i,mu}: no T variable, its weight folds into the X term.
+bool IsSubstituted(const TauShape& shape) {
+  return shape.sigs.size() == 1 && shape.linked_props.empty();
 }
-
-}  // namespace
-
-namespace {
 
 /// Shared accounting for the two row counters: `link_rows_per_tau` maps a
 /// materialized tau's linked-variable count to its contribution to (4).
 std::size_t CountRows(const schema::SignatureIndex& index,
                       const std::vector<TauShape>& shapes, int k,
-                      const IlpBuildOptions& options,
                       const std::function<std::size_t(std::size_t)>&
                           link_rows_per_tau) {
   const std::size_t n = index.num_signatures();
@@ -69,46 +65,33 @@ std::size_t CountRows(const schema::SignatureIndex& index,
   }
   std::size_t tau_links = 0;
   for (const TauShape& shape : shapes) {
-    if (IsSubstituted(shape, options)) continue;
+    if (IsSubstituted(shape)) continue;
     tau_links +=
         link_rows_per_tau(shape.sigs.size() + shape.linked_props.size());
   }
-  std::size_t rows =
-      n +  // assignment rows (1)
-      static_cast<std::size_t>(k) *
-          (support_links + index.num_properties() +  // (2) + (3)
-           tau_links +                               // linking rows (4)
-           1);                                       // threshold row (5)
-  switch (options.symmetry) {
-    case IlpBuildOptions::SymmetryBreaking::kHash:
-      rows += static_cast<std::size_t>(k - 1);
-      break;
-    case IlpBuildOptions::SymmetryBreaking::kPrecedence:
-      rows += static_cast<std::size_t>(k - 1) * n;
-      break;
-    case IlpBuildOptions::SymmetryBreaking::kNone:
-      break;
-  }
-  return rows;
+  return n +  // assignment rows (1)
+         static_cast<std::size_t>(k) *
+             (support_links + index.num_properties() +  // (2) + (3)
+              tau_links +                               // linking rows (4)
+              1) +                                      // threshold row (5)
+         static_cast<std::size_t>(k - 1) * n;           // precedence rows (6)
 }
 
 }  // namespace
 
 std::size_t RefinementIlpRows(const schema::SignatureIndex& index,
-                              const std::vector<TauShape>& shapes, int k,
-                              const IlpBuildOptions& options) {
+                              const std::vector<TauShape>& shapes, int k) {
   // The skeleton always carries both directions: |linked| upper + 1 lower.
-  return CountRows(index, shapes, k, options,
+  return CountRows(index, shapes, k,
                    [](std::size_t linked) { return linked + 1; });
 }
 
 std::size_t RefinementIlpActiveRows(const schema::SignatureIndex& index,
-                                    const std::vector<TauShape>& shapes, int k,
-                                    const IlpBuildOptions& options) {
-  if (!options.sign_directed_linking) return RefinementIlpRows(index, shapes, k, options);
+                                    const std::vector<TauShape>& shapes,
+                                    int k) {
   // Sign-directed: at any theta a tau keeps at most one side — the |linked|
   // upper rows (positive weight) or the single lower row (negative weight).
-  return CountRows(index, shapes, k, options, [](std::size_t linked) {
+  return CountRows(index, shapes, k, [](std::size_t linked) {
     return std::max<std::size_t>(linked, 1);
   });
 }
@@ -126,14 +109,10 @@ SortRefinement IlpEncoding::Decode(const std::vector<double>& x) const {
   return refinement;
 }
 
-bool RefinementIlpInstance::Substituted(const TauShape& shape) const {
-  return IsSubstituted(shape, options_);
-}
-
 RefinementIlpInstance::RefinementIlpInstance(
     const schema::SignatureIndex& index, std::vector<TauShape> shapes, int k,
-    const IlpBuildOptions& options)
-    : shapes_(std::move(shapes)), options_(options) {
+    const IlpBuildOptions&)
+    : shapes_(std::move(shapes)) {
   RDFSR_CHECK_GT(k, 0);
 
   enc_.k = k;
@@ -159,7 +138,7 @@ RefinementIlpInstance::RefinementIlpInstance(
     for (int p = 0; p < num_props; ++p) {
       u_var[i][p] =
           model.AddVariable("U_" + std::to_string(i) + "_" + std::to_string(p),
-                            0, 1, !options.continuous_aux);
+                            0, 1, false);
     }
   }
 
@@ -208,13 +187,12 @@ RefinementIlpInstance::RefinementIlpInstance(
   for (int i = 0; i < k; ++i) {
     for (std::size_t t = 0; t < shapes_.size(); ++t) {
       const TauShape& shape = shapes_[t];
-      if (Substituted(shape)) {
+      if (IsSubstituted(shape)) {
         if (i == 0) ++enc_.num_tau_substituted;
         continue;  // T == X_{i,mu}; folded into the threshold row
       }
       const int t_var = enc_.model.AddVariable(
-          "T_" + std::to_string(i) + "_" + std::to_string(t), 0, 1,
-          !options.continuous_aux);
+          "T_" + std::to_string(i) + "_" + std::to_string(t), 0, 1, false);
       if (i == 0) ++enc_.num_tau_variables;
       t_var_[i][t] = t_var;
 
@@ -239,35 +217,19 @@ RefinementIlpInstance::RefinementIlpInstance(
                                             0, ilp::kInfinity);
   }
 
-  // --- (6) symmetry breaking ----------------------------------------------
-  if (options.symmetry == IlpBuildOptions::SymmetryBreaking::kHash) {
-    // hash(i) = sum_j 2^min(j, cap) X_{i, mu_j};  hash(i) <= hash(i+1).
-    for (int i = 0; i + 1 < k; ++i) {
-      std::vector<ilp::LinTerm> terms;
-      for (int mu = 0; mu < enc_.num_signatures; ++mu) {
-        const double weight =
-            std::pow(2.0, std::min(mu, options.hash_exponent_cap));
-        terms.push_back({enc_.x_var[i][mu], weight});
-        terms.push_back({enc_.x_var[i + 1][mu], -weight});
+  // --- (6) symmetry breaking by precedence ---------------------------------
+  // Signature mu may open sort i (> 0) only if some earlier signature is in
+  // sort i-1; equivalently X_{i,mu} <= sum_{mu' < mu} X_{i-1,mu'}. For mu < i
+  // the right-hand side chain is structurally empty, fixing X to 0.
+  for (int i = 1; i < k; ++i) {
+    for (int mu = 0; mu < enc_.num_signatures; ++mu) {
+      std::vector<ilp::LinTerm> terms{{enc_.x_var[i][mu], 1.0}};
+      for (int prev = 0; prev < mu; ++prev) {
+        terms.push_back({enc_.x_var[i - 1][prev], -1.0});
       }
-      model.AddConstraint("hash_" + std::to_string(i), std::move(terms),
-                          -ilp::kInfinity, 0);
-    }
-  } else if (options.symmetry ==
-             IlpBuildOptions::SymmetryBreaking::kPrecedence) {
-    // Signature mu may open sort i (> 0) only if some earlier signature is in
-    // sort i-1; equivalently X_{i,mu} <= sum_{mu' < mu} X_{i-1,mu'}. For
-    // mu < i the right-hand side chain is structurally empty, fixing X to 0.
-    for (int i = 1; i < k; ++i) {
-      for (int mu = 0; mu < enc_.num_signatures; ++mu) {
-        std::vector<ilp::LinTerm> terms{{enc_.x_var[i][mu], 1.0}};
-        for (int prev = 0; prev < mu; ++prev) {
-          terms.push_back({enc_.x_var[i - 1][prev], -1.0});
-        }
-        model.AddConstraint(
-            "prec_" + std::to_string(i) + "_" + std::to_string(mu),
-            std::move(terms), -ilp::kInfinity, 0);
-      }
+      model.AddConstraint(
+          "prec_" + std::to_string(i) + "_" + std::to_string(mu),
+          std::move(terms), -ilp::kInfinity, 0);
     }
   }
 }
@@ -305,14 +267,9 @@ void RefinementIlpInstance::Reweight(Rational theta) {
       // Sign-directed activation: a positive-weight tau only needs the upper
       // links (the row pushes T up), a negative-weight one only the lower
       // link; a zero-weight tau is absent from the row, so both sides relax
-      // (its T is free and unused). Without sign_directed_linking both sides
-      // stay active for every tau in the row.
-      const bool need_upper = options_.sign_directed_linking
-                                  ? weight[t] > 0
-                                  : weight[t] != 0;
-      const bool need_lower = options_.sign_directed_linking
-                                  ? weight[t] < 0
-                                  : weight[t] != 0;
+      // (its T is free and unused).
+      const bool need_upper = weight[t] > 0;
+      const bool need_lower = weight[t] < 0;
       const int first = link_row_[i][t];
       const int n_linked =
           static_cast<int>(shape.sigs.size() + shape.linked_props.size());
@@ -361,7 +318,7 @@ void RefinementIlpInstance::CheckInvariants() const {
     for (std::size_t t = 0; t < shapes_.size(); ++t) {
       const TauShape& shape = shapes_[t];
       const int t_var = t_var_[i][t];
-      RDFSR_CHECK_EQ(t_var < 0, Substituted(shape))
+      RDFSR_CHECK_EQ(t_var < 0, IsSubstituted(shape))
           << "substitution decision out of sync with the T map";
       if (t_var < 0) {
         RDFSR_CHECK_EQ(link_row_[i][t], -1);
@@ -410,13 +367,9 @@ void RefinementIlpInstance::CheckInvariants() const {
 }
 
 IlpEncoding BuildRefinementIlp(const schema::SignatureIndex& index,
-                               const rules::Rule& rule,
                                const std::vector<eval::TauCount>& tau_counts,
-                               int k, Rational theta,
-                               const IlpBuildOptions& options) {
-  (void)rule;
-  RefinementIlpInstance instance(index, AnalyzeTaus(tau_counts, index), k,
-                                 options);
+                               int k, Rational theta) {
+  RefinementIlpInstance instance(index, AnalyzeTaus(tau_counts, index), k);
   instance.Reweight(theta);
   return std::move(instance).ReleaseEncoding();
 }

@@ -10,10 +10,13 @@
 //   (3) U_{i,p} <= sum_{mu: p in supp} X_{i,mu}
 //   (4) T linking (see below)
 //   (5) theta2 * sum_tau cF(tau) T_{i,tau} >= theta1 * sum_tau cT(tau) T_{i,tau}
-//   (6) optional symmetry breaking (paper's hash constraints, or precedence)
+//   (6) symmetry breaking by precedence: sort i+1 opens only after sort i
+//       (in place of the paper's Section 6.3 hash rows, whose coefficients
+//       reach 2^40)
 //
-// Optimizations relative to the paper's literal encoding (all switchable for
-// the ablation bench, all preserving the feasible set exactly):
+// Optimizations relative to the paper's literal encoding (all preserving the
+// feasible set exactly; none of the paper-literal alternatives beat this
+// encoding on both MIP nodes and time on the benchmark's instances):
 //   * tau pruning: tau with count(phi1,tau,M) = 0 cannot contribute to (5) and
 //     is never materialized (the paper hints at this: "the value of
 //     count(...) is calculated offline").
@@ -60,25 +63,15 @@
 #include "core/refinement.h"
 #include "eval/enumerator.h"
 #include "ilp/model.h"
-#include "rules/ast.h"
 #include "schema/signature_index.h"
 #include "util/rational.h"
 
 namespace rdfsr::core {
 
-/// Encoding options (defaults = all optimizations on).
-struct IlpBuildOptions {
-  enum class SymmetryBreaking {
-    kNone,
-    kHash,        ///< The paper's hash(i) <= hash(i+1) with capped exponents.
-    kPrecedence,  ///< Sort i+1 opens only after sort i (default).
-  };
-  SymmetryBreaking symmetry = SymmetryBreaking::kPrecedence;
-  int hash_exponent_cap = 40;     ///< Cap on 2^j (paper Section 6.3).
-  bool continuous_aux = true;     ///< U and T as continuous [0,1].
-  bool sign_directed_linking = true;
-  bool substitute_singleton_taus = true;
-};
+/// Empty: the encoding has one configuration. It remains only because the
+/// end-to-end benchmark harness (bench/e2e) still passes one to
+/// RefinementIlpInstance through SolverOptions::build.
+struct IlpBuildOptions {};
 
 /// Theta-independent analysis of one tau: the distinct signatures it touches,
 /// the properties still needing a U link (those not covered by any of its own
@@ -100,18 +93,16 @@ std::vector<TauShape> AnalyzeTaus(const std::vector<eval::TauCount>& tau_counts,
 /// theta-independent, so solver row ceilings can be checked without paying
 /// for a model build.
 std::size_t RefinementIlpRows(const schema::SignatureIndex& index,
-                              const std::vector<TauShape>& shapes, int k,
-                              const IlpBuildOptions& options = {});
+                              const std::vector<TauShape>& shapes, int k);
 
 /// Upper bound (over all theta) on the rows still ACTIVE after Reweight:
 /// with sign-directed linking each tau keeps one side — max(|linked|, 1)
 /// rows — while the other side is vacuous and dropped by the presolve before
-/// the dense simplex. This is the count solver row ceilings should gate on;
+/// the simplex. This is the count solver row ceilings should gate on;
 /// RefinementIlpRows additionally counts the deactivated rows the skeleton
 /// carries.
 std::size_t RefinementIlpActiveRows(const schema::SignatureIndex& index,
-                                    const std::vector<TauShape>& shapes, int k,
-                                    const IlpBuildOptions& options = {});
+                                    const std::vector<TauShape>& shapes, int k);
 
 /// A built encoding plus the decoding map.
 struct IlpEncoding {
@@ -126,15 +117,15 @@ struct IlpEncoding {
   SortRefinement Decode(const std::vector<double>& x) const;
 };
 
-/// One reusable encoding for a fixed (index, k, options): the skeleton is
-/// built once, Reweight(theta) retargets it to a decision instance in place.
+/// One reusable encoding for a fixed (index, k): the skeleton is built once,
+/// Reweight(theta) retargets it to a decision instance in place.
 /// The searches keep one instance per k and sweep it through the theta grid /
 /// k ladder instead of rebuilding O(k * |P| * n) models per instance.
 class RefinementIlpInstance {
  public:
   RefinementIlpInstance(const schema::SignatureIndex& index,
                         std::vector<TauShape> shapes, int k,
-                        const IlpBuildOptions& options = {});
+                        const IlpBuildOptions& = {});
 
   /// Retargets the encoding to threshold `theta`: rewrites the k threshold
   /// rows' coefficients and toggles the theta-dependent link-row bounds.
@@ -162,11 +153,8 @@ class RefinementIlpInstance {
   void CheckInvariants() const;
 
  private:
-  bool Substituted(const TauShape& shape) const;
-
   IlpEncoding enc_;
   std::vector<TauShape> shapes_;
-  IlpBuildOptions options_;
   // Per sort i and tau t: the T variable (-1 when substituted / X-folded).
   std::vector<std::vector<int>> t_var_;
   // Per sort i and tau t: first link-row id; rows [first, first + linked)
@@ -177,15 +165,13 @@ class RefinementIlpInstance {
   std::vector<int> threshold_row_;
 };
 
-/// Builds the ILP for EXISTSSORTREFINEMENT(rule) on (index, k, theta).
-/// `tau_counts` must be EnumerateTauCounts(rule, index) (passed in so callers
-/// can reuse it across the theta search). One-shot convenience over
+/// Builds the ILP for EXISTSSORTREFINEMENT(rule) on (index, k, theta), where
+/// `tau_counts` is EnumerateTauCounts(rule, index) (passed in so callers can
+/// reuse it across the theta search). One-shot convenience over
 /// RefinementIlpInstance + Reweight — produces the identical model.
 IlpEncoding BuildRefinementIlp(const schema::SignatureIndex& index,
-                               const rules::Rule& rule,
                                const std::vector<eval::TauCount>& tau_counts,
-                               int k, Rational theta,
-                               const IlpBuildOptions& options = {});
+                               int k, Rational theta);
 
 }  // namespace rdfsr::core
 

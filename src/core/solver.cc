@@ -75,8 +75,8 @@ const std::vector<TauShape>& RefinementSolver::Shapes() {
 
 RefinementIlpInstance& RefinementSolver::InstanceFor(int k) {
   if (instance_ == nullptr || instance_k_ != k) {
-    instance_ = std::make_unique<RefinementIlpInstance>(
-        Eval().index(), Shapes(), k, options_.build);
+    instance_ =
+        std::make_unique<RefinementIlpInstance>(Eval().index(), Shapes(), k);
     instance_k_ = k;
   }
   return *instance_;
@@ -180,12 +180,15 @@ Status MipLimitStatus(const ilp::MipResult& mip, const ilp::MipOptions& mip_opti
           << mip_options.lp.max_iterations << ") hit in "
           << mip.lp_iteration_limit_hits << " node relaxation(s)";
       return Status::ResourceExhausted(msg.str());
+    case ilp::MipStopReason::kLpNumericalFailure:
+      msg << "LP numerical failure in " << mip.lp_numerical_failures
+          << " node(s) left the MIP search undecided";
+      return Status::ResourceExhausted(msg.str());
     case ilp::MipStopReason::kNone:
-    case ilp::MipStopReason::kFirstIncumbent:
       break;
   }
-  // Undecided without a recorded limit (e.g. an unbounded or numerically
-  // distrusted subtree): still explain why the answer is missing.
+  // Undecided without a recorded cause: still explain why the answer is
+  // missing.
   msg << "MIP search undecided after " << mip.nodes << " nodes";
   return Status::ResourceExhausted(msg.str());
 }
@@ -289,9 +292,8 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   // sides are dropped before the simplex, so only the active rows count;
   // without it the simplex is handed the whole skeleton.
   const std::size_t simplex_rows =
-      options_.mip.use_presolve
-          ? RefinementIlpActiveRows(index, Shapes(), k, options_.build)
-          : RefinementIlpRows(index, Shapes(), k, options_.build);
+      options_.mip.use_presolve ? RefinementIlpActiveRows(index, Shapes(), k)
+                                : RefinementIlpRows(index, Shapes(), k);
   if (simplex_rows > options_.max_mip_rows) {
     result.decision = Decision::kUnknown;
     std::ostringstream msg;
@@ -335,7 +337,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
     warm_basis_k_ = k;
   }
   switch (mip.status) {
-    case ilp::MipStatus::kOptimal:
     case ilp::MipStatus::kFeasible: {
       SortRefinement decoded = instance.Decode(mip.x);
       const Status valid = ValidateRefinement(Eval(), decoded, theta);
@@ -389,59 +390,17 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
   }
 
   const util::CancellationToken token = options_.deadline.token();
-  // An instance left undecided because the token tripped mid-solve.
-  const auto deadline_cut = [](const DecisionResult& r) {
-    return r.decision == Decision::kUnknown &&
-           (r.limit.code() == StatusCode::kDeadlineExceeded ||
-            r.limit.code() == StatusCode::kCancelled);
-  };
-
-  if (!options_.binary_theta_search) {
-    // Sequential search upward on the grid (paper Section 7: preferred over
-    // bisection because infeasible instances are far slower than feasible
-    // ones, and the sequential scan meets exactly one infeasible instance).
-    for (std::int64_t g = grid.first; g <= grid.last; ++g) {
-      // Anytime early-out: keep the incumbent (at worst the sigma_all
-      // baseline) and mark the scan as cut, never as a proven ceiling.
-      if (token.stop_requested()) {
-        best.timed_out = true;
-        break;
-      }
-      const Rational theta = grid.Theta(g);
-      DecisionResult r = Exists(k, theta);
-      ++best.instances;
-      best.mip_nodes += r.mip_nodes;
-      best.lp_stats.MergeWith(r.lp_stats);
-      if (r.decision == Decision::kExists) {
-        best.theta = theta;
-        best.refinement = std::move(*r.refinement);
-        // Reaching the endpoint (theta = 1) proves the ceiling: no threshold
-        // above 1 is satisfiable.
-        if (g == grid.last) best.ceiling_proven = true;
-        continue;
-      }
-      best.ceiling_proven = (r.decision == Decision::kNotExists);
-      if (deadline_cut(r)) best.timed_out = true;
-      break;
-    }
-    best.seconds = timer.Seconds();
-    return best;
-  }
-
-  // Bisection on the grid. Invariant: everything at or below `lo` is known
-  // feasible (or is the sigma_all baseline); everything above `hi` is known
-  // infeasible or unknown.
-  std::int64_t lo = grid.first - 1;  // baseline (sigma_all)
-  std::int64_t hi = grid.last;
-  best.ceiling_proven = true;
-  while (lo < hi) {
+  // Sequential search upward on the grid (paper Section 7: preferred over
+  // bisection because infeasible instances are far slower than feasible ones,
+  // and the sequential scan meets exactly one infeasible instance).
+  for (std::int64_t g = grid.first; g <= grid.last; ++g) {
+    // Anytime early-out: keep the incumbent (at worst the sigma_all baseline)
+    // and mark the scan as cut, never as a proven ceiling.
     if (token.stop_requested()) {
       best.timed_out = true;
-      best.ceiling_proven = false;
       break;
     }
-    const std::int64_t mid = lo + (hi - lo + 1) / 2;
-    const Rational theta = grid.Theta(mid);
+    const Rational theta = grid.Theta(g);
     DecisionResult r = Exists(k, theta);
     ++best.instances;
     best.mip_nodes += r.mip_nodes;
@@ -449,17 +408,19 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
     if (r.decision == Decision::kExists) {
       best.theta = theta;
       best.refinement = std::move(*r.refinement);
-      lo = mid;
-    } else {
-      if (r.decision != Decision::kNotExists) best.ceiling_proven = false;
-      if (deadline_cut(r)) {
-        // Every remaining probe would return the same tripped-token kUnknown;
-        // stop narrowing and report the incumbent.
-        best.timed_out = true;
-        break;
-      }
-      hi = mid - 1;
+      // Reaching the endpoint (theta = 1) proves the ceiling: no threshold
+      // above 1 is satisfiable.
+      if (g == grid.last) best.ceiling_proven = true;
+      continue;
     }
+    best.ceiling_proven = (r.decision == Decision::kNotExists);
+    // An instance left undecided because the token tripped mid-solve.
+    if (r.decision == Decision::kUnknown &&
+        (r.limit.code() == StatusCode::kDeadlineExceeded ||
+         r.limit.code() == StatusCode::kCancelled)) {
+      best.timed_out = true;
+    }
+    break;
   }
   best.seconds = timer.Seconds();
   return best;

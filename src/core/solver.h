@@ -32,8 +32,8 @@
 // What a solver decided before never changes a later answer: decisions,
 // theta/k values, instance counts and proof flags match a fresh solver's
 // whenever no solver limit fires. Only the witness of an exact solve whose
-// root LP was warm-started from an earlier instance may differ (degenerate
-// optima admit several); it is validated exactly like any other.
+// root LP was warm-started from an earlier instance may differ (an instance
+// usually has several); it is validated exactly like any other.
 // tests/solver_reuse_test.cc checks this against a fresh solver per call.
 
 #ifndef RDFSR_CORE_SOLVER_H_
@@ -79,8 +79,9 @@ struct DecisionResult {
   ilp::LpEngineStats lp_stats;
   double seconds = 0.0;
   /// Why the instance is kUnknown (OK otherwise): kResourceExhausted for
-  /// node/LP-iteration/size limits (the message names the limit and its
-  /// count), kDeadlineExceeded / kCancelled when the deadline token tripped.
+  /// node/LP-iteration/size limits and for LP numerical failures (the message
+  /// names the limit or the failure and its count), kDeadlineExceeded /
+  /// kCancelled when the deadline token tripped.
   Status limit = Status::OK();
 };
 
@@ -96,12 +97,6 @@ struct SolverOptions {
   /// would otherwise collapse to a zero rational and divide the grid
   /// derivation by zero).
   double theta_step = 0.01;
-  /// Use bisection instead of the paper's sequential scan in
-  /// FindHighestTheta. The paper prefers sequential search because "it has
-  /// proven to be much slower to find an instance infeasible than to find a
-  /// solution to a feasible instance" — bisection front-loads infeasible
-  /// instances. Kept as an option for the ablation bench.
-  bool binary_theta_search = false;
   /// Skip the exact MIP when the encoding exceeds this many rows; the
   /// instance then resolves to kUnknown unless the heuristic found a witness.
   /// The ceiling is a time guard, not a memory one, and it bounds the ROOT

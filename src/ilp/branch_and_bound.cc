@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ilp/presolve.h"
 #include "util/timer.h"
@@ -11,8 +10,6 @@ namespace rdfsr::ilp {
 
 const char* MipStatusName(MipStatus status) {
   switch (status) {
-    case MipStatus::kOptimal:
-      return "Optimal";
     case MipStatus::kFeasible:
       return "Feasible";
     case MipStatus::kInfeasible:
@@ -27,8 +24,8 @@ const char* MipStopReasonName(MipStopReason reason) {
   switch (reason) {
     case MipStopReason::kNone:
       return "None";
-    case MipStopReason::kFirstIncumbent:
-      return "FirstIncumbent";
+    case MipStopReason::kLpNumericalFailure:
+      return "LpNumericalFailure";
     case MipStopReason::kNodeLimit:
       return "NodeLimit";
     case MipStopReason::kTimeLimit:
@@ -75,24 +72,23 @@ class BranchAndBound {
     result.nodes = nodes_;
     result.seconds = timer_.Seconds();
     result.lp_iteration_limit_hits = lp_iteration_limit_hits_;
-    result.stop_reason = stop_reason_;
-    // An LP iteration limit never unwinds the search by itself; report it
-    // only when nothing stronger stopped us but the tree is still undecided.
-    if (result.stop_reason == MipStopReason::kNone && !exhausted_ &&
-        lp_iteration_limit_hits_ > 0) {
-      result.stop_reason = MipStopReason::kLpIterationLimit;
-    }
-    if (have_incumbent_) {
-      result.x = incumbent_;
-      result.objective = incumbent_obj_;
-      result.status = exhausted_ ? MipStatus::kOptimal : MipStatus::kFeasible;
-      // stop_at_first_incumbent abandons the rest of the tree by design; the
-      // incumbent is still a valid feasible point.
-      if (stopped_early_ && options_.stop_at_first_incumbent) {
-        result.status = MipStatus::kFeasible;
-      }
+    result.lp_numerical_failures = lp_numerical_failures_;
+    if (found_) {
+      result.x = std::move(point_);
+      result.status = MipStatus::kFeasible;
     } else {
       result.status = exhausted_ ? MipStatus::kInfeasible : MipStatus::kUnknown;
+      result.stop_reason = stop_reason_;
+      // LP iteration limits and numerical failures never unwind the search
+      // by themselves; report them only when nothing stronger stopped us but
+      // the tree is still undecided.
+      if (result.stop_reason == MipStopReason::kNone && !exhausted_) {
+        if (lp_iteration_limit_hits_ > 0) {
+          result.stop_reason = MipStopReason::kLpIterationLimit;
+        } else if (lp_numerical_failures_ > 0) {
+          result.stop_reason = MipStopReason::kLpNumericalFailure;
+        }
+      }
     }
     result.lp_stats = lp_stats_;
     result.root_basis = std::move(root_basis_);
@@ -102,7 +98,7 @@ class BranchAndBound {
  private:
   /// Returns true when the search should unwind completely.
   bool ShouldStop() {
-    if (stopped_early_) return true;
+    if (found_ || stopped_early_) return true;
     if (options_.cancel.stop_requested()) {
       exhausted_ = false;
       stopped_early_ = true;
@@ -130,7 +126,6 @@ class BranchAndBound {
     int var;
     bool up;
     double dist;         ///< Distance from the LP value to the branch bound.
-    double parent_obj;   ///< Parent node's LP objective.
     double parent_frac;  ///< Parent node's total fractionality.
   };
 
@@ -164,13 +159,10 @@ class BranchAndBound {
     return PropagateBounds(model_, &lb_, &ub_, 2);
   }
 
-  /// Per-unit degradation observed by solving a child node's LP: objective
-  /// increase when the model optimizes, total-fractionality decrease on
-  /// zero-objective decision instances.
-  void RecordPseudoCost(const BranchInfo& info, double obj, double frac) {
-    const double gain = model_.objective().empty()
-                            ? std::max(info.parent_frac - frac, 0.0)
-                            : std::max(obj - info.parent_obj, 0.0);
+  /// Per-unit degradation observed by solving a child node's LP: the
+  /// decrease in total fractionality.
+  void RecordPseudoCost(const BranchInfo& info, double frac) {
+    const double gain = std::max(info.parent_frac - frac, 0.0);
     const double dist = std::max(info.dist, options_.integer_tol);
     if (info.up) {
       pc_up_[info.var] += gain / dist;
@@ -205,12 +197,10 @@ class BranchAndBound {
       exhausted_ = false;
       return;
     }
-    if (lp.status == LpStatus::kUnbounded) {
-      // A zero-objective LP is never unbounded; with a real objective an
-      // unbounded relaxation cannot prune, so we must treat the subtree as
-      // undecided unless branching fixes it. Branch on any fractional var;
-      // if none, give up on this subtree.
+    if (lp.status == LpStatus::kNumericalFailure) {
+      // The relaxation decided nothing; the subtree stays undecided.
       exhausted_ = false;
+      ++lp_numerical_failures_;
       return;
     }
 
@@ -236,40 +226,23 @@ class BranchAndBound {
         branch_var = static_cast<int>(j);
       }
     }
-    if (pending != nullptr) {
-      RecordPseudoCost(*pending, lp.objective, total_frac);
-    }
-
-    // Bound pruning against the incumbent (minimization): prune when the
-    // node bound cannot improve the incumbent by more than the gap.
-    if (have_incumbent_ && !model_.objective().empty()) {
-      const double gap =
-          options_.cutoff_abs + options_.cutoff_rel * std::abs(incumbent_obj_);
-      if (lp.objective > incumbent_obj_ - gap) return;
-    }
+    if (pending != nullptr) RecordPseudoCost(*pending, total_frac);
 
     if (branch_var < 0) {
-      // Integral: round and accept as incumbent.
+      // Integral: round, and the first point that survives ends the search.
       std::vector<double> x = lp.x;
       for (std::size_t j = 0; j < model_.num_variables(); ++j) {
         if (model_.variable(j).is_integer) x[j] = std::round(x[j]);
       }
       if (!model_.IsFeasible(x, 1e-5)) {
         // Rounding broke a tight constraint; treat the node as undecided
-        // rather than derive a wrong incumbent.
+        // rather than report a wrong point.
         exhausted_ = false;
+        ++lp_numerical_failures_;
         return;
       }
-      const double obj = model_.ObjectiveValue(x);
-      if (!have_incumbent_ || obj < incumbent_obj_) {
-        have_incumbent_ = true;
-        incumbent_ = std::move(x);
-        incumbent_obj_ = obj;
-        if (options_.stop_at_first_incumbent) {
-          stopped_early_ = true;
-          stop_reason_ = MipStopReason::kFirstIncumbent;
-        }
-      }
+      found_ = true;
+      point_ = std::move(x);
       return;
     }
 
@@ -280,13 +253,13 @@ class BranchAndBound {
     const double saved_ub = ub_[branch_var];
 
     // Nearest side first (diving): below if frac < 0.5. Children reuse this
-    // node's optimal basis as their LP warm start.
+    // node's final basis as their LP warm start.
     // lint:allow(float-compare: branching-order heuristic, both sides explored)
     const bool down_first = (v - floor_v) < 0.5;
     for (int side = 0; side < 2; ++side) {
       const bool down = (side == 0) == down_first;
       BranchInfo info{branch_var, !down, down ? v - floor_v : ceil_v - v,
-                      lp.objective, total_frac};
+                      total_frac};
       if (down) {
         ub_[branch_var] = floor_v;
         if (lb_[branch_var] <= ub_[branch_var]) Dfs(&lp.basis, &info);
@@ -296,7 +269,7 @@ class BranchAndBound {
         if (lb_[branch_var] <= ub_[branch_var]) Dfs(&lp.basis, &info);
         lb_[branch_var] = saved_lb;
       }
-      if (stopped_early_) return;
+      if (found_ || stopped_early_) return;
     }
   }
 
@@ -311,12 +284,12 @@ class BranchAndBound {
 
   long long nodes_ = 0;
   long long lp_iteration_limit_hits_ = 0;
+  long long lp_numerical_failures_ = 0;
   MipStopReason stop_reason_ = MipStopReason::kNone;
   bool exhausted_ = true;
-  bool stopped_early_ = false;
-  bool have_incumbent_ = false;
-  std::vector<double> incumbent_;
-  double incumbent_obj_ = std::numeric_limits<double>::infinity();
+  bool stopped_early_ = false;  // a limit or the token unwound the search
+  bool found_ = false;          // point_ holds an integral point
+  std::vector<double> point_;
 };
 
 }  // namespace
@@ -343,12 +316,8 @@ MipResult SolveMip(const Model& model, const MipOptions& options) {
   }
   BranchAndBound solver(pre.reduced, opts);
   MipResult result = solver.Run();
-  if (!result.x.empty() || pre.reduced.num_variables() == 0) {
-    if (result.status == MipStatus::kOptimal ||
-        result.status == MipStatus::kFeasible) {
-      result.x = pre.RestoreSolution(result.x);
-      result.objective += pre.objective_offset;
-    }
+  if (result.status == MipStatus::kFeasible) {
+    result.x = pre.RestoreSolution(result.x);
   }
   return result;
 }

@@ -72,16 +72,6 @@ void Model::SetConstraintBounds(int r, double lower, double upper) {
   constraints_[r].upper = upper;
 }
 
-void Model::SetObjective(std::vector<LinTerm> terms) {
-  objective_ = MergeTerms(std::move(terms), variables_.size());
-}
-
-double Model::ObjectiveValue(const std::vector<double>& x) const {
-  double value = 0.0;
-  for (const LinTerm& t : objective_) value += t.coef * x[t.var];
-  return value;
-}
-
 bool Model::IsFeasible(const std::vector<double>& x, double tol) const {
   if (x.size() != variables_.size()) return false;
   for (std::size_t j = 0; j < variables_.size(); ++j) {
@@ -111,49 +101,36 @@ void Model::CheckInvariants() const {
     RDFSR_CHECK(v.lower == v.lower && v.upper == v.upper)
         << "variable '" << v.name << "' has a NaN bound";
   }
-  auto check_terms = [&](const std::vector<LinTerm>& terms,
-                         const char* where) {
-    int prev_var = -1;
-    for (const LinTerm& t : terms) {
-      RDFSR_CHECK_GE(t.var, 0) << where;
-      RDFSR_CHECK_LT(static_cast<std::size_t>(t.var), variables_.size())
-          << where << " references a variable past the model";
-      RDFSR_CHECK_LT(prev_var, t.var)
-          << where << " mentions a variable twice (terms must stay merged)";
-      RDFSR_CHECK(t.coef != 0.0 && t.coef == t.coef)
-          << where << " holds a zero or NaN coefficient";
-      prev_var = t.var;
-    }
-  };
   for (const Constraint& c : constraints_) {
     RDFSR_CHECK_LE(c.lower, c.upper)
         << "constraint '" << c.name << "' has an empty range";
     RDFSR_CHECK(c.lower == c.lower && c.upper == c.upper)
         << "constraint '" << c.name << "' has a NaN bound";
-    check_terms(c.terms, c.name.c_str());
+    int prev_var = -1;
+    for (const LinTerm& t : c.terms) {
+      RDFSR_CHECK_GE(t.var, 0) << c.name;
+      RDFSR_CHECK_LT(static_cast<std::size_t>(t.var), variables_.size())
+          << c.name << " references a variable past the model";
+      RDFSR_CHECK_LT(prev_var, t.var)
+          << c.name << " mentions a variable twice (terms must stay merged)";
+      RDFSR_CHECK(t.coef != 0.0 && t.coef == t.coef)
+          << c.name << " holds a zero or NaN coefficient";
+      prev_var = t.var;
+    }
   }
-  check_terms(objective_, "objective");
 }
 
 std::string Model::ToString() const {
   std::ostringstream out;
   out << "model: " << variables_.size() << " vars, " << constraints_.size()
       << " constraints\n";
-  auto print_terms = [&](const std::vector<LinTerm>& terms) {
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      if (i > 0) out << " + ";
-      out << terms[i].coef << "*" << variables_[terms[i].var].name;
-    }
-  };
-  if (!objective_.empty()) {
-    out << "min ";
-    print_terms(objective_);
-    out << "\n";
-  }
   for (const Constraint& c : constraints_) {
     out << c.name << ": ";
     if (c.lower > -kInfinity) out << c.lower << " <= ";
-    print_terms(c.terms);
+    for (std::size_t i = 0; i < c.terms.size(); ++i) {
+      if (i > 0) out << " + ";
+      out << c.terms[i].coef << "*" << variables_[c.terms[i].var].name;
+    }
     if (c.upper < kInfinity) out << " <= " << c.upper;
     out << "\n";
   }

@@ -1,9 +1,10 @@
 // Mixed-integer linear program model.
 //
-// Holds variables with bounds and integrality marks, range constraints
-// lo <= a.x <= hi, and an optional linear objective. This is the substrate the
-// paper outsources to IBM ILOG CPLEX; we implement the model plus our own
-// solvers (ilp/simplex.h, ilp/branch_and_bound.h) since CPLEX is proprietary.
+// Holds variables with bounds and integrality marks and range constraints
+// lo <= a.x <= hi. There is no objective: the paper asks only whether its
+// Section 6 integer program has a solution. This is the substrate the paper
+// outsources to IBM ILOG CPLEX; we implement the model plus our own solvers
+// (ilp/simplex.h, ilp/branch_and_bound.h) since CPLEX is proprietary.
 
 #ifndef RDFSR_ILP_MODEL_H_
 #define RDFSR_ILP_MODEL_H_
@@ -40,8 +41,8 @@ struct Constraint {
   double upper = kInfinity;
 };
 
-/// A mixed-integer linear model. The default objective is zero (pure
-/// feasibility), which is how the sort-refinement decision problem is encoded.
+/// A mixed-integer linear feasibility model, which is how the sort-refinement
+/// decision problem is encoded.
 class Model {
  public:
   /// Adds a variable; returns its index.
@@ -70,9 +71,6 @@ class Model {
   /// instance.
   void SetConstraintBounds(int r, double lower, double upper);
 
-  /// Sets the (minimization) objective. Default is the zero objective.
-  void SetObjective(std::vector<LinTerm> terms);
-
   std::size_t num_variables() const { return variables_.size(); }
   std::size_t num_constraints() const { return constraints_.size(); }
 
@@ -88,10 +86,6 @@ class Model {
   }
   const std::vector<Variable>& variables() const { return variables_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
-  const std::vector<LinTerm>& objective() const { return objective_; }
-
-  /// Objective value of a point.
-  double ObjectiveValue(const std::vector<double>& x) const;
 
   /// Checks bounds, integrality, and all constraints at `x` within `tol`.
   bool IsFeasible(const std::vector<double>& x, double tol = 1e-6) const;
@@ -102,15 +96,14 @@ class Model {
   /// Full row/bound validation (fatal on violation): every term references a
   /// live variable with a nonzero coefficient, no constraint mentions a
   /// variable twice (the MergeTerms postcondition the in-place
-  /// coefficient-update API must preserve), and every variable/constraint/
-  /// objective bound pair is a non-empty, finite-or-sentinel range. O(model);
-  /// audit builds run it before each solve.
+  /// coefficient-update API must preserve), and every variable/constraint
+  /// bound pair is a non-empty, finite-or-sentinel range. O(model); audit
+  /// builds run it before each solve.
   void CheckInvariants() const;
 
  private:
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;
-  std::vector<LinTerm> objective_;
 };
 
 }  // namespace rdfsr::ilp

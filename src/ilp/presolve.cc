@@ -313,17 +313,6 @@ PresolveResult Presolve(const Model& model, int max_rounds) {
     }
   }
 
-  // Objective: surviving terms + constant offset from fixed variables.
-  std::vector<LinTerm> objective;
-  for (const LinTerm& t : model.objective()) {
-    if (new_index[t.var] >= 0) {
-      objective.push_back({new_index[t.var], t.coef});
-    } else {
-      result.objective_offset += t.coef * result.fixed_values[t.var];
-    }
-  }
-  result.reduced.SetObjective(std::move(objective));
-
   // Surviving rows, remapped. Fixed variables were already folded into the
   // row bounds during the rounds; guard for ones fixed in the final round.
   for (std::size_t r = 0; r < w.rows.size(); ++r) {

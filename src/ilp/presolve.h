@@ -4,8 +4,7 @@
 //   * empty rows: dropped (or infeasibility detected),
 //   * singleton rows a*x in [lo, hi]: folded into x's bounds, then dropped,
 //   * integer bound rounding: [lb, ub] -> [ceil(lb), floor(ub)],
-//   * fixed variables (lb == ub): substituted into every row and the
-//     objective, then removed,
+//   * fixed variables (lb == ub): substituted into every row, then removed,
 //   * activity-redundant rows: a row whose worst-case activity range already
 //     lies inside [lo, hi] is dropped; one whose best case misses the range
 //     proves infeasibility,
@@ -34,8 +33,6 @@ struct PresolveResult {
   std::vector<int> variable_map;
   /// Per original variable: its fixed value, or NaN when still free.
   std::vector<double> fixed_values;
-  /// Constant objective contribution of the fixed variables.
-  double objective_offset = 0.0;
 
   /// Lifts a solution of the reduced model back to the original space.
   std::vector<double> RestoreSolution(const std::vector<double>& reduced_x) const;

@@ -12,8 +12,8 @@ const char* LpStatusName(LpStatus status) {
       return "Optimal";
     case LpStatus::kInfeasible:
       return "Infeasible";
-    case LpStatus::kUnbounded:
-      return "Unbounded";
+    case LpStatus::kNumericalFailure:
+      return "NumericalFailure";
     case LpStatus::kIterationLimit:
       return "IterationLimit";
     case LpStatus::kCancelled:
@@ -43,7 +43,6 @@ class Simplex {
         basis_(MakeLuFactorization(m_)) {
     lb_.resize(n_);
     ub_.resize(n_);
-    cost_.assign(n_, 0.0);
     cols_.resize(n_);
     for (int j = 0; j < n_struct_; ++j) {
       lb_[j] = lower != nullptr ? (*lower)[j] : model.variable(j).lower;
@@ -59,7 +58,6 @@ class Simplex {
       lb_[slack] = c.lower;
       ub_[slack] = c.upper;
     }
-    for (const LinTerm& t : model.objective()) cost_[t.var] = t.coef;
 
     warm_started_ = AdoptWarmBasis(options.warm_start);
     if (!warm_started_) {
@@ -96,33 +94,32 @@ class Simplex {
         return result;
       }
       if (iter > 0 && iter % kRefreshInterval == 0) RecomputeBasics();
-      const bool phase1 = ComputePhase1Costs();
-      const std::vector<double>& cost = phase1 ? phase1_cost_ : cost_;
+      // Every verdict uses phase 1's own rule on refreshed basics: a basic is
+      // infeasible when it alone violates a bound by more than feas_tol_ (a
+      // sum of violations would call many tiny, tolerated ones infeasible).
+      if (!ComputePhase1Costs()) {
+        // Feasible by the incremental values. If the refresh moves a basic
+        // out of its box, the next iteration restores feasibility.
+        RecomputeBasics();
+        if (AnyBasicInfeasible()) continue;
+        result.status = LpStatus::kOptimal;
+        result.iterations = iter;
+        Extract(&result);
+        return result;
+      }
 
       // Pricing: y = B^-T c_B, then reduced costs for nonbasic columns.
-      ComputeDuals(cost);
+      ComputeDuals();
       const bool bland = iter >= bland_after;
       int direction = 0;
-      const int entering = SelectEntering(cost, bland, &direction);
+      const int entering = SelectEntering(bland, &direction);
 
       if (entering < 0) {
-        // The verdict uses phase 1's own rule on the refreshed basics: a
-        // basic is infeasible when it alone violates a bound by more than
-        // feas_tol_ (a sum of violations would call many tiny, tolerated
-        // ones infeasible).
+        // No column reduces the violations. Infeasible unless the refresh
+        // shows they were within tolerance after all.
         RecomputeBasics();
-        const bool infeasible = AnyBasicInfeasible();
-        if (phase1 && infeasible) {
-          result.status = LpStatus::kInfeasible;
-        } else if (phase1 || infeasible) {
-          // Either phase 1's violations were within tolerance after the
-          // refresh (re-price with the true objective), or the refresh moved
-          // a phase-2 basic out of its box (restore feasibility first);
-          // ComputePhase1Costs picks the phase.
-          continue;
-        } else {
-          result.status = LpStatus::kOptimal;
-        }
+        if (!AnyBasicInfeasible()) continue;
+        result.status = LpStatus::kInfeasible;
         result.iterations = iter;
         Extract(&result);
         return result;
@@ -182,7 +179,9 @@ class Simplex {
       }
 
       if (std::isinf(t_limit)) {
-        result.status = LpStatus::kUnbounded;
+        // Phase 1 is bounded below by zero, so an improving column must meet
+        // a blocking row; none passed the pivot tolerance.
+        result.status = LpStatus::kNumericalFailure;
         result.iterations = iter;
         Extract(&result);
         return result;
@@ -294,12 +293,11 @@ class Simplex {
   }
 
   /// Picks the entering variable; returns -1 when none is eligible (optimal
-  /// for the current cost vector). `direction` is +1 (increase) or -1.
-  int SelectEntering(const std::vector<double>& cost, bool bland,
-                     int* direction) {
+  /// for the phase-1 costs). `direction` is +1 (increase) or -1.
+  int SelectEntering(bool bland, int* direction) {
     auto eligible = [&](int j, double* d_out, int* dir_out) {
       if (state_[j] == BasisStatus::kBasic) return false;
-      const double d = cost[j] - ColumnDual(j);
+      const double d = phase1_cost_[j] - ColumnDual(j);
       int dir;
       if (state_[j] == BasisStatus::kAtLower && d < -options_.tol) {
         dir = +1;
@@ -392,10 +390,10 @@ class Simplex {
     return false;
   }
 
-  /// y = B^-T c_B.
-  void ComputeDuals(const std::vector<double>& cost) {
+  /// y = B^-T c_B over the phase-1 costs.
+  void ComputeDuals() {
     y_.resize(m_);
-    for (int r = 0; r < m_; ++r) y_[r] = cost[basic_[r]];
+    for (int r = 0; r < m_; ++r) y_[r] = phase1_cost_[basic_[r]];
     basis_->Btran(&y_);
   }
 
@@ -419,9 +417,6 @@ class Simplex {
 
   void Extract(LpResult* result) const {
     result->x.assign(x_.begin(), x_.begin() + n_struct_);
-    double obj = 0.0;
-    for (int j = 0; j < n_struct_; ++j) obj += cost_[j] * x_[j];
-    result->objective = obj;
     result->basis.basic = basic_;
     result->basis.status = state_;
     result->stats = stats_;
@@ -436,7 +431,7 @@ class Simplex {
   const int segment_;  // partial-pricing segment size
 
   SparseColumns cols_;  // (row, coef) per column of [A | -I]
-  std::vector<double> lb_, ub_, cost_, phase1_cost_;
+  std::vector<double> lb_, ub_, phase1_cost_;
   std::vector<int> basic_;
   std::vector<BasisStatus> state_;
   std::unique_ptr<BasisRep> basis_;

@@ -1,14 +1,14 @@
 // Bounded-variable revised primal simplex.
 //
-// Solves min c.x subject to the model's range constraints and variable bounds
+// Finds a point satisfying the model's range constraints and variable bounds
 // (integrality ignored — this is the LP relaxation used by branch-and-bound).
 //
 // Formulation: each range row lo <= a.x <= hi becomes the equality
 // a.x - s = 0 with a slack s bounded by [lo, hi], so the constraint matrix is
 // [A | -I] with right-hand side 0 and the slack columns form the initial
-// basis. Feasibility is restored with a composite phase-1 (minimize the sum of
-// basic bound violations, costs recomputed each iteration), then phase 2
-// optimizes the true objective.
+// basis. Feasibility is reached with a composite phase 1 (minimize the sum of
+// basic bound violations, costs recomputed each iteration); the solve ends at
+// the first basis with every basic inside its bounds.
 //
 // The basis is held behind a BasisRep (see ilp/basis.h): a sparse LU
 // factorization with product-form eta updates, refactorized every
@@ -36,9 +36,11 @@ namespace rdfsr::ilp {
 
 /// Outcome of an LP solve.
 enum class LpStatus {
-  kOptimal,
-  kInfeasible,
-  kUnbounded,
+  kOptimal,     ///< A feasible basis: every basic lies inside its bounds.
+  kInfeasible,  ///< Phase 1 can reduce the bound violations no further.
+  /// Phase 1 found an improving column that no row blocks: every pivot
+  /// candidate is below the pivot tolerance. The LP decided nothing.
+  kNumericalFailure,
   kIterationLimit,  ///< max_iterations pivots without convergence.
   kCancelled,       ///< Cooperative cancellation / deadline tripped mid-solve.
 };
@@ -48,7 +50,6 @@ const char* LpStatusName(LpStatus status);
 /// LP solution.
 struct LpResult {
   LpStatus status = LpStatus::kIterationLimit;
-  double objective = 0.0;
   std::vector<double> x;  ///< Structural variable values (model order).
   int iterations = 0;
   SimplexBasis basis;        ///< Final basis: feed back via warm_start.
@@ -59,7 +60,7 @@ struct LpResult {
 /// Solver options.
 struct SimplexOptions {
   int max_iterations = 200000;
-  double tol = 1e-7;  ///< Feasibility / reduced-cost tolerance.
+  double tol = 1e-7;  ///< Phase-1 reduced-cost tolerance.
   /// Refactorize once the eta file reaches this length.
   int refactor_interval = 100;
   /// Optional warm-start basis (not owned; must outlive the solve). Ignored

@@ -167,7 +167,6 @@ TEST(ModelInvariantsTest, CleanModelPassesThroughUpdates) {
   // The in-place update APIs must preserve the merged/sorted-term invariant.
   model.SetConstraintTerms(row, {{y, 2.0}, {x, 1.0}, {y, -1.0}}, 0, 2);
   model.SetConstraintBounds(row, 0, 1);
-  model.SetObjective({{x, 1.0}, {x, 1.0}});
   model.CheckInvariants();
 }
 

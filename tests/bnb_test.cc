@@ -1,11 +1,34 @@
-// Branch-and-bound MIP tests: knapsacks, covers, infeasibility proofs, limits.
+// Branch-and-bound MIP tests: knapsacks (their optima asked as feasibility
+// questions), covers, infeasibility proofs, limits, numerical failures.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ilp/branch_and_bound.h"
+#include "objective_bound.h"
 
 namespace rdfsr::ilp {
 namespace {
+
+using testutil::WithObjectiveBound;
+
+/// min c.x over `m` is `opt`: c.x <= opt has an integral point and
+/// c.x <= opt - eps has none (eps below the gap to the next-best value).
+/// Returns the solve at c.x <= opt.
+MipResult ExpectMinimum(const Model& m, const std::vector<LinTerm>& c,
+                        double opt, double eps) {
+  const MipResult below = SolveMip(WithObjectiveBound(m, c, opt - eps));
+  EXPECT_EQ(below.status, MipStatus::kInfeasible)
+      << MipStatusName(below.status);
+  const Model at_model = WithObjectiveBound(m, c, opt);
+  const MipResult at = SolveMip(at_model);
+  EXPECT_EQ(at.status, MipStatus::kFeasible) << MipStatusName(at.status);
+  if (at.status == MipStatus::kFeasible) {
+    EXPECT_TRUE(at_model.IsFeasible(at.x, 1e-5));
+  }
+  return at;
+}
 
 TEST(BnbTest, SolvesSmallKnapsack) {
   // max 10a + 13b + 7c, 3a + 4b + 2c <= 6, binaries.
@@ -15,29 +38,26 @@ TEST(BnbTest, SolvesSmallKnapsack) {
   const int b = m.AddBinary("b");
   const int c = m.AddBinary("c");
   m.AddConstraint("w", {{a, 3.0}, {b, 4.0}, {c, 2.0}}, -kInfinity, 6);
-  m.SetObjective({{a, -10.0}, {b, -13.0}, {c, -7.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal) << MipStatusName(r.status);
-  EXPECT_NEAR(r.objective, -20.0, 1e-6);
+  const MipResult r =
+      ExpectMinimum(m, {{a, -10.0}, {b, -13.0}, {c, -7.0}}, -20.0, 1.0);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
   EXPECT_NEAR(r.x[b], 1.0, 1e-6);
   EXPECT_NEAR(r.x[c], 1.0, 1e-6);
 }
 
 TEST(BnbTest, IntegralityChangesTheAnswer) {
   // LP relaxation of knapsack takes fractions; MIP may not.
-  // max 5x + 4y, 6x + 5y <= 8, binaries: LP opt ~ 6.67, MIP opt = 5.
+  // max 5x + 4y, 6x + 5y <= 8, binaries: LP opt ~ 6.67, MIP opt = 5 (next
+  // best 4).
   Model m;
   const int x = m.AddBinary("x");
   const int y = m.AddBinary("y");
   m.AddConstraint("w", {{x, 6.0}, {y, 5.0}}, -kInfinity, 8);
-  m.SetObjective({{x, -5.0}, {y, -4.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -5.0, 1e-6);
+  const std::vector<LinTerm> c = {{x, -5.0}, {y, -4.0}};
+  ExpectMinimum(m, c, -5.0, 0.5);
+  // The relaxation still reaches 5.5: only integrality rules it out.
+  EXPECT_EQ(SolveLp(WithObjectiveBound(m, c, -5.5)).status,
+            LpStatus::kOptimal);
 }
 
 TEST(BnbTest, ProvesInfeasibility) {
@@ -49,6 +69,25 @@ TEST(BnbTest, ProvesInfeasibility) {
   m.AddConstraint("eq", {{x, 1.0}, {y, -1.0}}, 0, 0);
   const MipResult r = SolveMip(m);
   EXPECT_EQ(r.status, MipStatus::kInfeasible);
+}
+
+TEST(BnbTest, BacktracksWhenTheFirstDiveFails) {
+  // 2a + 2b + 2c + x = 3 over binaries: every integral point has x = 1 and
+  // one of a, b, c at 1. The root relaxation sets x = 0, so the
+  // nearest-side dive runs into integer-infeasible leaves first, and neither
+  // presolve nor root probing can fix a variable. Only backtracking to the
+  // far sides finds the point.
+  Model m;
+  const int a = m.AddBinary("a");
+  const int b = m.AddBinary("b");
+  const int c = m.AddBinary("c");
+  const int x = m.AddBinary("x");
+  m.AddConstraint("odd", {{a, 2.0}, {b, 2.0}, {c, 2.0}, {x, 1.0}}, 3, 3);
+  const MipResult r = SolveMip(m);
+  ASSERT_EQ(r.status, MipStatus::kFeasible) << MipStatusName(r.status);
+  EXPECT_TRUE(m.IsFeasible(r.x));
+  EXPECT_NEAR(r.x[x], 1.0, 1e-6);
+  EXPECT_GT(r.nodes, 1);
 }
 
 TEST(BnbTest, LpInfeasibleImmediately) {
@@ -84,26 +123,23 @@ TEST(BnbTest, FeasibilityModeStopsAtFirstIncumbent) {
     m.AddConstraint("cover", {{vars[i], 1.0}, {vars[i + 1], 1.0}}, 1,
                     kInfinity);
   }
-  const MipResult r = SolveMip(m);  // zero objective, first-incumbent mode
-  ASSERT_TRUE(r.status == MipStatus::kFeasible ||
-              r.status == MipStatus::kOptimal);
+  const MipResult r = SolveMip(m);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
+  EXPECT_EQ(r.stop_reason, MipStopReason::kNone);
   EXPECT_TRUE(m.IsFeasible(r.x));
 }
 
 TEST(BnbTest, MixedIntegerContinuous) {
   // min y s.t. y >= x - 0.5, y >= 0.5 - x, x binary, y continuous:
-  // at x in {0,1}, y = 0.5.
+  // at x in {0,1}, y = 0.5 (the relaxation reaches y = 0 at x = 0.5).
   Model m;
   const int x = m.AddBinary("x");
   const int y = m.AddVariable("y", 0, kInfinity, false);
   m.AddConstraint("a", {{y, 1.0}, {x, -1.0}}, -0.5, kInfinity);
   m.AddConstraint("b", {{y, 1.0}, {x, 1.0}}, 0.5, kInfinity);
-  m.SetObjective({{y, 1.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 0.5, 1e-6);
+  const MipResult r = ExpectMinimum(m, {{y, 1.0}}, 0.5, 0.25);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
+  EXPECT_NEAR(r.x[y], 0.5, 1e-6);
 }
 
 TEST(BnbTest, NodeLimitYieldsUnknown) {
@@ -146,8 +182,7 @@ TEST(BnbTest, EqualityAssignmentProblem) {
   for (int i = 0; i < 3; ++i) terms.push_back({assign[i], 2 * w[i]});
   m.AddConstraint("balance", std::move(terms), 10 - 2, 10 + 2);
   const MipResult r = SolveMip(m);
-  ASSERT_TRUE(r.status == MipStatus::kFeasible ||
-              r.status == MipStatus::kOptimal);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
   const double sum = 2 * (3 * r.x[assign[0]] + 3 * r.x[assign[1]] +
                           4 * r.x[assign[2]]);
   EXPECT_GE(sum, 8 - 1e-6);
@@ -209,36 +244,61 @@ TEST(BnbTest, LpIterationLimitSurfacesAsItsOwnStopReason) {
 }
 
 TEST(BnbTest, CompletedSolveLeavesStopReasonNone) {
+  // A found point and an exhausted tree are both natural ends.
   Model m;
   const int x = m.AddBinary("x");
-  m.SetObjective({{x, -1.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
-  EXPECT_EQ(r.stop_reason, MipStopReason::kNone);
-  EXPECT_EQ(r.lp_iteration_limit_hits, 0);
+  const MipResult found = SolveMip(m);
+  ASSERT_EQ(found.status, MipStatus::kFeasible);
+  EXPECT_EQ(found.stop_reason, MipStopReason::kNone);
+  EXPECT_EQ(found.lp_iteration_limit_hits, 0);
+  EXPECT_EQ(found.lp_numerical_failures, 0);
+
+  m.AddConstraint("half", {{x, 2.0}}, 1, 1);
+  const MipResult none = SolveMip(m);
+  ASSERT_EQ(none.status, MipStatus::kInfeasible);
+  EXPECT_EQ(none.stop_reason, MipStopReason::kNone);
 }
 
-TEST(BnbTest, CutoffToleranceScalesWithObjectiveMagnitude) {
-  // The same knapsack with its objective scaled by 1e9. The old absolute-only
-  // cutoff (incumbent - 1e-9) is far below the LP rounding noise at this
-  // magnitude, so equal-valued subtrees were re-explored instead of pruned;
-  // the relative term keeps the pruning meaningful and the optimum exact.
-  const double kScale = 1e9;
+TEST(BnbTest, ScaledKnapsackBoundRowDecides) {
+  // The knapsack of SolvesSmallKnapsack with its value row scaled by 1e6:
+  // the bound row's coefficients dwarf the weight row's, and the search must
+  // still find the optimum and prove nothing lies above it.
+  const double kScale = 1e6;
   Model m;
   const int a = m.AddBinary("a");
   const int b = m.AddBinary("b");
   const int c = m.AddBinary("c");
   m.AddConstraint("w", {{a, 3.0}, {b, 4.0}, {c, 2.0}}, -kInfinity, 6);
-  m.SetObjective({{a, -10.0 * kScale}, {b, -13.0 * kScale}, {c, -7.0 * kScale}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal) << MipStatusName(r.status);
-  EXPECT_NEAR(r.objective, -20.0 * kScale, 1e-3 * kScale);
+  const MipResult r = ExpectMinimum(
+      m, {{a, -10.0 * kScale}, {b, -13.0 * kScale}, {c, -7.0 * kScale}},
+      -20.0 * kScale, 1.0 * kScale);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
   EXPECT_NEAR(r.x[b], 1.0, 1e-6);
   EXPECT_NEAR(r.x[c], 1.0, 1e-6);
+}
+
+TEST(BnbTest, LpNumericalFailureLeavesTheSearchUndecided) {
+  // The simplex_test fixture: x, y >= 0 and 300 rows 5e-10 x + 5e-10 y >= 1.
+  // x = 2e9 is feasible, but the root LP fails numerically. The search must
+  // end undecided and name the failure, with or without presolve.
+  Model m;
+  const int x = m.AddVariable("x", 0, kInfinity, false);
+  const int y = m.AddVariable("y", 0, kInfinity, false);
+  for (int r = 0; r < 300; ++r) {
+    m.AddConstraint("r", {{x, 5e-10}, {y, 5e-10}}, 1, kInfinity);
+  }
+  for (const bool presolve : {true, false}) {
+    MipOptions options;
+    options.use_presolve = presolve;
+    const MipResult r = SolveMip(m, options);
+    EXPECT_EQ(r.status, MipStatus::kUnknown)
+        << MipStatusName(r.status) << ", presolve " << presolve;
+    EXPECT_EQ(r.stop_reason, MipStopReason::kLpNumericalFailure)
+        << MipStopReasonName(r.stop_reason) << ", presolve " << presolve;
+    EXPECT_GE(r.lp_numerical_failures, 1);
+  }
+  EXPECT_STREQ(MipStopReasonName(MipStopReason::kLpNumericalFailure),
+               "LpNumericalFailure");
 }
 
 TEST(BnbTest, RootProbingFixesForcedBinaries) {
@@ -252,8 +312,7 @@ TEST(BnbTest, RootProbingFixesForcedBinaries) {
   MipOptions options;
   options.use_presolve = false;  // leave the fixing to the probe
   const MipResult r = SolveMip(m, options);
-  ASSERT_TRUE(r.status == MipStatus::kFeasible ||
-              r.status == MipStatus::kOptimal);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
   EXPECT_NEAR(r.x[x], 1.0, 1e-6);
   EXPECT_NEAR(r.x[y], 1.0, 1e-6);
   EXPECT_NEAR(r.x[z], 1.0, 1e-6);

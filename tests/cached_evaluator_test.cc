@@ -1,9 +1,8 @@
-// Tests for the memoizing evaluator wrapper and the binary-theta-search
-// solver option (both must be behaviorally transparent).
+// Tests for the memoizing evaluator wrapper (it must be behaviorally
+// transparent).
 
 #include <gtest/gtest.h>
 
-#include "core/solver.h"
 #include "eval/cached_evaluator.h"
 #include "eval/evaluator.h"
 #include "gen/random_graph.h"
@@ -64,36 +63,3 @@ TEST(CachedEvaluatorTest, ExposesRuleAndIndex) {
 
 }  // namespace
 }  // namespace rdfsr::eval
-
-namespace rdfsr::core {
-namespace {
-
-TEST(BinaryThetaSearchTest, AgreesWithSequentialSearch) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    gen::RandomIndexSpec spec;
-    spec.num_signatures = 5;
-    spec.num_properties = 4;
-    spec.seed = seed;
-    const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-    auto cov = eval::MakeEvaluator(rules::CovRule(), &index);
-
-    SolverOptions sequential;
-    sequential.binary_theta_search = false;
-    SolverOptions binary;
-    binary.binary_theta_search = true;
-
-    RefinementSolver a(cov.get(), sequential);
-    RefinementSolver b(cov.get(), binary);
-    const HighestThetaResult ra = a.FindHighestTheta(2);
-    const HighestThetaResult rb = b.FindHighestTheta(2);
-    // Both searches settle every instance exactly on these small datasets,
-    // so the discovered thresholds must coincide.
-    ASSERT_TRUE(ra.ceiling_proven || ra.theta == Rational(1));
-    ASSERT_TRUE(rb.ceiling_proven || rb.theta == Rational(1));
-    EXPECT_EQ(ra.theta, rb.theta) << "seed " << seed;
-    EXPECT_TRUE(ValidateRefinement(*cov, rb.refinement, rb.theta).ok());
-  }
-}
-
-}  // namespace
-}  // namespace rdfsr::core

@@ -236,19 +236,6 @@ TEST(DeadlineTest, HighestThetaCutMidGridKeepsBestIncumbent) {
   EXPECT_GE(full.theta, cut.theta);
 }
 
-TEST(DeadlineTest, BisectionCutKeepsBestIncumbent) {
-  const schema::SignatureIndex index = MakeMessyIndex(7);
-  auto cov = eval::MakeEvaluator(rules::CovRule(), &index);
-  core::SolverOptions options;
-  options.binary_theta_search = true;
-  options.deadline = util::Deadline::After(-1.0);
-  core::RefinementSolver solver(cov.get(), options);
-  const core::HighestThetaResult cut = solver.FindHighestTheta(2);
-  EXPECT_TRUE(cut.timed_out);
-  EXPECT_FALSE(cut.ceiling_proven);
-  EXPECT_TRUE(core::ValidatePartition(index, cut.refinement).ok());
-}
-
 TEST(DeadlineTest, LowestKFailsWithDeadlineExceeded) {
   const schema::SignatureIndex index = MakeMessyIndex(13);
   auto cov = eval::MakeEvaluator(rules::CovRule(), &index);

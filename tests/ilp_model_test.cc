@@ -38,14 +38,6 @@ TEST(ModelTest, DropsZeroCoefficients) {
   EXPECT_EQ(m.constraint(r).terms[0].var, x);
 }
 
-TEST(ModelTest, ObjectiveValue) {
-  Model m;
-  const int x = m.AddVariable("x", 0, 5, false);
-  const int y = m.AddVariable("y", 0, 5, false);
-  m.SetObjective({{x, 2.0}, {y, -1.0}});
-  EXPECT_DOUBLE_EQ(m.ObjectiveValue({3.0, 1.0}), 5.0);
-}
-
 TEST(ModelTest, IsFeasibleChecksEverything) {
   Model m;
   const int x = m.AddVariable("x", 0, 2, true);

@@ -1,6 +1,7 @@
 // Randomized property tests for the MIP stack: brute-force enumeration over
 // all binary assignments must agree with branch-and-bound on feasibility AND
-// on the optimal objective, across random constraint systems.
+// on the optimum of a random objective (asked as two feasibility questions at
+// the brute-force optimum), across random constraint systems.
 
 #include <gtest/gtest.h>
 
@@ -8,18 +9,23 @@
 #include <limits>
 
 #include "ilp/branch_and_bound.h"
+#include "objective_bound.h"
 #include "util/rng.h"
 
 namespace rdfsr::ilp {
 namespace {
 
+using testutil::Dot;
+using testutil::WithObjectiveBound;
+
 struct RandomMip {
   Model model;
   int num_vars = 0;
+  std::vector<LinTerm> objective;  ///< c of min c.x (empty: none drawn)
 };
 
 /// Random binary program: n in [3,10] binaries, m in [2,6] range rows with
-/// small integer coefficients, random objective.
+/// small integer coefficients, optionally a random integer objective.
 RandomMip MakeRandomBinaryProgram(std::uint64_t seed, bool with_objective) {
   Rng rng(seed);
   RandomMip out;
@@ -46,19 +52,20 @@ RandomMip MakeRandomBinaryProgram(std::uint64_t seed, bool with_objective) {
     for (int j = 0; j < out.num_vars; ++j) {
       obj.push_back({j, static_cast<double>(rng.Range(-5, 5))});
     }
-    out.model.SetObjective(obj);
+    out.objective = std::move(obj);
   }
   return out;
 }
 
-/// Exhaustive optimum over the 2^n binary grid; NaN when infeasible.
-double BruteForceOptimum(const Model& model, int num_vars) {
+/// Exhaustive minimum of c.x over the feasible points of the 2^n binary
+/// grid; NaN when none is feasible.
+double BruteForceOptimum(const RandomMip& mip) {
   double best = std::numeric_limits<double>::quiet_NaN();
-  for (int mask = 0; mask < (1 << num_vars); ++mask) {
-    std::vector<double> x(num_vars);
-    for (int j = 0; j < num_vars; ++j) x[j] = (mask >> j) & 1;
-    if (!model.IsFeasible(x, 1e-9)) continue;
-    const double obj = model.ObjectiveValue(x);
+  for (int mask = 0; mask < (1 << mip.num_vars); ++mask) {
+    std::vector<double> x(mip.num_vars);
+    for (int j = 0; j < mip.num_vars; ++j) x[j] = (mask >> j) & 1;
+    if (!mip.model.IsFeasible(x, 1e-9)) continue;
+    const double obj = Dot(mip.objective, x);
     if (std::isnan(best) || obj < best) best = obj;
   }
   return best;
@@ -68,34 +75,41 @@ class MipAgreementTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MipAgreementTest, FeasibilityMatchesBruteForce) {
   const RandomMip mip = MakeRandomBinaryProgram(GetParam(), false);
-  const double brute = BruteForceOptimum(mip.model, mip.num_vars);
+  const double brute = BruteForceOptimum(mip);
   MipOptions options;
   options.max_nodes = 100000;
   const MipResult r = SolveMip(mip.model, options);
   if (std::isnan(brute)) {
     EXPECT_EQ(r.status, MipStatus::kInfeasible) << "seed " << GetParam();
   } else {
-    ASSERT_TRUE(r.status == MipStatus::kFeasible ||
-                r.status == MipStatus::kOptimal)
+    ASSERT_EQ(r.status, MipStatus::kFeasible)
         << "seed " << GetParam() << ": " << MipStatusName(r.status);
     EXPECT_TRUE(mip.model.IsFeasible(r.x, 1e-6));
   }
 }
 
 TEST_P(MipAgreementTest, OptimumMatchesBruteForce) {
+  // Objective values are integers, so c.x <= opt - 0.5 excludes exactly the
+  // optimum's level and everything below it.
   const RandomMip mip = MakeRandomBinaryProgram(GetParam() * 7919 + 13, true);
-  const double brute = BruteForceOptimum(mip.model, mip.num_vars);
+  const double brute = BruteForceOptimum(mip);
   MipOptions options;
-  options.stop_at_first_incumbent = false;
   options.max_nodes = 200000;
-  const MipResult r = SolveMip(mip.model, options);
   if (std::isnan(brute)) {
+    const MipResult r = SolveMip(mip.model, options);
     EXPECT_EQ(r.status, MipStatus::kInfeasible) << "seed " << GetParam();
-  } else {
-    ASSERT_EQ(r.status, MipStatus::kOptimal)
-        << "seed " << GetParam() << ": " << MipStatusName(r.status);
-    EXPECT_NEAR(r.objective, brute, 1e-6) << "seed " << GetParam();
+    return;
   }
+  const Model at = WithObjectiveBound(mip.model, mip.objective, brute);
+  const MipResult r = SolveMip(at, options);
+  ASSERT_EQ(r.status, MipStatus::kFeasible)
+      << "seed " << GetParam() << ": " << MipStatusName(r.status);
+  EXPECT_TRUE(at.IsFeasible(r.x, 1e-6)) << "seed " << GetParam();
+  EXPECT_NEAR(Dot(mip.objective, r.x), brute, 1e-6) << "seed " << GetParam();
+  const MipResult below = SolveMip(
+      WithObjectiveBound(mip.model, mip.objective, brute - 0.5), options);
+  EXPECT_EQ(below.status, MipStatus::kInfeasible)
+      << "seed " << GetParam() << ": " << MipStatusName(below.status);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MipAgreementTest,
@@ -104,20 +118,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MipAgreementTest,
 TEST(MipMixedTest, ContinuousRelaxationInsideBinaryProgram) {
   // Binary y selects between two continuous regimes for x in [0, 10]:
   //   x <= 2 + 8y, x >= 5y; minimize -x + 3y.
-  // y=0: x <= 2 -> obj -2; y=1: x <= 10, x >= 5 -> obj -10 + 3 = -7.
+  // y=0: x <= 2 -> obj >= -2; y=1: x <= 10, x >= 5 -> obj >= -10 + 3 = -7.
   Model m;
   const int x = m.AddVariable("x", 0, 10, false);
   const int y = m.AddBinary("y");
   m.AddConstraint("cap", {{x, 1.0}, {y, -8.0}}, -kInfinity, 2);
   m.AddConstraint("floor", {{x, 1.0}, {y, -5.0}}, 0, kInfinity);
-  m.SetObjective({{x, -1.0}, {y, 3.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -7.0, 1e-6);
+  const std::vector<LinTerm> c = {{x, -1.0}, {y, 3.0}};
+  const MipResult r = SolveMip(WithObjectiveBound(m, c, -7.0));
+  ASSERT_EQ(r.status, MipStatus::kFeasible) << MipStatusName(r.status);
   EXPECT_NEAR(r.x[y], 1.0, 1e-6);
   EXPECT_NEAR(r.x[x], 10.0, 1e-6);
+  EXPECT_EQ(SolveMip(WithObjectiveBound(m, c, -7.5)).status,
+            MipStatus::kInfeasible);
 }
 
 TEST(MipMixedTest, GeneralIntegerVariables) {
@@ -129,12 +142,13 @@ TEST(MipMixedTest, GeneralIntegerVariables) {
   const int b = m.AddVariable("b", 0, 4, true);
   m.AddConstraint("c1", {{a, 1.0}, {b, 2.0}}, -kInfinity, 7);
   m.AddConstraint("c2", {{a, 3.0}, {b, 1.0}}, -kInfinity, 9);
-  m.SetObjective({{a, -4.0}, {b, -5.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -19.0, 1e-6);
+  const std::vector<LinTerm> c = {{a, -4.0}, {b, -5.0}};
+  const MipResult r = SolveMip(WithObjectiveBound(m, c, -19.0));
+  ASSERT_EQ(r.status, MipStatus::kFeasible) << MipStatusName(r.status);
+  EXPECT_NEAR(r.x[a], 1.0, 1e-6);
+  EXPECT_NEAR(r.x[b], 3.0, 1e-6);
+  EXPECT_EQ(SolveMip(WithObjectiveBound(m, c, -19.5)).status,
+            MipStatus::kInfeasible);
 }
 
 }  // namespace

@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "ilp/branch_and_bound.h"
 #include "ilp/presolve.h"
+#include "objective_bound.h"
 #include "util/rng.h"
 
 namespace rdfsr::ilp {
 namespace {
+
+using testutil::WithObjectiveBound;
 
 TEST(PresolveTest, DropsEmptyAndRedundantRows) {
   Model m;
@@ -65,11 +70,9 @@ TEST(PresolveTest, FixedVariablesSubstituted) {
   const int x = m.AddVariable("x", 3, 3, false);  // fixed at 3
   const int y = m.AddVariable("y", 0, 10, false);
   m.AddConstraint("sum", {{x, 2.0}, {y, 1.0}}, 8, 12);  // => y in [2, 6]
-  m.SetObjective({{x, 10.0}, {y, 1.0}});
   const PresolveResult pre = Presolve(m);
   ASSERT_FALSE(pre.proven_infeasible);
   EXPECT_EQ(pre.reduced.num_variables(), 1u);  // only y survives
-  EXPECT_DOUBLE_EQ(pre.objective_offset, 30.0);
   EXPECT_DOUBLE_EQ(pre.reduced.variable(0).lower, 2.0);
   EXPECT_DOUBLE_EQ(pre.reduced.variable(0).upper, 6.0);
   // Restoration puts the fixed value back.
@@ -104,17 +107,20 @@ TEST(PresolveTest, CascadingFixpoint) {
 }
 
 TEST(PresolveTest, SolveMipWithFullyPresolvedModel) {
+  // min 2x with x fixed at 4 is 8: 2x <= 8 leaves a model presolve removes
+  // entirely, and SolveMip must lift the empty point back to x = 4; 2x <= 7
+  // is infeasible.
   Model m;
   const int x = m.AddVariable("x", 0, 10, true);
   m.AddConstraint("fix", {{x, 1.0}}, 4, 4);
-  m.SetObjective({{x, 2.0}});
-  MipOptions options;
-  options.stop_at_first_incumbent = false;
-  const MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
+  const Model at = WithObjectiveBound(m, {{x, 2.0}}, 8.0);
+  ASSERT_EQ(Presolve(at).reduced.num_variables(), 0u);
+  const MipResult r = SolveMip(at);
+  ASSERT_EQ(r.status, MipStatus::kFeasible);
   ASSERT_EQ(r.x.size(), 1u);
   EXPECT_DOUBLE_EQ(r.x[0], 4.0);
-  EXPECT_DOUBLE_EQ(r.objective, 8.0);
+  EXPECT_EQ(SolveMip(WithObjectiveBound(m, {{x, 2.0}}, 7.0)).status,
+            MipStatus::kInfeasible);
 }
 
 class PresolveEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -142,22 +148,42 @@ TEST_P(PresolveEquivalenceTest, OnOffAgreeThroughMip) {
   for (int j = 0; j < n; ++j) {
     obj.push_back({j, static_cast<double>(rng.Range(-4, 4))});
   }
-  m.SetObjective(obj);
 
-  MipOptions with, without;
-  with.use_presolve = true;
-  without.use_presolve = false;
-  with.stop_at_first_incumbent = false;
-  without.stop_at_first_incumbent = false;
-  const MipResult a = SolveMip(m, with);
-  const MipResult b = SolveMip(m, without);
-  EXPECT_EQ(a.status == MipStatus::kInfeasible,
-            b.status == MipStatus::kInfeasible)
-      << "seed " << GetParam();
-  if (a.status == MipStatus::kOptimal && b.status == MipStatus::kOptimal) {
-    EXPECT_NEAR(a.objective, b.objective, 1e-6) << "seed " << GetParam();
-    EXPECT_TRUE(m.IsFeasible(a.x, 1e-6));
+  // The brute-force minimum of the (integer-valued) objective; NaN when no
+  // binary point is feasible.
+  double opt = std::numeric_limits<double>::quiet_NaN();
+  for (int mask = 0; mask < (1 << n); ++mask) {
+    std::vector<double> x(n);
+    for (int j = 0; j < n; ++j) x[j] = (mask >> j) & 1;
+    if (!m.IsFeasible(x, 1e-9)) continue;
+    const double value = testutil::Dot(obj, x);
+    if (std::isnan(opt) || value < opt) opt = value;
   }
+
+  // Presolve on and off agree with the brute force on the model itself, at
+  // the optimum, and just below it.
+  const auto expect = [&](const Model& model, MipStatus want,
+                          const char* what) {
+    for (const bool presolve : {true, false}) {
+      MipOptions options;
+      options.use_presolve = presolve;
+      const MipResult r = SolveMip(model, options);
+      EXPECT_EQ(r.status, want) << "seed " << GetParam() << ", " << what
+                                << ", presolve " << presolve << ": "
+                                << MipStatusName(r.status);
+      if (r.status == MipStatus::kFeasible) {
+        EXPECT_TRUE(model.IsFeasible(r.x, 1e-6)) << "seed " << GetParam();
+      }
+    }
+  };
+  if (std::isnan(opt)) {
+    expect(m, MipStatus::kInfeasible, "model");
+    return;
+  }
+  expect(m, MipStatus::kFeasible, "model");
+  expect(WithObjectiveBound(m, obj, opt), MipStatus::kFeasible, "at optimum");
+  expect(WithObjectiveBound(m, obj, opt - 0.5), MipStatus::kInfeasible,
+         "below optimum");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PresolveEquivalenceTest,

@@ -1,14 +1,18 @@
 // Regression lock: greedy and agglomerative refinements recorded from the
 // scratch-evaluation implementation (pre incremental-SortStats rewrite, PR 4)
 // must be reproduced bit-identically by the incremental engines — on the
-// checked-in quickstart dataset and on random indices. Any deviation means
-// the incremental path changed a score or a merge decision.
+// checked-in quickstart dataset and on random indices, and against that
+// implementation itself (tests/seed_heuristics_oracle.h) on 256-signature
+// indices. Any deviation means the incremental path changed a score or a
+// merge decision.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "agglomerate_oracle.h"
 #include "api/rdfsr.h"
@@ -16,6 +20,8 @@
 #include "eval/evaluator.h"
 #include "gen/random_graph.h"
 #include "rules/builtins.h"
+#include "seed_heuristics_oracle.h"
+#include "util/rng.h"
 
 namespace rdfsr::core {
 namespace {
@@ -197,6 +203,68 @@ TEST(RefineRegressionTest, ParallelAgglomerativeMatchesSerial) {
       }
     }
   }
+}
+
+/// bench_refine's clustered shape: 8 property blocks of 12 columns plus two
+/// shared columns; signatures draw ~85% of their family block. Distinct
+/// supports, counts uniform in [1, 50]. Most within-family merges stay above
+/// theta = 3/4, so agglomerative lowest-k runs ~n - 8 merge rounds.
+schema::SignatureIndex MakeClusteredIndex(int n, std::uint64_t seed) {
+  constexpr int kFamilies = 8;
+  constexpr int kShared = 2;
+  constexpr int kBlock = 12;
+  Rng rng(seed);
+  std::set<std::vector<int>> seen;
+  std::vector<schema::Signature> sigs;
+  while (static_cast<int>(sigs.size()) < n) {
+    const int family = static_cast<int>(sigs.size()) % kFamilies;
+    std::vector<int> support;
+    for (int p = 0; p < kShared; ++p) support.push_back(p);
+    const int base = kShared + family * kBlock;
+    for (int p = 0; p < kBlock; ++p) {
+      if (rng.Chance(0.85)) support.push_back(base + p);
+    }
+    if (!seen.insert(support).second) continue;
+    sigs.emplace_back(std::move(support), rng.Range(1, 50));
+  }
+  std::vector<std::string> names;
+  for (int p = 0; p < kShared + kFamilies * kBlock; ++p) {
+    names.push_back("http://bench/p" + std::to_string(p));
+  }
+  return schema::SignatureIndex::FromSignatures(std::move(names),
+                                                std::move(sigs));
+}
+
+TEST(RefineRegressionTest, EnginesMatchSeedHeuristicsAt256Signatures) {
+  // bench_refine's shapes, seeds and options at n = 256: the incremental
+  // engines against the seed's scratch-evaluation heuristics.
+  constexpr int kSignatures = 256;
+  const schema::SignatureIndex clustered = MakeClusteredIndex(kSignatures, 42);
+  for (const rules::Rule& rule : {rules::CovRule(), rules::SimRule()}) {
+    auto evaluator = eval::MakeEvaluator(rule, &clustered);
+    EXPECT_EQ(AgglomerativeLowestK(*evaluator, Rational(3, 4)).sorts,
+              oracle::AgglomerativeLowestK(*evaluator, Rational(3, 4)).sorts)
+        << "clustered agglomerative " << rule.name();
+  }
+
+  gen::RandomIndexSpec spec;
+  spec.num_signatures = kSignatures;
+  spec.num_properties = 64;
+  spec.density = 0.3;
+  spec.seed = 7;
+  const schema::SignatureIndex random_index = gen::GenerateRandomIndex(spec);
+  auto random_cov = eval::MakeEvaluator(rules::CovRule(), &random_index);
+  EXPECT_EQ(AgglomerativeLowestK(*random_cov, Rational(9, 10)).sorts,
+            oracle::AgglomerativeLowestK(*random_cov, Rational(9, 10)).sorts)
+      << "random agglomerative Cov";
+
+  GreedyOptions options;
+  options.restarts = 2;
+  options.max_passes = 3;
+  auto clustered_cov = eval::MakeEvaluator(rules::CovRule(), &clustered);
+  EXPECT_EQ(GreedyMaxMinSigma(*clustered_cov, 8, options).sorts,
+            oracle::GreedyMaxMinSigma(*clustered_cov, 8, options).sorts)
+      << "clustered greedy Cov";
 }
 
 }  // namespace

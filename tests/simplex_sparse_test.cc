@@ -1,8 +1,8 @@
 // Sparse-basis simplex tests: the LU factorization + eta-file basis against
 // the dense-inverse oracle (tests/dense_inverse_oracle.h) at the basis level,
 // the default engine against refactorization after every pivot on randomized
-// bounded-variable LPs, warm starts, degenerate/cycling fixtures under the
-// Bland fallback, refactorization stats, and pinned pivot trajectories.
+// bounded-variable LPs, warm starts, degenerate fixtures, refactorization
+// stats, and pinned pivot trajectories.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +24,16 @@
 #include "ilp/basis.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/simplex.h"
+#include "objective_bound.h"
 #include "rules/builtins.h"
 
 namespace rdfsr::ilp {
 namespace {
 
-constexpr double kObjTol = 1e-6;
+using testutil::WithObjectiveBound;
+
+/// The tolerance branch-and-bound accepts a point at.
+constexpr double kFeasTol = 1e-5;
 
 // A random bounded-variable LP: mixed bound patterns (two-sided, one-sided,
 // free), mixed row types (<=, >=, ==, two-sided range), sparse rows.
@@ -84,6 +88,20 @@ Model RandomLp(std::mt19937_64* rng) {
     }
   }
   return m;
+}
+
+// `m` with its variable bounds replaced by [lower, upper].
+Model WithBounds(const Model& m, const std::vector<double>& lower,
+                 const std::vector<double>& upper) {
+  Model out;
+  for (std::size_t j = 0; j < m.num_variables(); ++j) {
+    const Variable& v = m.variable(static_cast<int>(j));
+    out.AddVariable(v.name, lower[j], upper[j], v.is_integer);
+  }
+  for (const Constraint& c : m.constraints()) {
+    out.AddConstraint(c.name, c.terms, c.lower, c.upper);
+  }
+  return out;
 }
 
 // The columns of [A | -I] for `m`, as the simplex lays them out: structural
@@ -298,7 +316,7 @@ TEST(SimplexSparseTest, BtranCountsARepositionedDualOnce) {
 
 TEST(SimplexSparseTest, RandomizedLpsMatchRefactorizationEveryPivot) {
   // The eta file against a fresh LU after every pivot: same statuses and
-  // objectives, and the default run must actually grow its eta file.
+  // feasible points, and the default run must actually grow its eta file.
   std::mt19937_64 rng(20140814);
   SimplexOptions eager;
   eager.refactor_interval = 1;
@@ -311,8 +329,8 @@ TEST(SimplexSparseTest, RandomizedLpsMatchRefactorizationEveryPivot) {
         << "trial " << trial << ": default " << LpStatusName(lazy.status)
         << " vs refactor-every-pivot " << LpStatusName(fresh.status);
     if (lazy.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(lazy.objective, fresh.objective, kObjTol)
-          << "trial " << trial;
+      EXPECT_TRUE(m.IsFeasible(lazy.x, kFeasTol)) << "trial " << trial;
+      EXPECT_TRUE(m.IsFeasible(fresh.x, kFeasTol)) << "trial " << trial;
     }
     EXPECT_LE(fresh.stats.max_eta_length, 1) << "trial " << trial;
     if (lazy.stats.max_eta_length > 1) ++grown;
@@ -334,7 +352,7 @@ TEST(SimplexSparseTest, WarmStartFromOwnOptimumNeedsNoPivots) {
     EXPECT_TRUE(warm.warm_started) << "trial " << trial;
     EXPECT_EQ(warm.iterations, 0) << "trial " << trial;
     EXPECT_EQ(warm.stats.basis_reuses, 1) << "trial " << trial;
-    EXPECT_NEAR(warm.objective, cold.objective, kObjTol) << "trial " << trial;
+    EXPECT_TRUE(m.IsFeasible(warm.x, kFeasTol)) << "trial " << trial;
     ++warm_solves;
   }
   // The generator must produce enough optimal instances for the test to mean
@@ -366,7 +384,8 @@ TEST(SimplexSparseTest, WarmStartAfterBoundPerturbationMatchesColdStart) {
     ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
     EXPECT_TRUE(warm.warm_started) << "trial " << trial;
     if (cold.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(warm.objective, cold.objective, kObjTol) << "trial " << trial;
+      EXPECT_TRUE(WithBounds(m, lb, ub).IsFeasible(warm.x, kFeasTol))
+          << "trial " << trial;
     }
     ++compared;
   }
@@ -382,7 +401,6 @@ TEST(SimplexSparseTest, WarmBasisMovesParkedFreeVariableOntoItsNewBound) {
   const int y = m.AddVariable("y", 0, 3, false);
   m.AddConstraint("sum", {{x, 1.0}, {y, 1.0}}, -10, kInfinity);
   m.AddConstraint("cap", {{y, 1.0}}, 0, 3);
-  m.SetObjective({{y, 1.0}});
   const LpResult first = SolveLp(m);
   ASSERT_EQ(first.status, LpStatus::kOptimal);
 
@@ -397,8 +415,7 @@ TEST(SimplexSparseTest, WarmBasisMovesParkedFreeVariableOntoItsNewBound) {
   EXPECT_TRUE(warm.warm_started);
   EXPECT_GE(warm.x[x], 1.0);
   EXPECT_LE(warm.x[x], 2.0);
-  EXPECT_NEAR(warm.x[x], cold.x[x], kObjTol);
-  EXPECT_NEAR(warm.objective, cold.objective, kObjTol);
+  EXPECT_NEAR(warm.x[x], cold.x[x], 1e-6);
 }
 
 TEST(SimplexSparseTest, MismatchedWarmBasisFallsBackToColdStart) {
@@ -406,7 +423,6 @@ TEST(SimplexSparseTest, MismatchedWarmBasisFallsBackToColdStart) {
   const int x = m.AddVariable("x", 0, 2, false);
   const int y = m.AddVariable("y", 0, 2, false);
   m.AddConstraint("c", {{x, 1.0}, {y, 1.0}}, 1, 3);
-  m.SetObjective({{x, -1.0}, {y, -1.0}});
   SimplexBasis wrong_shape;
   wrong_shape.basic = {0, 1, 2};  // three rows' worth for a one-row model
   wrong_shape.status = {BasisStatus::kAtLower};
@@ -416,32 +432,13 @@ TEST(SimplexSparseTest, MismatchedWarmBasisFallsBackToColdStart) {
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_FALSE(r.warm_started);
   EXPECT_EQ(r.stats.basis_reuses, 0);
-  // max x + y subject to x + y <= 3 (the box allows 4, the row caps it).
-  EXPECT_NEAR(r.objective, -3.0, kObjTol);
-}
-
-// Beale's classic cycling LP: Dantzig pricing cycles forever without an
-// anti-cycling guard; the iteration-count trigger must switch to Bland's rule
-// and finish at the true optimum (objective -1/20).
-TEST(SimplexSparseTest, BealeCyclingFixtureTerminates) {
-  Model m;
-  const int x1 = m.AddVariable("x1", 0, kInfinity, false);
-  const int x2 = m.AddVariable("x2", 0, kInfinity, false);
-  const int x3 = m.AddVariable("x3", 0, kInfinity, false);
-  const int x4 = m.AddVariable("x4", 0, kInfinity, false);
-  m.AddConstraint("r1", {{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}},
-                  -kInfinity, 0.0);
-  m.AddConstraint("r2", {{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}},
-                  -kInfinity, 0.0);
-  m.AddConstraint("cap", {{x3, 1.0}}, -kInfinity, 1.0);
-  m.SetObjective({{x1, -0.75}, {x2, 150.0}, {x3, -0.02}, {x4, 6.0}});
-  const LpResult r = SolveLp(m);
-  ASSERT_EQ(r.status, LpStatus::kOptimal) << LpStatusName(r.status);
-  EXPECT_NEAR(r.objective, -0.05, kObjTol);
+  EXPECT_TRUE(m.IsFeasible(r.x, kFeasTol));
 }
 
 TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
   // Many redundant hyperplanes through the optimum: zero-length steps galore.
+  // max x + y + z is 2 (every "cut" row is x + y + z <= 2), so x + y + z >= 2
+  // is feasible exactly on the degenerate face and x + y + z >= 2 + 1e-3 not.
   Model m;
   const int x = m.AddVariable("x", 0, kInfinity, false);
   const int y = m.AddVariable("y", 0, kInfinity, false);
@@ -452,10 +449,12 @@ TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
                     2.0 * s);
     m.AddConstraint("mix", {{x, 1.0 * s}, {y, 2.0 * s}}, -kInfinity, 2.0 * s);
   }
-  m.SetObjective({{x, -1.0}, {y, -1.0}, {z, -1.0}});
-  const LpResult r = SolveLp(m);
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -2.0, kObjTol);
+  const std::vector<LinTerm> c = {{x, -1.0}, {y, -1.0}, {z, -1.0}};
+  const LpResult at = SolveLp(WithObjectiveBound(m, c, -2.0));
+  ASSERT_EQ(at.status, LpStatus::kOptimal) << LpStatusName(at.status);
+  EXPECT_NEAR(testutil::Dot(c, at.x), -2.0, kFeasTol);
+  const LpResult below = SolveLp(WithObjectiveBound(m, c, -2.0 - 1e-3));
+  EXPECT_EQ(below.status, LpStatus::kInfeasible) << LpStatusName(below.status);
 }
 
 // Rows x_r + y_r in [5e-7, 1] over continuous x_r, y_r in [0, 1]: the slack
@@ -483,7 +482,9 @@ TEST(SimplexSparseTest, ManyToleratedViolationsAreFeasible) {
 
 TEST(SimplexSparseTest, RefactorizationEveryPivotStaysExactAndCounts) {
   // refactor_interval = 1 forces a fresh LU after every pivot: slow but a
-  // strong consistency check, and the stats must reflect it.
+  // strong consistency check, and the stats must reflect it. The model is
+  // the 4x4 assignment relaxation with its minimum cost 13 as a row: cost
+  // <= 13 is feasible, cost <= 13 - 1e-3 is not, under either engine.
   const double cost[4][4] = {{9, 2, 7, 8}, {6, 4, 3, 7}, {5, 8, 1, 8},
                              {7, 6, 9, 4}};
   Model m;
@@ -504,20 +505,23 @@ TEST(SimplexSparseTest, RefactorizationEveryPivotStaysExactAndCounts) {
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) obj.push_back({var[i][j], cost[i][j]});
   }
-  m.SetObjective(obj);
+  const Model at = WithObjectiveBound(m, obj, 13.0);
+  const Model below = WithObjectiveBound(m, obj, 13.0 - 1e-3);
 
   SimplexOptions eager;
   eager.refactor_interval = 1;
-  const LpResult r = SolveLp(m, eager);
+  const LpResult r = SolveLp(at, eager);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 13.0, kObjTol);
+  EXPECT_TRUE(at.IsFeasible(r.x, kFeasTol));
   EXPECT_GT(r.stats.pivots, 0);
   EXPECT_GT(r.stats.refactorizations, 1);
   EXPECT_LE(r.stats.max_eta_length, 1);
+  EXPECT_EQ(SolveLp(below, eager).status, LpStatus::kInfeasible);
 
-  const LpResult lazy = SolveLp(m);
+  const LpResult lazy = SolveLp(at);
   ASSERT_EQ(lazy.status, LpStatus::kOptimal);
-  EXPECT_NEAR(lazy.objective, r.objective, kObjTol);
+  EXPECT_TRUE(at.IsFeasible(lazy.x, kFeasTol));
+  EXPECT_EQ(SolveLp(below).status, LpStatus::kInfeasible);
 }
 
 TEST(SimplexSparseTest, StatsSurfaceThroughLpResult) {
@@ -658,12 +662,11 @@ TEST(SimplexSparseTest, PinnedTrajectoriesStayBitIdentical) {
   spec.num_properties = 6;
   spec.seed = 1;
   const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-  const rules::Rule cov = rules::CovRule();
-  const auto taus = eval::EnumerateTauCounts(cov, index);
+  const auto taus = eval::EnumerateTauCounts(rules::CovRule(), index);
   std::vector<Trajectory> mips;
   for (const Rational theta : {Rational(7, 10), Rational(6, 10)}) {
     const core::IlpEncoding enc =
-        core::BuildRefinementIlp(index, cov, taus, 3, theta);
+        core::BuildRefinementIlp(index, taus, 3, theta);
     const MipResult r = SolveMip(enc.model);
     mips.push_back({static_cast<int>(r.status), r.nodes, r.lp_stats.pivots,
                     r.lp_stats.refactorizations, HashBits(r.x)});
