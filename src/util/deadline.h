@@ -84,13 +84,26 @@ class Deadline {
   Deadline() = default;
 
   /// A deadline `seconds` from now (also cancellable via RequestCancel).
-  /// Non-positive budgets produce an already-expired deadline.
+  /// Non-positive and NaN budgets produce an already-expired deadline. A
+  /// budget past the clock's range (about 292 years of nanoseconds from the
+  /// clock's epoch), +inf included, saturates: it never expires on its own
+  /// but stays cancellable.
   static Deadline After(double seconds) {
     Deadline d;
-    d.deadline_ =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(seconds));
     d.flag_ = std::make_shared<std::atomic<bool>>(false);
+    const Clock::time_point now = Clock::now();
+    if (!(seconds > 0.0)) {
+      d.deadline_ = now;
+      return d;
+    }
+    // The headroom goes through a double, which rounds; a one-second margin
+    // keeps the addition below from overflowing the clock's integer count.
+    const double headroom =
+        std::chrono::duration<double>(Clock::time_point::max() - now).count();
+    if (seconds < headroom - 1.0) {
+      d.deadline_ = now + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
+    }
     return d;
   }
 

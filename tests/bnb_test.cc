@@ -296,6 +296,17 @@ TEST(BnbTest, LpNumericalFailureLeavesTheSearchUndecided) {
     EXPECT_EQ(r.stop_reason, MipStopReason::kLpNumericalFailure)
         << MipStopReasonName(r.stop_reason) << ", presolve " << presolve;
     EXPECT_GE(r.lp_numerical_failures, 1);
+
+    // Seeding the root with that failed root's basis, as a theta-chained
+    // solve does, must fail the same way and not prove infeasibility.
+    ASSERT_FALSE(r.root_basis.empty()) << "presolve " << presolve;
+    options.warm_basis = &r.root_basis;
+    const MipResult warm = SolveMip(m, options);
+    EXPECT_EQ(warm.status, MipStatus::kUnknown)
+        << MipStatusName(warm.status) << ", presolve " << presolve;
+    EXPECT_EQ(warm.stop_reason, MipStopReason::kLpNumericalFailure)
+        << MipStopReasonName(warm.stop_reason) << ", presolve " << presolve;
+    EXPECT_EQ(warm.lp_stats.basis_reuses, 1) << "presolve " << presolve;
   }
   EXPECT_STREQ(MipStopReasonName(MipStopReason::kLpNumericalFailure),
                "LpNumericalFailure");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,29 @@ TEST(DeadlineTest, CancellationWinsOverExpiry) {
   const util::Deadline deadline = util::Deadline::After(-1.0);
   deadline.RequestCancel();
   EXPECT_EQ(deadline.token().status().code(), StatusCode::kCancelled);
+}
+
+TEST(DeadlineTest, BudgetsPastTheClockRangeNeverTripButCancel) {
+  // 1e10 s and up overflowed the clock's nanosecond count, which wrapped the
+  // deadline into the past.
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const util::Deadline deadline = util::Deadline::After(seconds);
+    const util::CancellationToken token = deadline.token();
+    EXPECT_TRUE(token.can_trip()) << seconds;
+    EXPECT_FALSE(token.expired()) << seconds;
+    EXPECT_FALSE(token.stop_requested()) << seconds;
+    deadline.RequestCancel();
+    EXPECT_TRUE(token.stop_requested()) << seconds;
+    EXPECT_EQ(token.status().code(), StatusCode::kCancelled) << seconds;
+  }
+}
+
+TEST(DeadlineTest, NanBudgetIsExpired) {
+  const util::CancellationToken token =
+      util::Deadline::After(std::numeric_limits<double>::quiet_NaN()).token();
+  EXPECT_TRUE(token.expired());
+  EXPECT_EQ(token.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(DeadlineTest, AfterMillisZeroMeansNoDeadline) {
@@ -389,6 +413,35 @@ TEST(DeadlineTest, AnalysisTimeoutSurfacesTimedOutRefinement) {
   auto lowest = analysis->LowestK(1.0);
   ASSERT_FALSE(lowest.ok());
   EXPECT_EQ(lowest.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(DeadlineTest, HugeAnalysisTimeoutDoesNotCutTheSearch) {
+  // The quickstart dataset: alice and carol carry name/email/birthDate, bob
+  // and dave only name, so k = 2 splits them into two fully structured sorts.
+  constexpr const char* kQuickstart = R"(
+<http://x/alice> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Person> .
+<http://x/alice> <http://x/name> "Alice" .
+<http://x/alice> <http://x/email> "alice@example.org" .
+<http://x/alice> <http://x/birthDate> "1990-01-01" .
+<http://x/bob> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Person> .
+<http://x/bob> <http://x/name> "Bob" .
+<http://x/carol> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Person> .
+<http://x/carol> <http://x/name> "Carol" .
+<http://x/carol> <http://x/email> "carol@example.org" .
+<http://x/carol> <http://x/birthDate> "1985-05-05" .
+<http://x/dave> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Person> .
+<http://x/dave> <http://x/name> "Dave" .
+)";
+  auto dataset =
+      api::Dataset::FromNTriplesText(kQuickstart, {.sort = "http://x/Person"});
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  auto analysis = dataset->Analyze("cov");
+  ASSERT_TRUE(analysis.ok()) << analysis.status().ToString();
+  analysis->Timeout(1e10);
+  auto refinement = analysis->HighestTheta(2);
+  ASSERT_TRUE(refinement.ok()) << refinement.status().ToString();
+  EXPECT_FALSE(refinement->timed_out);
+  EXPECT_EQ(refinement->theta, Rational(1));
 }
 
 }  // namespace

@@ -104,6 +104,39 @@ Model WithBounds(const Model& m, const std::vector<double>& lower,
   return out;
 }
 
+// A branch-and-bound child of `m` after the solve `parent`: the first basic
+// structural strictly inside its box gets a bound that cuts off the parent
+// point. The up-branch raises its lower bound to the midpoint of its value
+// and its upper bound (the value + 1 when the upper bound is infinite); the
+// down-branch lowers its upper bound to the midpoint of its lower bound and
+// its value (the value - 1 when the lower bound is infinite). Returns false
+// when no basic structural sits strictly inside its box.
+bool CutChild(const Model& m, const LpResult& parent, bool up,
+              std::vector<double>* lower, std::vector<double>* upper) {
+  const int n = static_cast<int>(m.num_variables());
+  lower->resize(n);
+  upper->resize(n);
+  for (int j = 0; j < n; ++j) {
+    (*lower)[j] = m.variable(j).lower;
+    (*upper)[j] = m.variable(j).upper;
+  }
+  for (int j = 0; j < n; ++j) {
+    const double x = parent.x[j];
+    const double lo = (*lower)[j];
+    const double hi = (*upper)[j];
+    if (parent.basis.status[j] != BasisStatus::kBasic || x <= lo || x >= hi) {
+      continue;
+    }
+    if (up) {
+      (*lower)[j] = hi < kInfinity ? (x + hi) / 2 : x + 1;
+    } else {
+      (*upper)[j] = lo > -kInfinity ? (lo + x) / 2 : x - 1;
+    }
+    return true;
+  }
+  return false;
+}
+
 // The columns of [A | -I] for `m`, as the simplex lays them out: structural
 // variables in model order, then one slack per row.
 SparseColumns ColumnsOf(const Model& m) {
@@ -392,6 +425,52 @@ TEST(SimplexSparseTest, WarmStartAfterBoundPerturbationMatchesColdStart) {
   ASSERT_GT(compared, 20);
 }
 
+TEST(SimplexSparseTest, WarmDualMatchesColdPrimalOnBranchChildren) {
+  // Children shaped like branch-and-bound's: each optimal draw is cut both
+  // ways on its first interior basic structural, and every child is solved
+  // warm from the parent's basis (the dual simplex) and cold (the primal).
+  // The draws mix free, one-sided and straddling bounds.
+  std::mt19937_64 rng(14142135);
+  int children = 0;
+  int infeasible = 0;
+  int dual_steps = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const Model m = RandomLp(&rng);
+    const LpResult parent = SolveLp(m);
+    if (parent.status != LpStatus::kOptimal) continue;
+    for (const bool up : {true, false}) {
+      std::vector<double> lb, ub;
+      if (!CutChild(m, parent, up, &lb, &ub)) break;
+      const LpResult cold = SolveLp(m, {}, &lb, &ub);
+      SimplexOptions options;
+      options.warm_start = &parent.basis;
+      const LpResult warm = SolveLp(m, options, &lb, &ub);
+      const std::string where = "trial " + std::to_string(trial) +
+                                (up ? " up" : " down");
+      ASSERT_TRUE(warm.warm_started) << where;
+      for (const LpResult* r : {&cold, &warm}) {
+        EXPECT_NE(r->status, LpStatus::kNumericalFailure) << where;
+        EXPECT_NE(r->status, LpStatus::kIterationLimit) << where;
+        if (r->status == LpStatus::kOptimal) {
+          EXPECT_TRUE(WithBounds(m, lb, ub).IsFeasible(r->x, kFeasTol))
+              << where;
+        }
+      }
+      EXPECT_EQ(warm.status, cold.status)
+          << where << ": warm " << LpStatusName(warm.status) << ", cold "
+          << LpStatusName(cold.status);
+      ++children;
+      if (cold.status == LpStatus::kInfeasible) ++infeasible;
+      if (warm.iterations > 0) ++dual_steps;
+    }
+  }
+  // Enough children of both verdicts, and dual iterations, to mean anything.
+  EXPECT_GT(children, 300);
+  EXPECT_GT(infeasible, 30);
+  EXPECT_GT(children - infeasible, 30);
+  EXPECT_GT(dual_steps, 200);
+}
+
 TEST(SimplexSparseTest, WarmBasisMovesParkedFreeVariableOntoItsNewBound) {
   // x is free in the first solve, so it ends nonbasic parked at 0. The
   // re-solve boxes it into [1, 2]; the warm start must move it onto a bound
@@ -455,6 +534,25 @@ TEST(SimplexSparseTest, HighlyDegenerateVertexTerminates) {
   EXPECT_NEAR(testutil::Dot(c, at.x), -2.0, kFeasTol);
   const LpResult below = SolveLp(WithObjectiveBound(m, c, -2.0 - 1e-3));
   EXPECT_EQ(below.status, LpStatus::kInfeasible) << LpStatusName(below.status);
+
+  // The dual simplex from the degenerate vertex after a bound cut, both
+  // ways: zero reduced costs everywhere, so only the cost perturbation keeps
+  // it from stalling.
+  const Model model = WithObjectiveBound(m, c, -2.0);
+  const int cap = 5 * static_cast<int>(model.num_variables() +
+                                       model.num_constraints());
+  for (const bool up : {true, false}) {
+    std::vector<double> lb, ub;
+    ASSERT_TRUE(CutChild(model, at, up, &lb, &ub));
+    SimplexOptions options;
+    options.warm_start = &at.basis;
+    options.max_iterations = cap;
+    const LpResult warm = SolveLp(model, options, &lb, &ub);
+    EXPECT_TRUE(warm.warm_started);
+    EXPECT_NE(warm.status, LpStatus::kIterationLimit) << (up ? "up" : "down");
+    EXPECT_EQ(warm.status, SolveLp(model, {}, &lb, &ub).status)
+        << (up ? "up" : "down");
+  }
 }
 
 // Rows x_r + y_r in [5e-7, 1] over continuous x_r, y_r in [0, 1]: the slack
@@ -631,12 +729,32 @@ constexpr Trajectory kPinnedLps[] = {
     {0, 2, 2, 1, 0x716b5831c96c57c0ULL},
 };
 
+// The up-branch child (CutChild) of each optimal draw among those 50, solved
+// warm from the draw's cold basis: the dual simplex's trajectory.
+constexpr Trajectory kPinnedWarmLps[] = {
+    {0, 1, 1, 1, 0x81238a7d6fd97734ULL},
+    {0, 1, 1, 1, 0x151a6a241ebcdef4ULL},
+    {1, 0, 0, 1, 0x3b5d85b1e1050703ULL},
+    {0, 1, 1, 1, 0x1ad47a30ea9ad441ULL},
+    {0, 1, 1, 1, 0x4a4c16303c539967ULL},
+    {1, 0, 0, 1, 0x97f1842b538ac789ULL},
+    {1, 0, 0, 1, 0xeb44b740de2ac6aeULL},
+    {0, 2, 2, 1, 0x0ad340879bcf245aULL},
+    {1, 0, 0, 1, 0x61c573cd32755250ULL},
+    {0, 1, 1, 1, 0xe215863083b635acULL},
+    {1, 2, 1, 1, 0x91e56b177c3cc139ULL},
+    {1, 0, 0, 1, 0xaaca7c5d012f76eeULL},
+    {0, 1, 1, 1, 0xaeceacab97d9ababULL},
+    {0, 1, 1, 1, 0x5b4c6a529bed7babULL},
+    {1, 0, 0, 1, 0x47854bd166d7ef45ULL},
+};
+
 // SolveMip on the Section 6 Cov encodings of one random index (18
 // signatures, 6 properties, seed 1) at k = 3: theta = 7/10 has no
 // refinement (an infeasibility proof), theta = 6/10 has one (a dive).
 constexpr Trajectory kPinnedMips[] = {
-    {2, 25, 3070, 47, 0xcbf29ce484222325ULL},
-    {1, 29, 1029, 31, 0xe897e55519e8b610ULL},
+    {2, 23, 1315, 26, 0xcbf29ce484222325ULL},
+    {1, 20, 609, 22, 0x5148b248316dc67aULL},
 };
 
 TEST(SimplexSparseTest, PinnedTrajectoriesStayBitIdentical) {
@@ -644,17 +762,32 @@ TEST(SimplexSparseTest, PinnedTrajectoriesStayBitIdentical) {
   // nonzero value it computes must stay bit-identical, so branch-and-bound
   // takes the same pivots. These pins hold the statuses, iteration and node
   // counts, pivot and refactorization counts, and solution bits of a fixed
-  // set of solves to their recorded values. A change that moves the pivot
-  // sequence on purpose re-records them from the rows printed on failure.
+  // set of solves to their recorded values: cold LPs (the primal simplex),
+  // warm-started children (the dual simplex), and MIPs (both). A change that
+  // moves the pivot sequence on purpose re-records them from the rows
+  // printed on failure.
 #if !defined(__x86_64__) || defined(__FMA__)
   GTEST_SKIP() << "pins record x86-64 SSE2 arithmetic without FMA contraction";
 #endif
+  const auto trajectory = [](const LpResult& r) {
+    return Trajectory{static_cast<int>(r.status), r.iterations,
+                      r.stats.pivots, r.stats.refactorizations, HashBits(r.x)};
+  };
   std::mt19937_64 rng(27182818);
-  std::vector<Trajectory> lps;
+  std::vector<Trajectory> lps, warm_lps;
   for (int trial = 0; trial < 50; ++trial) {
-    const LpResult r = SolveLp(RandomLp(&rng));
-    lps.push_back({static_cast<int>(r.status), r.iterations, r.stats.pivots,
-                   r.stats.refactorizations, HashBits(r.x)});
+    const Model m = RandomLp(&rng);
+    const LpResult r = SolveLp(m);
+    lps.push_back(trajectory(r));
+    // The up-branch child of each optimal draw, warm from its cold basis:
+    // the dual simplex's path.
+    std::vector<double> lb, ub;
+    if (r.status != LpStatus::kOptimal || !CutChild(m, r, true, &lb, &ub)) {
+      continue;
+    }
+    SimplexOptions options;
+    options.warm_start = &r.basis;
+    warm_lps.push_back(trajectory(SolveLp(m, options, &lb, &ub)));
   }
 
   gen::RandomIndexSpec spec;
@@ -676,7 +809,9 @@ TEST(SimplexSparseTest, PinnedTrajectoriesStayBitIdentical) {
 
   const auto check = [](const char* what, const std::vector<Trajectory>& got,
                         const Trajectory* want, std::size_t n) {
-    ASSERT_EQ(got.size(), n) << what;
+    std::string rows;
+    for (const Trajectory& t : got) rows += "\n    " + ToRow(t);
+    ASSERT_EQ(got.size(), n) << what << ", got:" << rows;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_TRUE(got[i] == want[i])
           << what << " " << i << ": got " << ToRow(got[i]) << " want "
@@ -684,6 +819,7 @@ TEST(SimplexSparseTest, PinnedTrajectoriesStayBitIdentical) {
     }
   };
   check("LP", lps, kPinnedLps, std::size(kPinnedLps));
+  check("warm LP", warm_lps, kPinnedWarmLps, std::size(kPinnedWarmLps));
   check("MIP", mips, kPinnedMips, std::size(kPinnedMips));
 }
 

@@ -91,6 +91,17 @@ TEST(SimplexTest, UnblockedPhaseOneColumnIsANumericalFailure) {
   const LpResult r = SolveLp(m);
   EXPECT_EQ(r.status, LpStatus::kNumericalFailure) << LpStatusName(r.status);
   EXPECT_STREQ(LpStatusName(r.status), "NumericalFailure");
+
+  // Warm from the basis the failed solve returns, the dual simplex meets the
+  // same sub-tolerance pivots: every column that could lift the leaving row
+  // has |alpha_j| = 5e-10. That row is no dual ray, so the re-solve must fail
+  // the same way, not call the LP infeasible.
+  SimplexOptions options;
+  options.warm_start = &r.basis;
+  const LpResult warm = SolveLp(m, options);
+  ASSERT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.status, LpStatus::kNumericalFailure)
+      << LpStatusName(warm.status);
 }
 
 TEST(SimplexTest, RespectsVariableBounds) {

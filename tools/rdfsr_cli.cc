@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,11 +117,23 @@ std::string FormatSigma(double value) {
 }
 
 // Strict numeric parsing: the whole string must convert, so typos fail loudly
-// instead of silently becoming 0 (atoi/strtod leftovers).
+// instead of silently becoming 0 (atoi/strtod leftovers), and to a finite
+// value: strtod accepts "nan" and "inf" and turns overflowing input such as
+// 1e400 into inf, and NaN slips past every range check.
 bool ParseDouble(const char* text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text, &end);
-  return end != text && *end == '\0';
+  return end != text && *end == '\0' && std::isfinite(*out);
+}
+
+// A positive budget in seconds as whole milliseconds plus one, so that a
+// sub-millisecond budget stays positive (0 means no deadline). Saturates at
+// the int64 range, where a plain cast of the product is undefined behaviour.
+std::int64_t DeadlineMillis(double seconds) {
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  const double ms = seconds * 1000.0 + 1.0;
+  if (ms >= static_cast<double>(kMax)) return kMax;
+  return static_cast<std::int64_t>(ms);
 }
 
 bool ParseInt(const char* text, int* out) {
@@ -260,8 +275,7 @@ rdfsr::Result<Dataset> Load(const Args& args) {
   std::vector<rdfsr::rdf::ParseDiagnostic> diagnostics;
   if (args.max_errors > 0) options.diagnostics = &diagnostics;
   if (args.timeout > 0) {
-    options.deadline_ms =
-        static_cast<std::int64_t>(args.timeout * 1000.0) + 1;
+    options.deadline_ms = DeadlineMillis(args.timeout);
   }
   auto dataset = Dataset::FromNTriplesFile(args.path, options);
   for (const auto& diag : diagnostics) {
