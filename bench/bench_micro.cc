@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/ilp_builder.h"
-#include "eval/closed_form.h"
 #include "eval/counting.h"
 #include "eval/enumerator.h"
 #include "eval/evaluator.h"
@@ -23,19 +22,17 @@ const schema::SignatureIndex& PersonsIndex() {
 }
 
 void BM_CovClosedForm(benchmark::State& state) {
-  const auto& index = PersonsIndex();
-  const std::vector<int> all = eval::AllSignatures(index);
+  const auto cov = eval::ClosedFormEvaluator::Cov(&PersonsIndex());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::CovCounts(index, all));
+    benchmark::DoNotOptimize(cov->CountsAll());
   }
 }
 BENCHMARK(BM_CovClosedForm);
 
 void BM_SimClosedForm(benchmark::State& state) {
-  const auto& index = PersonsIndex();
-  const std::vector<int> all = eval::AllSignatures(index);
+  const auto sim = eval::ClosedFormEvaluator::Sim(&PersonsIndex());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::SimCounts(index, all));
+    benchmark::DoNotOptimize(sim->CountsAll());
   }
 }
 BENCHMARK(BM_SimClosedForm);

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "eval/closed_form.h"
+#include "eval/evaluator.h"
 #include "gen/persons.h"
 #include "util/timer.h"
 
@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   gen::PersonsConfig config;
   config.num_subjects = 50000;
   const schema::SignatureIndex index = gen::GeneratePersons(config);
-  const std::vector<int> all = eval::AllSignatures(index);
 
   struct Entry {
     std::string p1, p2;
@@ -37,7 +36,8 @@ int main(int argc, char** argv) {
       Entry e;
       e.p1 = index.property_name(i);
       e.p2 = index.property_name(j);
-      e.value = eval::SymDepCounts(index, all, e.p1, e.p2).Value();
+      e.value =
+          eval::ClosedFormEvaluator::SymDep(&index, e.p1, e.p2)->SigmaAll();
       entries.push_back(std::move(e));
     }
   }

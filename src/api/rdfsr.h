@@ -248,7 +248,9 @@ class Analysis {
   // --- queries -------------------------------------------------------------
   /// sigma_r over the whole dataset.
   double Sigma() const;
-  /// sigma_r over one implicit sort (signature ids of the dataset).
+  /// sigma_r over one implicit sort (signature ids of the dataset). The ids
+  /// must be distinct and in range: a repeated or out-of-range id aborts
+  /// with an RDFSR_CHECK failure.
   double Sigma(const std::vector<int>& sort) const;
 
   /// Best threshold achievable with k implicit sorts (the paper's

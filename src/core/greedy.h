@@ -15,16 +15,17 @@
 // signatures per probe. Greedy trial placements drop from O(k * |sort| * |P|)
 // to O(|supp| + k log k) each; an agglomerative merge round drops from
 // O(n^2 * |sort| * |P|) to O(n log n + n * |P|/64) via a lazy best-pair
-// priority queue (bench/bench_refine.cc measures both against the scratch
-// baselines). Outputs are bit-identical to scratch evaluation: the stats
-// carry the same exact integer counts the scratch closed forms compute.
+// priority queue (bench/bench_refine.cc times both). The aggregates are exact
+// integers, so outputs equal those of re-evaluating every candidate sort from
+// its member ids, which the seed's heuristics do
+// (tests/seed_heuristics_oracle.h); tests/refine_regression_test.cc checks
+// both engines against them.
 
 #ifndef RDFSR_CORE_GREEDY_H_
 #define RDFSR_CORE_GREEDY_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/refinement.h"
@@ -51,12 +52,6 @@ struct GreedyOptions {
 /// below any particular threshold.
 SortRefinement GreedyMaxMinSigma(const eval::Evaluator& evaluator, int k,
                                  const GreedyOptions& options = {});
-
-/// Convenience: runs GreedyMaxMinSigma and keeps the result only when it
-/// meets theta exactly (validated).
-std::optional<SortRefinement> GreedyFindRefinement(
-    const eval::Evaluator& evaluator, int k, Rational theta,
-    const GreedyOptions& options = {});
 
 /// One committed merge of the agglomerative engine. Sort slots start as one
 /// signature each (slot i holds signature i); the merge folds slot `b` into

@@ -52,10 +52,10 @@ Status ValidateRefinement(const eval::Evaluator& evaluator,
 Status ValidatePartition(const schema::SignatureIndex& index,
                          const SortRefinement& refinement);
 
-/// Exact per-sort counts, evaluated through the incremental-stats subsystem
-/// (closed forms for builtin rules — no member re-walks in the extraction).
-/// Theta-independent: reusable across every threshold a refinement is
-/// checked against.
+/// Exact per-sort counts (Evaluator::Counts: each sort folded into one
+/// SortStats, closed forms for builtin rules). Requires a valid partition
+/// (ValidatePartition). Theta-independent: reusable across every threshold a
+/// refinement is checked against.
 std::vector<eval::SigmaCounts> SortCounts(const eval::Evaluator& evaluator,
                                           const SortRefinement& refinement);
 

@@ -28,21 +28,22 @@ std::vector<SortProfile> ProfileRefinement(const schema::SignatureIndex& index,
   for (const std::vector<int>& sort : refinement.sorts) {
     SortProfile profile;
     profile.signatures = sort.size();
-    const eval::SubsetStats stats = eval::SubsetStats::Compute(index, sort);
-    profile.subjects = static_cast<std::int64_t>(stats.subjects);
-    profile.sigma_cov = eval::CovCounts(index, sort).Value();
-    profile.sigma_sim = eval::SimCounts(index, sort).Value();
+    eval::SortStats stats(&index);
+    for (int sig : sort) stats.Add(sig);
+    profile.subjects = static_cast<std::int64_t>(stats.subjects());
+    profile.sigma_cov = eval::CovCountsFromStats(stats).Value();
+    profile.sigma_sim = eval::SimCountsFromStats(stats).Value();
 
     for (std::size_t p = 0; p < num_props; ++p) {
+      const std::int64_t count = stats.property_count(p);
       const double coverage =
-          profile.subjects == 0
-              ? 0.0
-              : static_cast<double>(stats.property_count[p]) /
-                    static_cast<double>(profile.subjects);
+          profile.subjects == 0 ? 0.0
+                                : static_cast<double>(count) /
+                                      static_cast<double>(profile.subjects);
       const std::string& name = index.property_name(p);
-      if (stats.property_count[p] == 0) {
+      if (count == 0) {
         profile.absent_properties.push_back(name);
-      } else if (stats.property_count[p] == stats.subjects) {
+      } else if (count == profile.subjects) {
         profile.universal_properties.push_back(name);
       // lint:allow(float-compare: display bucketing, not a solver decision)
       } else if (coverage >= 0.5) {
@@ -57,7 +58,7 @@ std::vector<SortProfile> ProfileRefinement(const schema::SignatureIndex& index,
           rest_subjects == 0
               ? coverage
               : (global_coverage[p] * index.total_subjects() -
-                 static_cast<double>(stats.property_count[p])) /
+                 static_cast<double>(count)) /
                     rest_subjects;
       profile.discriminating_properties.emplace_back(name,
                                                      coverage - rest_coverage);

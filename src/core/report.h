@@ -36,7 +36,8 @@ struct SortProfile {
   std::vector<std::pair<std::string, double>> discriminating_properties;
 };
 
-/// Computes the profile of every sort of a refinement.
+/// Computes the profile of every sort of a refinement. Each sort's signature
+/// ids must be distinct and in range (RDFSR_CHECK).
 std::vector<SortProfile> ProfileRefinement(const schema::SignatureIndex& index,
                                            const SortRefinement& refinement);
 

@@ -58,6 +58,11 @@ RefinementSolver::RefinementSolver(const eval::Evaluator* evaluator,
                                    SolverOptions options)
     : cached_(evaluator), options_(std::move(options)) {}
 
+const eval::SigmaCounts& RefinementSolver::AllCounts() {
+  if (!all_counts_.has_value()) all_counts_ = Eval().CountsAll();
+  return *all_counts_;
+}
+
 const std::vector<eval::TauCount>& RefinementSolver::TauCounts() {
   if (!tau_counts_ready_) {
     tau_counts_ = eval::EnumerateTauCounts(Eval().rule(), Eval().index());
@@ -212,8 +217,7 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
 
   // Trivial instance: the whole dataset already meets theta with one sort.
   {
-    const eval::SigmaCounts all = Eval().CountsAll();
-    if (SigmaAtLeast(all, theta)) {
+    if (SigmaAtLeast(AllCounts(), theta)) {
       SortRefinement whole;
       whole.sorts.push_back(eval::AllSignatures(index));
       result.decision = Decision::kExists;
@@ -370,7 +374,7 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
 
   // The initial threshold sigma_r(D) is feasible with the one-sort partition
   // (the paper's starting point).
-  const eval::SigmaCounts all = Eval().CountsAll();
+  const eval::SigmaCounts& all = AllCounts();
   Rational sigma_all(1);
   if (all.total > 0) {
     RDFSR_CHECK(all.total <= INT64_MAX);

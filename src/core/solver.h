@@ -220,6 +220,8 @@ class RefinementSolver {
   /// Every sigma evaluation goes through the memo table.
   const eval::Evaluator& Eval() const { return cached_; }
 
+  /// sigma_r(D)'s counts, the one-sort baseline every instance checks first.
+  const eval::SigmaCounts& AllCounts();
   const std::vector<eval::TauCount>& TauCounts();
   /// Theta-independent tau link analysis, shared by every encoding.
   const std::vector<TauShape>& Shapes();
@@ -238,8 +240,10 @@ class RefinementSolver {
 
   eval::CachedEvaluator cached_;
   SolverOptions options_;
-  // Tau counts and shapes depend only on (rule, dataset) — theta enters the
-  // encoding via the weights — so both are cached across instances.
+  // The whole dataset's counts, tau counts and shapes depend only on (rule,
+  // dataset) — theta enters the encoding via the weights — so all three are
+  // cached across instances.
+  std::optional<eval::SigmaCounts> all_counts_;
   std::vector<eval::TauCount> tau_counts_;
   bool tau_counts_ready_ = false;
   std::optional<std::vector<TauShape>> shapes_;

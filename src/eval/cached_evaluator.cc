@@ -8,27 +8,6 @@ CachedEvaluator::CachedEvaluator(const Evaluator* inner) : inner_(inner) {
   RDFSR_CHECK(inner != nullptr);
 }
 
-SigmaCounts CachedEvaluator::Counts(const std::vector<int>& sig_ids) const {
-  schema::PropertySet key(inner_->index().num_signatures());
-  for (int id : sig_ids) {
-    RDFSR_CHECK_GE(id, 0);
-    key.Insert(static_cast<std::size_t>(id));
-  }
-  // Subsets are sets: a repeated id would alias a different subset's slot
-  // (the inner evaluators count per occurrence, the key per member).
-  RDFSR_CHECK_EQ(key.Popcount(), sig_ids.size())
-      << "duplicate signature id in subset";
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  const SigmaCounts counts = inner_->Counts(sig_ids);
-  cache_.emplace(std::move(key), counts);
-  return counts;
-}
-
 SigmaCounts CachedEvaluator::CountsFromStats(const SortStats& stats) const {
   if (inner_->cheap_stats()) return inner_->CountsFromStats(stats);
   // Only the generic (non-cheap) path reaches the memo, so materializing the

@@ -4,19 +4,19 @@
 // greedy local search re-scores unchanged slots, the agglomerative heuristic
 // re-probes pair merges, validation re-computes the final sorts. Counts are
 // pure functions of the subset, so a lookup table keyed by the member set
-// removes the recomputation — critical for GenericEvaluator, whose Counts()
+// removes the recomputation — critical for GenericEvaluator, whose counts
 // run the full tau enumeration on a restricted index.
 //
-// The key is the subset packed as a PropertySet over signature ids: building
-// it is a few word writes (no sort, no heap-allocated id copies), and hashing
-// and equality run word-at-a-time.
+// The key is the subset packed as a PropertySet over signature ids, which is
+// how SortStats carries its member set: hashing and equality run
+// word-at-a-time. Counts(ids) folds into stats and asks CountsFromStats, so
+// the one memo below serves both entry points.
 
 #ifndef RDFSR_EVAL_CACHED_EVALUATOR_H_
 #define RDFSR_EVAL_CACHED_EVALUATOR_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <unordered_map>
-#include <vector>
 
 #include "eval/evaluator.h"
 #include "schema/property_set.h"
@@ -33,11 +33,8 @@ class CachedEvaluator : public Evaluator {
   const schema::SignatureIndex& index() const override {
     return inner_->index();
   }
-  SigmaCounts Counts(const std::vector<int>& sig_ids) const override;
 
-  /// Stats carry their member set word-packed, which is exactly this cache's
-  /// key — so the stats path shares the memo table with Counts() without
-  /// rebuilding the key bit by bit. When the inner evaluator's stats
+  /// Memoized on the member set. When the inner evaluator's stats
   /// extractions are cheap closed forms (cheap_stats()), these delegate
   /// without memoizing: building and hashing the member key would cost more
   /// than the extraction, and the refinement heuristics issue millions of

@@ -1,155 +1,8 @@
 #include "eval/closed_form.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace rdfsr::eval {
-
-SubsetStats SubsetStats::Compute(const schema::SignatureIndex& index,
-                                 const std::vector<int>& sig_ids) {
-  SubsetStats stats;
-  stats.property_count.assign(index.num_properties(), 0);
-  for (int id : sig_ids) {
-    RDFSR_CHECK_GE(id, 0);
-    RDFSR_CHECK_LT(static_cast<std::size_t>(id), index.num_signatures());
-    const schema::Signature& sig = index.signature(id);
-    stats.subjects += sig.count;
-    stats.support_sum += static_cast<BigCount>(sig.count) *
-                         static_cast<BigCount>(sig.props().Popcount());
-    sig.props().ForEach(
-        [&](int p) { stats.property_count[p] += sig.count; });
-  }
-  for (const BigCount& c : stats.property_count) {
-    if (c > 0) ++stats.used_properties;
-  }
-  return stats;
-}
-
-BigCount SubsetStats::CountHavingAll(const schema::SignatureIndex& index,
-                                     const std::vector<int>& sig_ids,
-                                     const std::vector<int>& props) {
-  for (int p : props) {
-    if (p < 0) return 0;
-  }
-  const schema::PropertySet needed =
-      schema::PropertySet::FromIndices(index.num_properties(), props);
-  BigCount total = 0;
-  for (int id : sig_ids) {
-    if (needed.IsSubsetOf(index.signature(id).props())) {
-      total += index.signature(id).count;
-    }
-  }
-  return total;
-}
-
-SigmaCounts CovCounts(const schema::SignatureIndex& index,
-                      const std::vector<int>& sig_ids) {
-  const SubsetStats stats = SubsetStats::Compute(index, sig_ids);
-  SigmaCounts out;
-  out.total = stats.subjects * stats.used_properties;
-  out.favorable = stats.support_sum;
-  return out;
-}
-
-SigmaCounts CovIgnoringCounts(const schema::SignatureIndex& index,
-                              const std::vector<int>& sig_ids,
-                              const std::vector<std::string>& ignored) {
-  const SubsetStats stats = SubsetStats::Compute(index, sig_ids);
-  std::vector<bool> is_ignored(index.num_properties(), false);
-  for (const std::string& name : ignored) {
-    const int p = index.FindProperty(name);
-    if (p >= 0) is_ignored[p] = true;
-  }
-  SigmaCounts out;
-  int kept_columns = 0;
-  for (std::size_t p = 0; p < index.num_properties(); ++p) {
-    if (stats.property_count[p] > 0 && !is_ignored[p]) {
-      ++kept_columns;
-      out.favorable += stats.property_count[p];
-    }
-  }
-  out.total = stats.subjects * kept_columns;
-  return out;
-}
-
-SigmaCounts SimCounts(const schema::SignatureIndex& index,
-                      const std::vector<int>& sig_ids) {
-  const SubsetStats stats = SubsetStats::Compute(index, sig_ids);
-  SigmaCounts out;
-  for (std::size_t p = 0; p < index.num_properties(); ++p) {
-    const BigCount cnt = stats.property_count[p];
-    if (cnt == 0) continue;
-    out.total += cnt * (stats.subjects - 1);
-    out.favorable += cnt * (cnt - 1);
-  }
-  return out;
-}
-
-namespace {
-
-/// Looks up both property ids; returns false when either column is missing
-/// from the subset's view (no subjects use it) — in which case total cases
-/// are zero (sigma trivially 1, cf. Figure 4c's left sort).
-bool LookupColumns(const schema::SignatureIndex& index,
-                   const SubsetStats& stats, const std::string& p1,
-                   const std::string& p2, int* id1, int* id2) {
-  *id1 = index.FindProperty(p1);
-  *id2 = index.FindProperty(p2);
-  if (*id1 < 0 || *id2 < 0) return false;
-  if (stats.property_count[*id1] == 0 && stats.property_count[*id2] == 0) {
-    // Neither column exists in the sub-view: no assignment can satisfy
-    // prop(c1)=p1 ∧ prop(c2)=p2.
-    return false;
-  }
-  // A column with zero count among the subset's signatures does not exist in
-  // the restricted matrix either.
-  if (stats.property_count[*id1] == 0 || stats.property_count[*id2] == 0) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-SigmaCounts DepCounts(const schema::SignatureIndex& index,
-                      const std::vector<int>& sig_ids, const std::string& p1,
-                      const std::string& p2) {
-  const SubsetStats stats = SubsetStats::Compute(index, sig_ids);
-  SigmaCounts out;
-  int id1 = -1, id2 = -1;
-  if (!LookupColumns(index, stats, p1, p2, &id1, &id2)) return out;
-  out.total = stats.property_count[id1];
-  out.favorable = SubsetStats::CountHavingAll(index, sig_ids, {id1, id2});
-  return out;
-}
-
-SigmaCounts SymDepCounts(const schema::SignatureIndex& index,
-                         const std::vector<int>& sig_ids,
-                         const std::string& p1, const std::string& p2) {
-  const SubsetStats stats = SubsetStats::Compute(index, sig_ids);
-  SigmaCounts out;
-  int id1 = -1, id2 = -1;
-  if (!LookupColumns(index, stats, p1, p2, &id1, &id2)) return out;
-  const BigCount both = SubsetStats::CountHavingAll(index, sig_ids, {id1, id2});
-  out.total =
-      stats.property_count[id1] + stats.property_count[id2] - both;
-  out.favorable = both;
-  return out;
-}
-
-SigmaCounts DepDisjCounts(const schema::SignatureIndex& index,
-                          const std::vector<int>& sig_ids,
-                          const std::string& p1, const std::string& p2) {
-  const SubsetStats stats = SubsetStats::Compute(index, sig_ids);
-  SigmaCounts out;
-  int id1 = -1, id2 = -1;
-  if (!LookupColumns(index, stats, p1, p2, &id1, &id2)) return out;
-  const BigCount both = SubsetStats::CountHavingAll(index, sig_ids, {id1, id2});
-  out.total = stats.subjects;
-  out.favorable = stats.subjects - stats.property_count[id1] + both;
-  return out;
-}
 
 SigmaCounts CovCountsFromStats(const SortStats& stats) {
   SigmaCounts out;
@@ -182,8 +35,9 @@ SigmaCounts SimCountsFromStats(const SortStats& stats) {
 
 namespace {
 
-/// Mirrors LookupColumns for the stats path: both tracked columns must exist
-/// in the sort's view, else total = 0 (sigma trivially 1).
+/// Both tracked columns must exist in the sort's view (a column no member
+/// uses is not in the sort's matrix), else total = 0 (sigma trivially 1, cf.
+/// Figure 4c's left sort). An unknown property name leaves the pair untracked.
 bool StatsColumnsPresent(const SortStats& stats) {
   if (stats.pair_p1() < 0 || stats.pair_p2() < 0) return false;
   return stats.property_count(static_cast<std::size_t>(stats.pair_p1())) > 0 &&
@@ -269,8 +123,8 @@ SigmaCounts SimCountsFromMergedStats(const SortStats& a, const SortStats& b) {
 
 namespace {
 
-/// LookupColumns for a candidate merge: both tracked columns must exist in
-/// the union view.
+/// StatsColumnsPresent for a candidate merge: both tracked columns must exist
+/// in the union view.
 bool MergedColumnsPresent(const SortStats& a, const SortStats& b) {
   RDFSR_CHECK(a.pair_p1() == b.pair_p1() && a.pair_p2() == b.pair_p2())
       << "stats track different property pairs";

@@ -12,17 +12,19 @@
 //
 // Dep/SymDep/DepDisj require the p1 and p2 columns to exist in the sort's view
 // (Section 7.1.1's "trivially satisfied" sorts rely on this): when either is
-// missing, total = 0 and sigma = 1. These closed forms are property-tested
-// against the generic enumerator.
+// missing, total = 0 and sigma = 1.
 //
-// When computing sigma for an implicit sort (a subset of signatures), columns
-// are those used by the member signatures — pass the subset; the full dataset
-// is the subset of all signatures.
+// Each family has one formula, read off the aggregates of a SortStats
+// (eval/sort_stats.h) — the same value the refinement heuristics maintain
+// incrementally and Evaluator::Counts folds from signature ids — plus its
+// pairwise form over a candidate merge of two sorts. The columns of an
+// implicit sort are those its member signatures use; the full dataset is the
+// sort of all signatures. The generic enumerator (eval/enumerator.h) is the
+// oracle these forms are property-tested against (tests/closed_form_test.cc).
 
 #ifndef RDFSR_EVAL_CLOSED_FORM_H_
 #define RDFSR_EVAL_CLOSED_FORM_H_
 
-#include <string>
 #include <vector>
 
 #include "eval/counts.h"
@@ -31,57 +33,10 @@
 
 namespace rdfsr::eval {
 
-/// Aggregate statistics of a subset of signatures (an implicit sort).
-struct SubsetStats {
-  BigCount subjects = 0;                   ///< N: subjects in the subset.
-  std::vector<BigCount> property_count;    ///< cnt_p per (global) property id.
-  BigCount support_sum = 0;                ///< Σ_mu n_mu |supp(mu)|.
-  int used_properties = 0;                 ///< |P*|: columns with cnt_p > 0.
-
-  /// Computes the stats for the given signature ids of `index`.
-  static SubsetStats Compute(const schema::SignatureIndex& index,
-                             const std::vector<int>& sig_ids);
-
-  /// cnt over subjects having ALL of the given properties.
-  static BigCount CountHavingAll(const schema::SignatureIndex& index,
-                                 const std::vector<int>& sig_ids,
-                                 const std::vector<int>& props);
-};
-
-/// sigma_Cov counts for a subset.
-SigmaCounts CovCounts(const schema::SignatureIndex& index,
-                      const std::vector<int>& sig_ids);
-
-/// sigma_Cov ignoring the listed properties.
-SigmaCounts CovIgnoringCounts(const schema::SignatureIndex& index,
-                              const std::vector<int>& sig_ids,
-                              const std::vector<std::string>& ignored);
-
-/// sigma_Sim counts for a subset.
-SigmaCounts SimCounts(const schema::SignatureIndex& index,
-                      const std::vector<int>& sig_ids);
-
-/// sigma_Dep[p1, p2] counts for a subset (property names).
-SigmaCounts DepCounts(const schema::SignatureIndex& index,
-                      const std::vector<int>& sig_ids, const std::string& p1,
-                      const std::string& p2);
-
-/// sigma_SymDep[p1, p2] counts for a subset.
-SigmaCounts SymDepCounts(const schema::SignatureIndex& index,
-                         const std::vector<int>& sig_ids,
-                         const std::string& p1, const std::string& p2);
-
-/// Disjunctive-consequent Dep variant counts for a subset.
-SigmaCounts DepDisjCounts(const schema::SignatureIndex& index,
-                          const std::vector<int>& sig_ids,
-                          const std::string& p1, const std::string& p2);
-
-// --- Closed forms over incrementally maintained stats ------------------------
-// Each *FromStats function extracts the same SigmaCounts its scratch
-// counterpart above computes, but from a SortStats value in O(1) (O(|ignored|)
-// for CovIgnoring) — no walk over member signatures. All arithmetic is the
-// same exact integer arithmetic, so results are bit-identical to the scratch
-// path for equal member sets.
+// --- Closed forms over a sort's stats ----------------------------------------
+// Each *FromStats function reads its family's SigmaCounts off a SortStats
+// value in O(1) (O(|ignored|) for CovIgnoring) — no walk over member
+// signatures. All arithmetic is exact integer arithmetic.
 
 /// sigma_Cov counts from stats: total = N * |P*|, favorable = Σ n_mu |supp|.
 SigmaCounts CovCountsFromStats(const SortStats& stats);

@@ -11,35 +11,32 @@ GenericEvaluator::GenericEvaluator(rules::Rule rule,
   RDFSR_CHECK(index_ != nullptr);
 }
 
-SigmaCounts GenericEvaluator::Counts(const std::vector<int>& sig_ids) const {
-  const schema::SignatureIndex sub = index_->Restrict(sig_ids);
-  return EvaluateRuleOnIndex(rule_, sub);
-}
-
-SigmaCounts Evaluator::CountsViaStats(const std::vector<int>& sig_ids) const {
+SigmaCounts Evaluator::Counts(const std::vector<int>& sig_ids) const {
   SortStats stats = MakeStats();
   for (int sig : sig_ids) stats.Add(sig);
   return CountsFromStats(stats);
 }
 
+SigmaCounts GenericEvaluator::CountsFromStats(const SortStats& stats) const {
+  return EvaluateRuleOnIndex(rule_,
+                             index_->Restrict(stats.members().ToVector()));
+}
+
 ClosedFormEvaluator::ClosedFormEvaluator(Kind kind, rules::Rule rule,
                                          const schema::SignatureIndex* index,
-                                         std::vector<std::string> params)
-    : kind_(kind),
-      rule_(std::move(rule)),
-      index_(index),
-      params_(std::move(params)) {
+                                         const std::vector<std::string>& params)
+    : kind_(kind), rule_(std::move(rule)), index_(index) {
   RDFSR_CHECK(index_ != nullptr);
   switch (kind_) {
     case Kind::kDep:
     case Kind::kSymDep:
     case Kind::kDepDisj:
-      dep_id1_ = index_->FindProperty(params_[0]);
-      dep_id2_ = index_->FindProperty(params_[1]);
+      dep_id1_ = index_->FindProperty(params[0]);
+      dep_id2_ = index_->FindProperty(params[1]);
       break;
     case Kind::kCovIgnoring:
       ignored_mask_ = schema::PropertySet(index_->num_properties());
-      for (const std::string& name : params_) {
+      for (const std::string& name : params) {
         const int p = index_->FindProperty(name);
         if (p >= 0) ignored_mask_.Insert(static_cast<std::size_t>(p));
       }
@@ -79,10 +76,10 @@ std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::Cov(
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::CovIgnoring(
-    const schema::SignatureIndex* index, std::vector<std::string> ignored) {
-  rules::Rule rule = rules::CovRuleIgnoring(ignored);
+    const schema::SignatureIndex* index,
+    const std::vector<std::string>& ignored) {
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kCovIgnoring, std::move(rule), index, std::move(ignored)));
+      Kind::kCovIgnoring, rules::CovRuleIgnoring(ignored), index, ignored));
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::Sim(
@@ -92,42 +89,24 @@ std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::Sim(
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::Dep(
-    const schema::SignatureIndex* index, std::string p1, std::string p2) {
-  rules::Rule rule = rules::DepRule(p1, p2);
+    const schema::SignatureIndex* index, const std::string& p1,
+    const std::string& p2) {
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kDep, std::move(rule), index, {std::move(p1), std::move(p2)}));
+      Kind::kDep, rules::DepRule(p1, p2), index, {p1, p2}));
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::SymDep(
-    const schema::SignatureIndex* index, std::string p1, std::string p2) {
-  rules::Rule rule = rules::SymDepRule(p1, p2);
+    const schema::SignatureIndex* index, const std::string& p1,
+    const std::string& p2) {
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kSymDep, std::move(rule), index, {std::move(p1), std::move(p2)}));
+      Kind::kSymDep, rules::SymDepRule(p1, p2), index, {p1, p2}));
 }
 
 std::unique_ptr<ClosedFormEvaluator> ClosedFormEvaluator::DepDisj(
-    const schema::SignatureIndex* index, std::string p1, std::string p2) {
-  rules::Rule rule = rules::DepDisjunctiveRule(p1, p2);
+    const schema::SignatureIndex* index, const std::string& p1,
+    const std::string& p2) {
   return std::unique_ptr<ClosedFormEvaluator>(new ClosedFormEvaluator(
-      Kind::kDepDisj, std::move(rule), index, {std::move(p1), std::move(p2)}));
-}
-
-SigmaCounts ClosedFormEvaluator::Counts(const std::vector<int>& sig_ids) const {
-  switch (kind_) {
-    case Kind::kCov:
-      return CovCounts(*index_, sig_ids);
-    case Kind::kCovIgnoring:
-      return CovIgnoringCounts(*index_, sig_ids, params_);
-    case Kind::kSim:
-      return SimCounts(*index_, sig_ids);
-    case Kind::kDep:
-      return DepCounts(*index_, sig_ids, params_[0], params_[1]);
-    case Kind::kSymDep:
-      return SymDepCounts(*index_, sig_ids, params_[0], params_[1]);
-    case Kind::kDepDisj:
-      return DepDisjCounts(*index_, sig_ids, params_[0], params_[1]);
-  }
-  return {};
+      Kind::kDepDisj, rules::DepDisjunctiveRule(p1, p2), index, {p1, p2}));
 }
 
 SigmaCounts ClosedFormEvaluator::CountsFromMergedStats(
@@ -151,19 +130,22 @@ SigmaCounts ClosedFormEvaluator::CountsFromMergedStats(
 
 namespace {
 
-/// Extracts "p1" and "p2" from a builtin name "Family[p1,p2]".
-bool ParseBracketParams(const std::string& name, const std::string& prefix,
-                        std::string* p1, std::string* p2) {
-  if (name.size() < prefix.size() + 2) return false;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  if (name[prefix.size()] != '[' || name.back() != ']') return false;
-  const std::string body =
-      name.substr(prefix.size() + 1, name.size() - prefix.size() - 2);
-  const std::size_t comma = body.find(',');
-  if (comma == std::string::npos) return false;
-  *p1 = body.substr(0, comma);
-  *p2 = body.substr(comma + 1);
-  return !p1->empty() && !p2->empty();
+/// The constant u of the prop(var) = u conjunct of `formula` ("" if none).
+std::string PropConstantOf(const rules::FormulaPtr& formula,
+                           const std::string& var) {
+  if (formula == nullptr) return "";
+  if (formula->kind == rules::FormulaKind::kPropEqConst &&
+      formula->var1 == var) {
+    return formula->constant;
+  }
+  if (formula->kind != rules::FormulaKind::kAnd) return "";
+  std::string found = PropConstantOf(formula->left, var);
+  return found.empty() ? PropConstantOf(formula->right, var) : found;
+}
+
+/// Whether `name` is the display name of a `family[...]` builtin.
+bool HasFamilyName(const std::string& name, const std::string& family) {
+  return name.rfind(family + "[", 0) == 0 && name.back() == ']';
 }
 
 }  // namespace
@@ -173,23 +155,27 @@ std::unique_ptr<Evaluator> MakeEvaluator(const rules::Rule& rule,
   const std::string& name = rule.name();
   if (name == "Cov") return ClosedFormEvaluator::Cov(index);
   if (name == "Sim") return ClosedFormEvaluator::Sim(index);
-  if (name.rfind("CovIgnoring[", 0) == 0 && name.back() == ']') {
+  // Parameters come from the AST, not the display name: property IRIs may
+  // contain commas, which the name's comma-joined list cannot round-trip.
+  if (HasFamilyName(name, "CovIgnoring")) {
     // The ignored properties are the prop(c) = p constants of the antecedent.
-    // Recovered from the AST, not the display name: property IRIs may contain
-    // commas, which the name's comma-joined list cannot round-trip.
     std::vector<std::string> ignored;
     rules::CollectPropertyConstants(rule.antecedent(), &ignored);
-    return ClosedFormEvaluator::CovIgnoring(index, std::move(ignored));
+    return ClosedFormEvaluator::CovIgnoring(index, ignored);
   }
-  std::string p1, p2;
-  if (ParseBracketParams(name, "Dep", &p1, &p2)) {
-    return ClosedFormEvaluator::Dep(index, p1, p2);
-  }
-  if (ParseBracketParams(name, "SymDep", &p1, &p2)) {
-    return ClosedFormEvaluator::SymDep(index, p1, p2);
-  }
-  if (ParseBracketParams(name, "DepDisj", &p1, &p2)) {
-    return ClosedFormEvaluator::DepDisj(index, p1, p2);
+  // The Dep families pin c1 and c2 with prop(c1) = p1 and prop(c2) = p2.
+  const std::string p1 = PropConstantOf(rule.antecedent(), "c1");
+  const std::string p2 = PropConstantOf(rule.antecedent(), "c2");
+  if (!p1.empty() && !p2.empty()) {
+    if (HasFamilyName(name, "Dep")) {
+      return ClosedFormEvaluator::Dep(index, p1, p2);
+    }
+    if (HasFamilyName(name, "SymDep")) {
+      return ClosedFormEvaluator::SymDep(index, p1, p2);
+    }
+    if (HasFamilyName(name, "DepDisj")) {
+      return ClosedFormEvaluator::DepDisj(index, p1, p2);
+    }
   }
   return std::make_unique<GenericEvaluator>(rule, index);
 }

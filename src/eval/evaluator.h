@@ -3,9 +3,12 @@
 // The refinement engine (core/) repeatedly asks "what is sigma of this subset
 // of signatures?": the greedy backend during local search, the solver when
 // validating decoded ILP solutions, the benches when reporting per-sort
-// values. Evaluator hides whether that is answered by the generic
-// signature-level enumerator (any rule) or by a closed form (the builtin
-// families); the two are property-tested to agree.
+// values. Every question goes through one aggregate of the sort, a SortStats
+// (eval/sort_stats.h): Counts(ids) folds the ids into fresh stats, and the
+// heuristics keep stats incrementally. Evaluator hides whether the counts are
+// then read off the aggregates by a closed form (the builtin families) or
+// enumerated by the generic signature-level enumerator on the sort's
+// restriction (any rule); the two are property-tested to agree.
 
 #ifndef RDFSR_EVAL_EVALUATOR_H_
 #define RDFSR_EVAL_EVALUATOR_H_
@@ -34,8 +37,11 @@ class Evaluator {
   /// The rule whose sigma this evaluator computes.
   virtual const rules::Rule& rule() const = 0;
 
-  /// Exact counts for an implicit sort.
-  virtual SigmaCounts Counts(const std::vector<int>& sig_ids) const = 0;
+  /// Exact counts for an implicit sort: folds `sig_ids` into MakeStats() and
+  /// asks CountsFromStats. The ids must be distinct and in range: a repeated
+  /// or out-of-range id aborts with an RDFSR_CHECK failure. The fold costs
+  /// O(Σ |supp|).
+  SigmaCounts Counts(const std::vector<int>& sig_ids) const;
 
   /// Counts over the whole base index.
   SigmaCounts CountsAll() const { return Counts(AllSignatures(index())); }
@@ -54,25 +60,15 @@ class Evaluator {
   /// instead of re-walking member signatures.
   virtual SortStats MakeStats() const { return SortStats(&index()); }
 
-  /// Counts from incrementally maintained stats; must equal
-  /// Counts(stats.members().ToVector()) exactly. This base implementation
-  /// does exactly that (the generic-enumerator fallback); closed-form
-  /// evaluators answer from the aggregates in O(1).
-  virtual SigmaCounts CountsFromStats(const SortStats& stats) const {
-    return Counts(stats.members().ToVector());
-  }
+  /// Exact counts of the sort `stats` describes (stats made by MakeStats()).
+  /// Closed-form evaluators answer from the aggregates in O(1); the generic
+  /// evaluator enumerates the index restricted to the members.
+  virtual SigmaCounts CountsFromStats(const SortStats& stats) const = 0;
 
   /// sigma from incrementally maintained stats.
   double SigmaFromStats(const SortStats& stats) const {
     return CountsFromStats(stats).Value();
   }
-
-  /// Counts through the stats subsystem: folds `sig_ids` into fresh stats and
-  /// extracts (closed form for the builtin families). Equals Counts(sig_ids)
-  /// exactly; refinement validation runs on this so it shares the same
-  /// aggregates the heuristics maintain instead of re-walking member
-  /// signatures through the scratch closed forms.
-  SigmaCounts CountsViaStats(const std::vector<int>& sig_ids) const;
 
   /// Counts of the union of two disjoint stats — the agglomerative
   /// candidate-merge probe. Must equal merging first and extracting after;
@@ -104,7 +100,9 @@ class GenericEvaluator : public Evaluator {
 
   const rules::Rule& rule() const override { return rule_; }
   const schema::SignatureIndex& index() const override { return *index_; }
-  SigmaCounts Counts(const std::vector<int>& sig_ids) const override;
+
+  /// Enumerates the rule on the base index restricted to the members.
+  SigmaCounts CountsFromStats(const SortStats& stats) const override;
 
  private:
   rules::Rule rule_;
@@ -120,19 +118,22 @@ class ClosedFormEvaluator : public Evaluator {
   static std::unique_ptr<ClosedFormEvaluator> Cov(
       const schema::SignatureIndex* index);
   static std::unique_ptr<ClosedFormEvaluator> CovIgnoring(
-      const schema::SignatureIndex* index, std::vector<std::string> ignored);
+      const schema::SignatureIndex* index,
+      const std::vector<std::string>& ignored);
   static std::unique_ptr<ClosedFormEvaluator> Sim(
       const schema::SignatureIndex* index);
   static std::unique_ptr<ClosedFormEvaluator> Dep(
-      const schema::SignatureIndex* index, std::string p1, std::string p2);
+      const schema::SignatureIndex* index, const std::string& p1,
+      const std::string& p2);
   static std::unique_ptr<ClosedFormEvaluator> SymDep(
-      const schema::SignatureIndex* index, std::string p1, std::string p2);
+      const schema::SignatureIndex* index, const std::string& p1,
+      const std::string& p2);
   static std::unique_ptr<ClosedFormEvaluator> DepDisj(
-      const schema::SignatureIndex* index, std::string p1, std::string p2);
+      const schema::SignatureIndex* index, const std::string& p1,
+      const std::string& p2);
 
   const rules::Rule& rule() const override { return rule_; }
   const schema::SignatureIndex& index() const override { return *index_; }
-  SigmaCounts Counts(const std::vector<int>& sig_ids) const override;
 
   /// Dep families get their pair resolved to ids once at construction and
   /// tracked through every stats mutation.
@@ -149,24 +150,25 @@ class ClosedFormEvaluator : public Evaluator {
   bool cheap_stats() const override { return true; }
 
  private:
+  /// `params` are the ignored properties (CovIgnoring) or {p1, p2} (the Dep
+  /// families), resolved to column ids here.
   ClosedFormEvaluator(Kind kind, rules::Rule rule,
                       const schema::SignatureIndex* index,
-                      std::vector<std::string> params);
+                      const std::vector<std::string>& params);
 
   Kind kind_;
   rules::Rule rule_;
   const schema::SignatureIndex* index_;
-  std::vector<std::string> params_;  // ignored props, or {p1, p2}
-  // Resolved-once parameter state for the stats path: the Dep pair's column
-  // ids and the CovIgnoring word mask (FindProperty runs at construction, not
-  // per evaluation).
+  // Parameters resolved once at construction (FindProperty never runs per
+  // evaluation): the Dep pair's column ids and the CovIgnoring word mask.
   int dep_id1_ = -1;
   int dep_id2_ = -1;
   schema::PropertySet ignored_mask_;
 };
 
 /// Picks the fastest evaluator for a rule: builtin rules created by
-/// rules/builtins.h are recognized by name and routed to their closed forms;
+/// rules/builtins.h are recognized by name and routed to their closed forms,
+/// with their property parameters read from the rule's prop(c) = u atoms;
 /// everything else gets the generic enumerator.
 std::unique_ptr<Evaluator> MakeEvaluator(const rules::Rule& rule,
                                          const schema::SignatureIndex* index);

@@ -1,12 +1,13 @@
-// Mergeable per-sort statistics for incremental sigma evaluation.
+// Mergeable per-sort statistics: the one aggregate sigma is computed from.
 //
-// The refinement heuristics (core/greedy.cc) mutate candidate sorts one
-// signature (greedy trial placements) or one whole part (agglomerative
-// merges) at a time, yet the scratch closed forms of closed_form.h re-walk
-// every member signature per evaluation — O(|sort| * |P|) per probe, O(n^3)
-// and worse over a full agglomerative run. SortStats is the incremental
-// alternative: it carries exactly the aggregates the closed forms of every
-// builtin family consume —
+// Every count of an implicit sort goes through a SortStats: Evaluator::Counts
+// folds signature ids into fresh stats, and the refinement heuristics
+// (core/greedy.cc), which mutate candidate sorts one signature (greedy trial
+// placements) or one whole part (agglomerative merges) at a time, keep stats
+// incrementally instead of re-walking every member signature per probe
+// (O(|sort| * |P|) per probe, O(n^3) and worse over a full agglomerative
+// run). It carries exactly the aggregates the closed forms of every builtin
+// family (eval/closed_form.h) consume —
 //
 //   subjects       N = Σ_mu n_mu
 //   support_sum    Σ_mu n_mu |supp(mu)|  ( = Σ_p cnt_p )
@@ -16,15 +17,16 @@
 //   property_count cnt_p per global property id
 //   pair_both      cnt over subjects having BOTH tracked properties
 //                  (Dep/SymDep/DepDisj; configured at construction)
-//   members        member signature ids (generic-evaluator fallback and memo
-//                  keys)
+//   members        member signature ids (the generic evaluator's restriction
+//                  and memo keys)
 //
 // and keeps all of them exact under Add / Remove / MergeWith, so a candidate
 // sort's SigmaCounts never requires re-walking its member signatures.
 // All aggregates are integers, so the extracted counts — and therefore the
-// sigma doubles derived from them — are bit-identical to a scratch
-// SubsetStats::Compute over the same member set (property-tested in
-// tests/sort_stats_test.cc).
+// sigma doubles derived from them — do not depend on the order of mutations
+// that built them: CheckInvariants() recomputes every aggregate from the
+// member set, and tests/sort_stats_test.cc runs it after every step of
+// random Add / Remove / MergeWith sequences.
 //
 // Memory diet (the ~100k-signature agglomerative regime holds one SortStats
 // per part):

@@ -12,9 +12,6 @@
 namespace rdfsr::rdf {
 
 namespace {
-std::uint64_t PackPair(TermId a, TermId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
 constexpr std::uint32_t kEmptySlot = static_cast<std::uint32_t>(-1);
 }  // namespace
 
@@ -388,14 +385,6 @@ void Graph::CheckInvariants() const {
       << "subjects() lists terms no triple mentions";
   RDFSR_CHECK_EQ(next_property, properties_.size())
       << "properties() lists terms no triple mentions";
-}
-
-bool Graph::HasProperty(TermId s, TermId p) const {
-  for (; sp_scanned_ < triples_.size(); ++sp_scanned_) {
-    subject_property_.insert(PackPair(triples_[sp_scanned_].subject,
-                                      triples_[sp_scanned_].predicate));
-  }
-  return subject_property_.count(PackPair(s, p)) > 0;
 }
 
 const std::vector<std::uint32_t>& Graph::TypePostings() const {

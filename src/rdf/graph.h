@@ -10,7 +10,6 @@
 #define RDFSR_RDF_GRAPH_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -107,12 +106,6 @@ class Graph {
   /// P(D): distinct properties in first-appearance order.
   const std::vector<TermId>& properties() const { return properties_; }
 
-  /// Whether s has property p in D (some (s, p, o) in D). Backed by a lazily
-  /// built (s, p) hash set — query paths use it, the ingestion hot path
-  /// never pays for it. Like TypePostings(), the first call mutates a
-  /// mutable cache: warm it before sharing const references across threads.
-  bool HasProperty(TermId s, TermId p) const;
-
   /// All sort constants t appearing in (s, type, t) triples.
   std::vector<TermId> SortConstants() const;
 
@@ -179,10 +172,6 @@ class Graph {
   std::vector<TermId> properties_;
   std::vector<std::uint8_t> subject_seen_;   // TermId -> appeared as subject
   std::vector<std::uint8_t> property_seen_;  // TermId -> appeared as predicate
-  // Lazy (s,p) membership set backing HasProperty; extended on demand from
-  // triples_ [0, sp_scanned_).
-  mutable std::unordered_set<std::uint64_t> subject_property_;
-  mutable std::size_t sp_scanned_ = 0;
   // Lazy rdf:type posting list: positions of type triples among triples_
   // [0, type_scanned_). Extended, never rebuilt — sound because a triple can
   // only reference rdf:type if it was already interned at Add time.

@@ -14,10 +14,10 @@ constexpr int kMaxNesting = 256;
 
 // Bound on the operands '&&' and '||' join in one text: at most
 // kMaxOperands - 1 operators. The parser folds a chain into a left-deep tree
-// that the recursive walkers (printer, normalizer, evaluator) descend one
-// level per operand, so an unbounded chain exhausts the stack just as
-// unbounded nesting does (under AddressSanitizer the printer overflows an
-// 8 MiB stack near 2048 operands). The lexer counts, so an over-long chain
+// that the recursive walkers (printer, evaluator) descend one level per
+// operand, so an unbounded chain exhausts the stack just as unbounded nesting
+// does (under AddressSanitizer the printer overflows an 8 MiB stack near 2048
+// operands). The lexer counts, so an over-long chain
 // fails before it is tokenized in full; the builtin rules join at most four.
 constexpr int kMaxOperands = 1024;
 

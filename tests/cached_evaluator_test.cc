@@ -35,8 +35,9 @@ TEST(CachedEvaluatorTest, HitsOnRepeatsAndPermutations) {
   spec.num_signatures = 5;
   spec.seed = 3;
   const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-  auto inner = MakeEvaluator(rules::CovRule(), &index);
-  CachedEvaluator cached(inner.get());
+  // The memo serves the generic enumerator; closed forms bypass it.
+  GenericEvaluator inner(rules::CovRule(), &index);
+  CachedEvaluator cached(&inner);
 
   (void)cached.Counts({0, 1, 2});
   EXPECT_EQ(cached.misses(), 1u);

@@ -1,8 +1,14 @@
-// Property tests: closed-form structuredness (Cov/Sim/Dep/SymDep/DepDisj and
-// CovIgnoring) must agree exactly with the generic signature-level enumerator
-// on full indexes and on restricted subsets (implicit sorts).
+// Property tests: the closed forms of the six builtin families (Cov, Sim,
+// CovIgnoring, Dep, SymDep, DepDisj), read through MakeEvaluator(rule)
+// ->Counts(ids), must agree exactly with the generic signature-level
+// enumerator run on the index restricted to the ids — on full indexes and on
+// implicit sorts.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "eval/closed_form.h"
 #include "eval/enumerator.h"
@@ -11,6 +17,7 @@
 #include "rules/builtins.h"
 #include "rules/parser.h"
 #include "schema/signature_index.h"
+#include "util/rng.h"
 
 namespace rdfsr::eval {
 namespace {
@@ -22,6 +29,32 @@ void ExpectSameCounts(const SigmaCounts& a, const SigmaCounts& b,
   EXPECT_EQ(static_cast<long long>(a.favorable),
             static_cast<long long>(b.favorable))
       << label << " favorables";
+}
+
+/// Every builtin family over the random indexes' properties p0..p3.
+std::vector<rules::Rule> Families() {
+  return {rules::CovRule(),
+          rules::SimRule(),
+          rules::CovRuleIgnoring({"p0", "p3"}),
+          rules::DepRule("p0", "p1"),
+          rules::SymDepRule("p2", "p3"),
+          rules::DepDisjunctiveRule("p0", "p2")};
+}
+
+/// Checks each family's closed form on the sort `ids` against the generic
+/// enumerator on the restriction of `index` to `ids`.
+void ExpectFamiliesMatchGeneric(const schema::SignatureIndex& index,
+                                const std::vector<int>& ids,
+                                const std::string& label) {
+  const schema::SignatureIndex sub = index.Restrict(ids);
+  for (const rules::Rule& rule : Families()) {
+    const auto evaluator = MakeEvaluator(rule, &index);
+    EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(evaluator.get()),
+              nullptr)
+        << rule.name();
+    ExpectSameCounts(evaluator->Counts(ids), EvaluateRuleOnIndex(rule, sub),
+                     rule.name() + " " + label);
+  }
 }
 
 class ClosedFormPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -37,74 +70,34 @@ class ClosedFormPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(ClosedFormPropertyTest, CovMatchesGeneric) {
+TEST_P(ClosedFormPropertyTest, FullIndexMatchesGeneric) {
   const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(CovCounts(index, all),
-                   EvaluateRuleOnIndex(rules::CovRule(), index), "Cov");
-}
-
-TEST_P(ClosedFormPropertyTest, SimMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(SimCounts(index, all),
-                   EvaluateRuleOnIndex(rules::SimRule(), index), "Sim");
-}
-
-TEST_P(ClosedFormPropertyTest, DepMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(
-      DepCounts(index, all, "p0", "p1"),
-      EvaluateRuleOnIndex(rules::DepRule("p0", "p1"), index), "Dep");
-}
-
-TEST_P(ClosedFormPropertyTest, SymDepMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(
-      SymDepCounts(index, all, "p1", "p2"),
-      EvaluateRuleOnIndex(rules::SymDepRule("p1", "p2"), index), "SymDep");
-}
-
-TEST_P(ClosedFormPropertyTest, DepDisjMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  ExpectSameCounts(
-      DepDisjCounts(index, all, "p0", "p2"),
-      EvaluateRuleOnIndex(rules::DepDisjunctiveRule("p0", "p2"), index),
-      "DepDisj");
-}
-
-TEST_P(ClosedFormPropertyTest, CovIgnoringMatchesGeneric) {
-  const schema::SignatureIndex index = MakeIndex();
-  const std::vector<int> all = AllSignatures(index);
-  const std::vector<std::string> ignored = {"p0", "p3"};
-  ExpectSameCounts(
-      CovIgnoringCounts(index, all, ignored),
-      EvaluateRuleOnIndex(rules::CovRuleIgnoring(ignored), index),
-      "CovIgnoring");
+  ExpectFamiliesMatchGeneric(index, AllSignatures(index), "all");
 }
 
 TEST_P(ClosedFormPropertyTest, SubsetsMatchGenericOnRestriction) {
   const schema::SignatureIndex index = MakeIndex();
-  // Take every second signature as an implicit sort.
-  std::vector<int> subset;
-  for (std::size_t i = 0; i < index.num_signatures(); i += 2) {
-    subset.push_back(static_cast<int>(i));
-  }
-  const schema::SignatureIndex sub = index.Restrict(subset);
+  const int n = static_cast<int>(index.num_signatures());
+  // Every second signature as an implicit sort.
+  std::vector<int> every_second;
+  for (int i = 0; i < n; i += 2) every_second.push_back(i);
+  ExpectFamiliesMatchGeneric(index, every_second, "every second");
 
-  ExpectSameCounts(CovCounts(index, subset),
-                   EvaluateRuleOnIndex(rules::CovRule(), sub), "Cov/subset");
-  ExpectSameCounts(SimCounts(index, subset),
-                   EvaluateRuleOnIndex(rules::SimRule(), sub), "Sim/subset");
-  ExpectSameCounts(DepCounts(index, subset, "p0", "p1"),
-                   EvaluateRuleOnIndex(rules::DepRule("p0", "p1"), sub),
-                   "Dep/subset");
-  ExpectSameCounts(SymDepCounts(index, subset, "p2", "p3"),
-                   EvaluateRuleOnIndex(rules::SymDepRule("p2", "p3"), sub),
-                   "SymDep/subset");
+  // A few random non-empty sorts, in shuffled order: counts are a function
+  // of the member set alone.
+  Rng rng(GetParam() * 7919 + 3);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<int> ids;
+    for (int i = 0; i < n; ++i) {
+      if (rng.Chance(0.5)) ids.push_back(i);
+    }
+    if (ids.empty()) ids.push_back(static_cast<int>(rng.Below(n)));
+    for (std::size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng.Below(i)]);
+    }
+    ExpectFamiliesMatchGeneric(index, ids,
+                               "random sort " + std::to_string(trial));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosedFormPropertyTest,
@@ -115,12 +108,22 @@ TEST(ClosedFormTest, DepMissingColumnIsTriviallyOne) {
   const schema::SignatureIndex index =
       schema::SignatureIndex::FromSignatures({"a", "b"}, sigs);
   // Restricting to the {a}-only signature removes column b entirely.
-  const SigmaCounts counts = DepCounts(index, {0}, "a", "b");
+  const SigmaCounts counts = ClosedFormEvaluator::Dep(&index, "a", "b")
+                                 ->Counts({0});
   EXPECT_EQ(static_cast<long long>(counts.total), 0);
   EXPECT_DOUBLE_EQ(counts.Value(), 1.0);
+  ExpectSameCounts(counts,
+                   GenericEvaluator(rules::DepRule("a", "b"), &index)
+                       .Counts({0}),
+                   "missing column");
   // Unknown property names behave the same way.
-  const SigmaCounts unknown = DepCounts(index, {0, 1}, "a", "zzz");
+  const SigmaCounts unknown = ClosedFormEvaluator::Dep(&index, "a", "zzz")
+                                  ->CountsAll();
   EXPECT_EQ(static_cast<long long>(unknown.total), 0);
+  ExpectSameCounts(unknown,
+                   GenericEvaluator(rules::DepRule("a", "zzz"), &index)
+                       .CountsAll(),
+                   "unknown column");
 }
 
 TEST(ClosedFormTest, SymDepPaperExample) {
@@ -133,8 +136,9 @@ TEST(ClosedFormTest, SymDepPaperExample) {
   };
   const schema::SignatureIndex index = schema::SignatureIndex::FromSignatures(
       {"deathPlace", "deathDate", "x"}, sigs);
-  const SigmaCounts counts = SymDepCounts(index, AllSignatures(index),
-                                          "deathPlace", "deathDate");
+  const SigmaCounts counts =
+      ClosedFormEvaluator::SymDep(&index, "deathPlace", "deathDate")
+          ->CountsAll();
   EXPECT_EQ(static_cast<long long>(counts.favorable), 40);
   EXPECT_EQ(static_cast<long long>(counts.total), 101);
   EXPECT_NEAR(counts.Value(), 0.396, 0.001);
@@ -144,31 +148,73 @@ TEST(ClosedFormTest, EvaluatorDispatchesClosedForms) {
   gen::RandomIndexSpec spec;
   spec.seed = 5;
   const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
-  const std::vector<int> all = AllSignatures(index);
-
-  auto cov = MakeEvaluator(rules::CovRule(), &index);
-  ExpectSameCounts(cov->Counts(all), CovCounts(index, all), "factory Cov");
-  auto sim = MakeEvaluator(rules::SimRule(), &index);
-  ExpectSameCounts(sim->Counts(all), SimCounts(index, all), "factory Sim");
-  // The factory must route CovIgnoring to the closed form, not fall back to
-  // the enumerator, recovering the ignored properties from the rule AST.
-  auto cov_ign = MakeEvaluator(rules::CovRuleIgnoring({"p0", "p2"}), &index);
-  EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(cov_ign.get()), nullptr);
-  ExpectSameCounts(cov_ign->Counts(all),
-                   CovIgnoringCounts(index, all, {"p0", "p2"}),
-                   "factory CovIgnoring");
-  // A property IRI containing a comma must survive the round trip (the
+  // The factory must route every builtin family to its closed form, not fall
+  // back to the enumerator, recovering CovIgnoring's properties from the rule
+  // AST: a property IRI containing a comma must survive the round trip (the
   // display name's comma-joined list would mis-split it).
-  auto comma = MakeEvaluator(rules::CovRuleIgnoring({"p0,p1"}), &index);
-  ExpectSameCounts(comma->Counts(all),
-                   CovIgnoringCounts(index, all, {"p0,p1"}),
-                   "factory CovIgnoring comma-in-IRI");
-  auto dep = MakeEvaluator(rules::DepRule("p0", "p1"), &index);
-  ExpectSameCounts(dep->Counts(all), DepCounts(index, all, "p0", "p1"),
-                   "factory Dep");
-  auto symdep = MakeEvaluator(rules::SymDepRule("p0", "p1"), &index);
-  ExpectSameCounts(symdep->Counts(all), SymDepCounts(index, all, "p0", "p1"),
-                   "factory SymDep");
+  const std::vector<rules::Rule> builtins = {
+      rules::CovRule(),
+      rules::SimRule(),
+      rules::CovRuleIgnoring({"p0", "p2"}),
+      rules::CovRuleIgnoring({"p0,p1"}),
+      rules::DepRule("p0", "p1"),
+      rules::SymDepRule("p0", "p1"),
+      rules::DepDisjunctiveRule("p0", "p1")};
+  for (const rules::Rule& rule : builtins) {
+    const auto evaluator = MakeEvaluator(rule, &index);
+    EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(evaluator.get()),
+              nullptr)
+        << rule.name();
+    ExpectSameCounts(evaluator->CountsAll(),
+                     GenericEvaluator(rule, &index).CountsAll(),
+                     "factory " + rule.name());
+  }
+}
+
+TEST(ClosedFormTest, DepFamiliesReadTheirPropertiesFromTheRule) {
+  // Dep-family display names join p1 and p2 with a comma, so an IRI holding
+  // a comma cannot be split back out of "Dep[p1,p2]": the factory reads the
+  // pair from the rule's prop(c1) = p1 and prop(c2) = p2 atoms. Subject s1
+  // has both properties, s2 only the first, s3 only the second.
+  const std::string p = "http://x/a,b";
+  const std::string q = "http://x/c";
+  std::vector<schema::Signature> sigs = {{{0, 1}, 1}, {{0}, 1}, {{1}, 1}};
+  const schema::SignatureIndex index =
+      schema::SignatureIndex::FromSignatures({p, q}, sigs);
+  struct Case {
+    rules::Rule rule;
+    long long favorable;
+    long long total;
+  };
+  const std::vector<Case> cases = {{rules::DepRule(p, q), 1, 2},
+                                   {rules::SymDepRule(p, q), 1, 3},
+                                   {rules::DepDisjunctiveRule(p, q), 2, 3}};
+  for (const Case& c : cases) {
+    const auto evaluator = MakeEvaluator(c.rule, &index);
+    EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(evaluator.get()),
+              nullptr)
+        << c.rule.name();
+    const SigmaCounts counts = evaluator->CountsAll();
+    ExpectSameCounts(counts, GenericEvaluator(c.rule, &index).CountsAll(),
+                     c.rule.name());
+    EXPECT_EQ(static_cast<long long>(counts.favorable), c.favorable)
+        << c.rule.name();
+    EXPECT_EQ(static_cast<long long>(counts.total), c.total) << c.rule.name();
+  }
+  // Dep[p,p] names one property twice (Table 1's diagonal): the rule's
+  // property constants dedup to one, yet both atoms name it.
+  for (const std::string& prop : {p, q}) {
+    const rules::Rule rule = rules::DepRule(prop, prop);
+    const auto evaluator = MakeEvaluator(rule, &index);
+    EXPECT_NE(dynamic_cast<const ClosedFormEvaluator*>(evaluator.get()),
+              nullptr)
+        << rule.name();
+    const SigmaCounts counts = evaluator->CountsAll();
+    ExpectSameCounts(counts, GenericEvaluator(rule, &index).CountsAll(),
+                     rule.name());
+    EXPECT_EQ(static_cast<long long>(counts.total), 2) << rule.name();
+    EXPECT_DOUBLE_EQ(counts.Value(), 1.0) << rule.name();
+  }
 }
 
 TEST(ClosedFormTest, FactoryFallsBackToGenericForAdHocRules) {
@@ -179,8 +225,9 @@ TEST(ClosedFormTest, FactoryFallsBackToGenericForAdHocRules) {
       rules::ParseRule("val(c1) = 1 && subj(c1) = subj(c2) -> val(c2) = 1");
   ASSERT_TRUE(parsed.ok());
   auto evaluator = MakeEvaluator(*parsed, &index);
+  EXPECT_NE(dynamic_cast<const GenericEvaluator*>(evaluator.get()), nullptr);
   // Generic evaluator must agree with direct enumeration.
-  ExpectSameCounts(evaluator->Counts(AllSignatures(index)),
+  ExpectSameCounts(evaluator->CountsAll(),
                    EvaluateRuleOnIndex(*parsed, index), "generic");
 }
 

@@ -284,9 +284,6 @@ class CancelAfterMergeProbes : public eval::Evaluator {
   const schema::SignatureIndex& index() const override {
     return inner_->index();
   }
-  eval::SigmaCounts Counts(const std::vector<int>& sig_ids) const override {
-    return inner_->Counts(sig_ids);
-  }
   eval::SortStats MakeStats() const override { return inner_->MakeStats(); }
   eval::SigmaCounts CountsFromStats(
       const eval::SortStats& stats) const override {

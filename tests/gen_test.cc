@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dense_matrix_oracle.h"
-#include "eval/closed_form.h"
+#include "eval/evaluator.h"
 #include "gen/mixed.h"
 #include "gen/persons.h"
 #include "gen/random_graph.h"
@@ -16,7 +16,7 @@
 namespace rdfsr::gen {
 namespace {
 
-using eval::AllSignatures;
+using eval::ClosedFormEvaluator;
 
 TEST(PersonsTest, MatchesPaperHeadlineNumbers) {
   const schema::SignatureIndex index = GeneratePersons();
@@ -26,9 +26,8 @@ TEST(PersonsTest, MatchesPaperHeadlineNumbers) {
   EXPECT_GE(index.num_signatures(), 48u);
   EXPECT_LE(index.num_signatures(), 64u);
 
-  const std::vector<int> all = AllSignatures(index);
-  const double cov = eval::CovCounts(index, all).Value();
-  const double sim = eval::SimCounts(index, all).Value();
+  const double cov = ClosedFormEvaluator::Cov(&index)->SigmaAll();
+  const double sim = ClosedFormEvaluator::Sim(&index)->SigmaAll();
   EXPECT_NEAR(cov, 0.54, 0.02);  // paper: 0.54
   EXPECT_NEAR(sim, 0.77, 0.02);  // paper: 0.77
 }
@@ -57,17 +56,15 @@ TEST(PersonsTest, SymDepOfDeathPairMatchesPaper) {
   config.num_subjects = 50000;
   const schema::SignatureIndex index = GeneratePersons(config);
   const double symdep =
-      eval::SymDepCounts(index, AllSignatures(index), "deathPlace",
-                         "deathDate")
-          .Value();
+      ClosedFormEvaluator::SymDep(&index, "deathPlace", "deathDate")
+          ->SigmaAll();
   EXPECT_NEAR(symdep, 0.39, 0.03);  // paper: 0.39
 }
 
 TEST(PersonsTest, GivenAndSurNameFullyCorrelated) {
   const schema::SignatureIndex index = GeneratePersons();
   const double symdep =
-      eval::SymDepCounts(index, AllSignatures(index), "givenName", "surName")
-          .Value();
+      ClosedFormEvaluator::SymDep(&index, "givenName", "surName")->SigmaAll();
   EXPECT_DOUBLE_EQ(symdep, 1.0);  // paper Table 2 top entry
 }
 
@@ -94,9 +91,8 @@ TEST(PersonsTest, GraphMaterializationConsistent) {
 TEST(WordnetTest, MatchesPaperHeadlineNumbers) {
   const schema::SignatureIndex index = GenerateWordnet();
   EXPECT_EQ(index.num_properties(), 12u);
-  const std::vector<int> all = AllSignatures(index);
-  const double cov = eval::CovCounts(index, all).Value();
-  const double sim = eval::SimCounts(index, all).Value();
+  const double cov = ClosedFormEvaluator::Cov(&index)->SigmaAll();
+  const double sim = ClosedFormEvaluator::Sim(&index)->SigmaAll();
   EXPECT_NEAR(cov, 0.44, 0.02);  // paper: 0.44
   EXPECT_NEAR(sim, 0.93, 0.02);  // paper: 0.93
   // Paper: 53 signatures; rare-combination sampling gives the same order.

@@ -98,12 +98,11 @@ TEST(GreedyTest, FindRefinementValidatesThreshold) {
   const schema::SignatureIndex index =
       schema::SignatureIndex::FromSignatures({"a", "b"}, sigs);
   auto evaluator = eval::MakeEvaluator(rules::CovRule(), &index);
-  auto found = GreedyFindRefinement(*evaluator, 2, Rational(1));
-  ASSERT_TRUE(found.has_value());
-  EXPECT_TRUE(ValidateRefinement(*evaluator, *found, Rational(1)).ok());
+  const SortRefinement found = GreedyMaxMinSigma(*evaluator, 2);
+  EXPECT_TRUE(ValidateRefinement(*evaluator, found, Rational(1)).ok());
   // An impossible threshold: the whole dataset has Cov < 1 with k = 1.
-  auto impossible = GreedyFindRefinement(*evaluator, 1, Rational(1));
-  EXPECT_FALSE(impossible.has_value());
+  const SortRefinement impossible = GreedyMaxMinSigma(*evaluator, 1);
+  EXPECT_FALSE(ValidateRefinement(*evaluator, impossible, Rational(1)).ok());
 }
 
 TEST(RefinementTest, SummaryAndSubjects) {

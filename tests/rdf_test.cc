@@ -114,17 +114,6 @@ TEST(GraphTest, SubjectsAndPropertiesInFirstAppearanceOrder) {
   EXPECT_EQ(g.dict().term(g.properties()[0]).lexical, "p1");
 }
 
-TEST(GraphTest, HasProperty) {
-  Graph g;
-  g.AddIri("s", "p", "o");
-  const TermId s = g.dict().FindIri("s");
-  const TermId p = g.dict().FindIri("p");
-  const TermId o = g.dict().FindIri("o");
-  EXPECT_TRUE(g.HasProperty(s, p));
-  EXPECT_FALSE(g.HasProperty(o, p));
-  EXPECT_FALSE(g.HasProperty(s, o));
-}
-
 TEST(GraphTest, SortConstants) {
   Graph g;
   g.AddIri("a", vocab::kRdfType, "Person");

@@ -1,8 +1,10 @@
 // Test oracle: the seed's refinement heuristics (commit c2222b7), verbatim —
 // greedy max-min sigma with local search, and threshold-stopped agglomerative
 // merging. Every candidate evaluation re-derives the sort's counts from its
-// member signatures through Evaluator::Sigma / Counts, with no incremental
-// state, so it shares no code path with core/greedy.cc's SortStats engines.
+// member signatures through Evaluator::Sigma / Counts, a fresh SortStats fold
+// per call with no state kept between calls, so it shares none of
+// core/greedy.cc's incremental paths (Remove, MergeWith, the pairwise merged
+// extraction, the cached per-slot sigmas).
 // refine_regression_test checks that the engines reproduce it exactly on
 // 256-signature indices (the one differential check of greedy at that size).
 // The one intended difference: the engines break merge ties by exact

@@ -1,8 +1,11 @@
 // Property tests for the incremental SortStats subsystem (eval/sort_stats.h):
-// random Add/Remove/MergeWith sequences must always match a scratch
-// SubsetStats::Compute + closed-form recompute — exactly, favorable and total
-// as integers — for all six builtin rule families, so the refinement
-// heuristics can trust the incremental path bit for bit.
+// after every step of random Add/Remove/MergeWith sequences, CheckInvariants()
+// must find every aggregate equal to its recomputation from the member set,
+// and the closed forms of all six builtin rule families must read the same
+// counts — exactly, favorable and total as integers — as a fresh fold of the
+// members (Evaluator::Counts), so the refinement heuristics can trust the
+// incremental path bit for bit. tests/closed_form_test.cc checks the fresh
+// fold against the generic enumerator.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +14,7 @@
 #include <vector>
 
 #include "eval/cached_evaluator.h"
-#include "eval/closed_form.h"
+#include "eval/enumerator.h"
 #include "eval/evaluator.h"
 #include "eval/sort_stats.h"
 #include "gen/random_graph.h"
@@ -93,6 +96,7 @@ TEST(SortStatsTest, RandomMutationSequencesMatchScratchRecompute) {
           stats.MergeWith(other);
           members.insert(members.end(), added.begin(), added.end());
         }
+        stats.CheckInvariants();
         ExpectCountsEqual(
             evaluator->CountsFromStats(stats), evaluator->Counts(members),
             evaluator->rule().name() + " seed " + std::to_string(seed) +
@@ -128,6 +132,8 @@ TEST(SortStatsTest, MergedPairExtractionMatchesMergeThenExtract) {
             all.push_back(static_cast<int>(i));
           }
         }
+        a.CheckInvariants();
+        b.CheckInvariants();
         ExpectCountsEqual(
             evaluator->CountsFromMergedStats(a, b), evaluator->Counts(all),
             evaluator->rule().name() + " merged-pair seed " +
@@ -137,7 +143,7 @@ TEST(SortStatsTest, MergedPairExtractionMatchesMergeThenExtract) {
   }
 }
 
-TEST(SortStatsTest, AggregatesMatchScratchSubsetStats) {
+TEST(SortStatsTest, AggregatesMatchScratchRecompute) {
   gen::RandomIndexSpec spec;
   spec.num_signatures = 9;
   spec.num_properties = 6;
@@ -147,17 +153,11 @@ TEST(SortStatsTest, AggregatesMatchScratchSubsetStats) {
   SortStats stats(&index);
   for (int id : subset) stats.Add(id);
 
-  const SubsetStats scratch = SubsetStats::Compute(index, subset);
-  EXPECT_TRUE(stats.subjects() == scratch.subjects);
-  EXPECT_TRUE(stats.support_sum() == scratch.support_sum);
-  EXPECT_EQ(stats.used_properties(), scratch.used_properties);
+  // Recomputes subjects, support_sum, count_sq_sum, every cnt_p, the used
+  // set and |P*| from the members, and checks the count representation.
+  stats.CheckInvariants();
   EXPECT_EQ(static_cast<int>(stats.used().Popcount()),
-            scratch.used_properties);
-  for (std::size_t p = 0; p < index.num_properties(); ++p) {
-    EXPECT_TRUE(BigCount{stats.property_count(p)} ==
-                scratch.property_count[p])
-        << "property " << p;
-  }
+            stats.used_properties());
   EXPECT_EQ(stats.num_members(), subset.size());
   EXPECT_EQ(stats.members().ToVector(), subset);
 }
@@ -233,18 +233,16 @@ TEST(SortStatsTest, CachedEvaluatorBypassesMemoForCheapClosedForms) {
   other.Add(1);
   const SigmaCounts via_stats = cached.CountsFromStats(stats);
   cached.CountsFromMergedStats(stats, other);
+  // The id-vector entry point folds into stats, so it bypasses the memo too.
+  cached.Counts({0, 3});
   EXPECT_EQ(cached.misses(), 0u);
   EXPECT_EQ(cached.hits(), 0u);
   ExpectCountsEqual(via_stats, cov->CountsFromStats(stats), "bypass");
-  // The id-vector entry point still memoizes (scratch closed forms walk
-  // members, so validation-heavy paths keep their cache).
-  cached.Counts({0, 3});
-  EXPECT_EQ(cached.misses(), 1u);
 }
 
-TEST(SortStatsTest, GenericEvaluatorFallsBackToMemberCounts) {
-  // A rule with no closed form exercises the base-class fallback: stats carry
-  // their member set, so CountsFromStats must agree with Counts.
+TEST(SortStatsTest, GenericEvaluatorEnumeratesTheMembers) {
+  // A rule with no closed form: stats carry their member set, so the generic
+  // evaluator's CountsFromStats must equal enumerating the restriction.
   gen::RandomIndexSpec spec;
   spec.num_signatures = 5;
   spec.num_properties = 4;
@@ -259,8 +257,9 @@ TEST(SortStatsTest, GenericEvaluatorFallsBackToMemberCounts) {
   stats.Add(0);
   stats.Add(2);
   stats.Add(4);
-  ExpectCountsEqual(generic.CountsFromStats(stats), generic.Counts({0, 2, 4}),
-                    "generic fallback");
+  ExpectCountsEqual(generic.CountsFromStats(stats),
+                    EvaluateRuleOnIndex(*rule, index.Restrict({0, 2, 4})),
+                    "generic restriction");
 }
 
 TEST(SortStatsTest, SparseDenseTransitionsMatchScratchOracle) {
@@ -269,8 +268,9 @@ TEST(SortStatsTest, SparseDenseTransitionsMatchScratchOracle) {
   // ~1/32 occupancy (back below ~1/64), and per-property counts start as
   // sorted parallel arrays and densify once used properties reach |P|/2
   // (back below |P|/8). This drives a ramp-up/drain sequence sized so all
-  // four representation states occur, checking every aggregate against the
-  // scratch SubsetStats oracle at each step — the flips must be invisible.
+  // four representation states occur, checking every aggregate against its
+  // scratch recomputation (CheckInvariants) at each step — the flips must be
+  // invisible.
   gen::RandomIndexSpec spec;
   spec.num_signatures = 200;
   spec.num_properties = 64;
@@ -309,17 +309,7 @@ TEST(SortStatsTest, SparseDenseTransitionsMatchScratchOracle) {
     saw_member_rep[stats.members().dense() ? 1 : 0] = true;
     saw_count_rep[stats.counts_dense() ? 1 : 0] = true;
 
-    const SubsetStats scratch = SubsetStats::Compute(index, members);
-    ASSERT_TRUE(stats.subjects() == scratch.subjects) << "step " << step;
-    ASSERT_TRUE(stats.support_sum() == scratch.support_sum)
-        << "step " << step;
-    ASSERT_EQ(stats.used_properties(), scratch.used_properties)
-        << "step " << step;
-    for (std::size_t p = 0; p < index.num_properties(); ++p) {
-      ASSERT_TRUE(BigCount{stats.property_count(p)} ==
-                  scratch.property_count[p])
-          << "step " << step << " property " << p;
-    }
+    stats.CheckInvariants();
     std::vector<int> sorted = members;
     std::sort(sorted.begin(), sorted.end());
     ASSERT_EQ(stats.members().ToVector(), sorted) << "step " << step;
