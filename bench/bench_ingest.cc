@@ -10,12 +10,13 @@
 //             (single read, zero-copy parse, IndexBuilder pairs -> sort ->
 //             group, no dense intermediate)
 //   api-mt8   same, with parse_threads = 8 (clamped to the input's chunk
-//             count; the sharded parse merges through Graph::MergeShards)
+//             count; the per-shard loaders merge serially in chunk order)
 //
 // Two checks make the exit code meaningful: api-mt8 must yield the same
-// subject, property and signature counts as api, and an 8-thread parse of
-// the file must produce exactly the same dictionary (ids, kinds, lexical
-// forms) and triple/subject/property orders as a 1-thread parse,
+// dataset as api (the whole index — columns, signatures, every subject's
+// signature — num_triples and SortIris), and an 8-thread parse of the file
+// into an rdf::Graph must produce exactly the same dictionary (ids, kinds,
+// lexical forms) and triple/subject/property orders as a 1-thread parse,
 // fingerprint-compared. Every record carries the effective thread count and
 // the process peak RSS.
 //
@@ -47,11 +48,18 @@ namespace {
 
 constexpr const char* kSort = "http://bench/Entity";
 
+/// The IRI of the synthetic file's i-th subject.
+std::string SubjectIri(std::size_t i) {
+  return "http://bench/e" + std::to_string(i);
+}
+
 /// Writes a synthetic single-sort N-Triples file of roughly `target_triples`
 /// triples: 64 properties, 48 signature templates, literal-heavy objects —
-/// the shape of the paper's DBpedia Persons dataset.
+/// the shape of the paper's DBpedia Persons dataset. `subjects` receives the
+/// subject count (subjects are SubjectIri(0), SubjectIri(1), ...).
 std::size_t WriteSyntheticFile(const std::string& path,
-                               std::size_t target_triples, std::uint64_t seed) {
+                               std::size_t target_triples, std::uint64_t seed,
+                               std::size_t* subjects) {
   constexpr int kProps = 64;
   constexpr int kTemplates = 48;
   Rng rng(seed);
@@ -74,7 +82,7 @@ std::size_t WriteSyntheticFile(const std::string& path,
   std::size_t triples = 0;
   std::size_t subject = 0;
   while (triples < target_triples) {
-    const std::string s = "<http://bench/e" + std::to_string(subject) + ">";
+    const std::string s = "<" + SubjectIri(subject) + ">";
     out << s << " <" << rdf::vocab::kRdfType << "> <" << kSort << "> .\n";
     ++triples;
     const auto& tmpl = templates[subject % kTemplates];
@@ -85,6 +93,7 @@ std::size_t WriteSyntheticFile(const std::string& path,
     }
     ++subject;
   }
+  *subjects = subject;
   return triples;
 }
 
@@ -96,6 +105,7 @@ struct LoadResult {
   std::size_t signatures = 0;
   int threads = 1;             // effective parser threads of the run
   std::size_t peak_rss = 0;    // process high-water RSS after the load
+  std::uint64_t fingerprint = 0;  // FingerprintDataset of the load
 };
 
 /// Order-sensitive FNV fingerprint of everything the parse is contracted to
@@ -128,8 +138,36 @@ std::uint64_t FingerprintGraph(const rdf::Graph& g) {
   return h;
 }
 
+/// Order-sensitive FNV fingerprint of everything a load must reproduce at
+/// any thread count: num_triples, SortIris, and the index's columns,
+/// signatures and subject -> signature map (over the file's `subjects`
+/// subjects).
+std::uint64_t FingerprintDataset(const api::Dataset& dataset,
+                                 std::size_t subjects) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; };
+  const auto mix_str = [&](const std::string& str) {
+    mix(str.size());
+    for (const char c : str) mix(static_cast<unsigned char>(c));
+  };
+  mix(dataset.num_triples());
+  for (const std::string& sort : dataset.SortIris()) mix_str(sort);
+  const schema::SignatureIndex& index = dataset.index();
+  for (const std::string& name : index.property_names()) mix_str(name);
+  mix(index.num_signatures());
+  for (std::size_t i = 0; i < index.num_signatures(); ++i) {
+    mix(static_cast<std::uint64_t>(index.signature(i).count));
+    for (const int p : index.signature(i).support()) mix(p);
+  }
+  for (std::size_t i = 0; i < subjects; ++i) {
+    mix(static_cast<std::uint64_t>(index.FindSubjectSignature(SubjectIri(i))));
+  }
+  return h;
+}
+
 /// The production façade path (optionally multi-threaded parse).
-LoadResult LoadApi(const std::string& path, int parse_threads) {
+LoadResult LoadApi(const std::string& path, int parse_threads,
+                   std::size_t subjects) {
   WallTimer timer;
   api::DatasetOptions options;
   options.sort = kSort;
@@ -145,6 +183,7 @@ LoadResult LoadApi(const std::string& path, int parse_threads) {
   r.signatures = dataset->num_signatures();
   r.threads = dataset->effective_parse_threads();
   r.peak_rss = PeakRssBytes();
+  r.fingerprint = FingerprintDataset(*dataset, subjects);
   return r;
 }
 
@@ -180,10 +219,12 @@ int Run(const std::vector<std::size_t>& sizes) {
   for (std::size_t target : sizes) {
     const std::string path =
         "/tmp/bench_ingest_" + std::to_string(target) + ".nt";
-    const std::size_t triples = WriteSyntheticFile(path, target, /*seed=*/42);
+    std::size_t subjects = 0;
+    const std::size_t triples =
+        WriteSyntheticFile(path, target, /*seed=*/42, &subjects);
 
-    const LoadResult api = LoadApi(path, /*parse_threads=*/1);
-    const LoadResult api_mt = LoadApi(path, /*parse_threads=*/8);
+    const LoadResult api = LoadApi(path, /*parse_threads=*/1, subjects);
+    const LoadResult api_mt = LoadApi(path, /*parse_threads=*/8, subjects);
 
     // Bit-identical contract of the sharded parse: the 8-thread graph (ids,
     // terms, triple/subject/property orders) must fingerprint the same as
@@ -208,12 +249,11 @@ int Run(const std::vector<std::size_t>& sizes) {
     }
     std::remove(path.c_str());
 
-    // Both loads must agree on the resulting view.
-    if (api_mt.subjects != api.subjects ||
-        api_mt.properties != api.properties ||
-        api_mt.signatures != api.signatures) {
-      std::cerr << "FAIL: api-mt8 index differs from api at " << triples
-                << " triples\n";
+    // Both loads must agree on the whole dataset.
+    if (api_mt.fingerprint != api.fingerprint) {
+      std::cerr << "FAIL: api-mt8 dataset (index, num_triples, SortIris) "
+                   "differs from api at "
+                << triples << " triples\n";
       ok = false;
     }
 

@@ -13,7 +13,7 @@
 
 namespace rdfsr::api {
 
-Result<Dataset> Dataset::Build(std::shared_ptr<const rdf::Graph> graph,
+Result<Dataset> Dataset::Build(std::shared_ptr<const rdf::IncidenceSink> triples,
                                const std::string& sort,
                                const DatasetOptions& options,
                                util::ThreadPool* pool, int parse_threads,
@@ -23,11 +23,12 @@ Result<Dataset> Dataset::Build(std::shared_ptr<const rdf::Graph> graph,
   rep->parse_threads = parse_threads;
   // Both paths stream (subject, property) pairs straight into the signature
   // index — no dense subject x property matrix, and no sort slice copied
-  // into a second graph (membership comes from the rdf:type postings).
+  // out (membership comes from the rdf:type postings).
   if (!sort.empty()) {
     std::size_t slice_triples = 0;
     rep->index = schema::IndexBuilder::FromSortSlice(
-        *graph, sort, options.keep_subject_names, &slice_triples, pool, cancel);
+        *triples, sort, options.keep_subject_names, &slice_triples, pool,
+        cancel);
     // A tripped token leaves a structurally valid but incomplete index:
     // discard it rather than hand out a silently truncated dataset.
     if (cancel.stop_requested()) return cancel.status();
@@ -35,14 +36,14 @@ Result<Dataset> Dataset::Build(std::shared_ptr<const rdf::Graph> graph,
       return Status::NotFound("no subjects of sort <" + sort + ">");
     }
     rep->sort = sort;
-    rep->triples = slice_triples;
+    rep->num_triples = slice_triples;
   } else {
     rep->index = schema::IndexBuilder::FromGraph(
-        *graph, options.keep_subject_names, pool, cancel);
+        *triples, options.keep_subject_names, pool, cancel);
     if (cancel.stop_requested()) return cancel.status();
-    rep->triples = graph->size();
+    rep->num_triples = triples->size();
   }
-  if (options.keep_graph) rep->graph = std::move(graph);
+  if (options.keep_graph) rep->triples = std::move(triples);
   return Dataset(std::move(rep));
 }
 
@@ -50,11 +51,16 @@ Result<Dataset> Dataset::FromNTriplesFile(const std::string& path,
                                           const DatasetOptions& options) {
   auto text = rdf::ReadFileToString(path);
   if (!text.ok()) return text.status();
-  return FromNTriplesText(*text, options);
+  return Load(*text, &*text, options);
 }
 
 Result<Dataset> Dataset::FromNTriplesText(std::string_view text,
                                           const DatasetOptions& options) {
+  return Load(text, nullptr, options);
+}
+
+Result<Dataset> Dataset::Load(std::string_view text, std::string* owned,
+                              const DatasetOptions& options) {
   // The deadline covers the whole chain: parse, shard merge, index build.
   const util::Deadline deadline = util::Deadline::AfterMillis(options.deadline_ms);
   rdf::ParseOptions parse_options;
@@ -64,29 +70,25 @@ Result<Dataset> Dataset::FromNTriplesText(std::string_view text,
   parse_options.cancel = deadline.token();
   const int effective = rdf::EffectiveParseThreads(parse_options, text.size());
   parse_options.threads = effective;
-  // One pool carries the whole load: sharded parse, shard merge, and the
-  // index build's sort / grouping stages all draw from the same workers.
+  // One pool carries the whole load: sharded parse and the index build's
+  // sort / grouping stages all draw from the same workers.
   std::unique_ptr<util::ThreadPool> pool;
   if (effective > 1) {
     pool = std::make_unique<util::ThreadPool>(effective - 1);
     parse_options.pool = pool.get();
   }
-  rdf::Graph parsed;
-  Status st = rdf::ParseNTriplesInto(text, &parsed, parse_options);
+  auto triples = std::make_shared<rdf::IncidenceSink>();
+  Status st = rdf::ParseNTriplesInto(text, triples.get(), parse_options);
   if (!st.ok()) return st;
-  parsed.TypePostings();  // warm while exclusively owned, as in FromGraph
-  return Build(std::make_shared<const rdf::Graph>(std::move(parsed)),
-               options.sort, options, pool.get(), effective, deadline.token());
+  if (owned != nullptr) std::string().swap(*owned);
+  return Build(std::move(triples), options.sort, options, pool.get(),
+               effective, deadline.token());
 }
 
-Result<Dataset> Dataset::FromGraph(rdf::Graph graph,
+Result<Dataset> Dataset::FromGraph(const rdf::Graph& graph,
                                    const DatasetOptions& options) {
-  // Warm the lazy rdf:type posting cache while this call still owns the
-  // graph exclusively: the graph is immutable once shared, so later const
-  // reads (Build, Slice, SortIris — possibly from several threads sharing
-  // the Dataset) only ever hit the already-built postings.
-  graph.TypePostings();
-  return Build(std::make_shared<const rdf::Graph>(std::move(graph)),
+  return Build(std::make_shared<const rdf::IncidenceSink>(
+                   rdf::IncidenceSink::FromGraph(graph)),
                options.sort, options);
 }
 
@@ -98,24 +100,24 @@ Dataset Dataset::FromIndex(schema::SignatureIndex index) {
 
 Result<Dataset> Dataset::Slice(const std::string& sort_iri,
                                const DatasetOptions& options) const {
-  if (rep_->graph == nullptr) {
+  if (rep_->triples == nullptr) {
     return Status::InvalidArgument(
-        "dataset retains no graph to slice (built FromIndex or with "
+        "dataset retains no triples to slice (built FromIndex or with "
         "keep_graph = false)");
   }
-  return Build(rep_->graph, sort_iri, options);  // shares the parent graph
+  return Build(rep_->triples, sort_iri, options);  // shares the parent's
 }
 
 std::vector<std::string> Dataset::SortIris() const {
   std::vector<std::string> iris;
-  if (rep_->graph == nullptr) return iris;
-  for (rdf::TermId id : rep_->graph->SortConstants()) {
-    iris.push_back(rep_->graph->dict().term(id).lexical);
+  if (rep_->triples == nullptr) return iris;
+  for (rdf::TermId id : rep_->triples->SortConstants()) {
+    iris.push_back(rep_->triples->dict().term(id).lexical);
   }
   return iris;
 }
 
-std::size_t Dataset::num_triples() const { return rep_->triples; }
+std::size_t Dataset::num_triples() const { return rep_->num_triples; }
 
 std::int64_t Dataset::num_subjects() const {
   return rep_->index.total_subjects();

@@ -6,12 +6,14 @@
 // refinement. Internally that spans six layers (rdf -> schema -> rules ->
 // eval -> core/ilp); this header collapses it to two value types:
 //
-//   Dataset   owns the loading chain: N-Triples file/string -> rdf::Graph ->
-//             optional sort slice -> SignatureIndex (streamed through
-//             schema::IndexBuilder — no dense matrix intermediate). Copies
-//             share the immutable state, so Dataset is cheap to pass around
-//             and anything derived from it (an Analysis) keeps the underlying
-//             index alive on its own — no borrowed-pointer lifetime chains.
+//   Dataset   owns the loading chain: N-Triples file/string ->
+//             rdf::IncidenceSink (the subject/property pairs and rdf:type
+//             triples; no other object is interned) -> optional sort slice
+//             -> SignatureIndex (streamed through schema::IndexBuilder — no
+//             dense matrix intermediate). Copies share the immutable state,
+//             so Dataset is cheap to pass around and anything derived from
+//             it (an Analysis) keeps the underlying index alive on its own —
+//             no borrowed-pointer lifetime chains.
 //
 //   Analysis  binds one rule (builtin, spec string, or parsed custom text) to
 //             one Dataset, owns the evaluator and solver it needs, and
@@ -41,6 +43,7 @@
 
 #include "core/solver.h"
 #include "rdf/graph.h"
+#include "rdf/incidence_sink.h"
 #include "rdf/ntriples.h"
 #include "rules/ast.h"
 #include "schema/signature_index.h"
@@ -60,14 +63,15 @@ struct DatasetOptions {
   /// Retain the subject-name -> signature map. Needed by rules mentioning
   /// subj(c) = <constant> and by SignatureOf(); costs one string per subject.
   bool keep_subject_names = true;
-  /// Retain the parsed graph so Slice() / SortIris() work after loading.
-  /// Turn off to drop the triples once the index is built.
+  /// Retain the loaded triples — the (subject, property) pairs and the
+  /// rdf:type triples, not a graph — so Slice() / SortIris() work after
+  /// loading. Turn off to drop them once the index is built.
   bool keep_graph = true;
   /// Parser threads for FromNTriplesFile / FromNTriplesText. 1 (the default)
   /// parses sequentially; higher values shard the input at line boundaries
-  /// and merge per-shard dictionaries in chunk order, which produces the
-  /// exact same dataset (term ids, triple order, index) as sequential — a
-  /// pure throughput knob for multi-million-triple files. Values < 1 mean
+  /// and merge the shards in chunk order, which produces the exact same
+  /// dataset (index, num_triples(), SortIris(), diagnostics) as sequential —
+  /// a pure throughput knob for multi-million-triple files. Values < 1 mean
   /// one thread per hardware thread; the count is capped so every chunk
   /// keeps at least ~1 MiB of input (tiny files parse on fewer threads).
   /// The clamped count the load actually used is
@@ -110,7 +114,9 @@ struct Refinement {
 };
 
 /// An immutable loaded dataset: the signature index plus (optionally) the
-/// graph it came from. Value semantics — copies share state.
+/// loaded triples it came from — the subject/property pairs and rdf:type
+/// triples that Slice() and SortIris() read, not a graph. Value semantics —
+/// copies share state.
 class Dataset {
  public:
   /// Loads an N-Triples file from disk and builds the index.
@@ -121,23 +127,24 @@ class Dataset {
   static Result<Dataset> FromNTriplesText(std::string_view text,
                                           const DatasetOptions& options = {});
 
-  /// Builds a dataset from an already-parsed graph.
-  static Result<Dataset> FromGraph(rdf::Graph graph,
+  /// Builds a dataset from an already-parsed graph (converted to the same
+  /// loaded triples a parse of its N-Triples serialization gives).
+  static Result<Dataset> FromGraph(const rdf::Graph& graph,
                                    const DatasetOptions& options = {});
 
   /// Wraps an existing signature index (synthetic generators, index IO).
-  /// The dataset has no graph, so Slice() and SortIris() are unavailable.
+  /// The dataset has no triples, so Slice() and SortIris() are unavailable.
   static Dataset FromIndex(schema::SignatureIndex index);
 
-  /// The sort slice D_t as a new Dataset sharing this dataset's graph.
+  /// The sort slice D_t as a new Dataset sharing this dataset's triples.
   /// Fails with NotFound when no subject has the sort, InvalidArgument when
-  /// the graph was not retained. `options.sort` is ignored — the explicit
+  /// the triples were not retained. `options.sort` is ignored — the explicit
   /// `sort_iri` argument is the sort.
   Result<Dataset> Slice(const std::string& sort_iri,
                         const DatasetOptions& options = {}) const;
 
   /// All sort IRIs t appearing in (s, rdf:type, t) triples, or empty when the
-  /// graph was not retained.
+  /// triples were not retained.
   std::vector<std::string> SortIris() const;
 
   /// Binds a rule to this dataset. The spec is either a builtin name —
@@ -149,7 +156,9 @@ class Dataset {
   Analysis Analyze(rules::Rule rule) const;
 
   // --- shape ---------------------------------------------------------------
-  std::size_t num_triples() const;  ///< 0 when built FromIndex / graph dropped
+  /// Distinct triples of the dataset (of D_t for a slice); 0 when built
+  /// FromIndex.
+  std::size_t num_triples() const;
   std::int64_t num_subjects() const;
   std::size_t num_properties() const;
   std::size_t num_signatures() const;
@@ -182,20 +191,27 @@ class Dataset {
   // Immutable shared state; Analyses take their own reference.
   struct Rep {
     schema::SignatureIndex index;
-    std::shared_ptr<const rdf::Graph> graph;  // null when dropped / FromIndex
-    std::string sort;                         // sliced sort IRI, or empty
-    std::size_t triples = 0;
+    // null when dropped (keep_graph = false) or FromIndex
+    std::shared_ptr<const rdf::IncidenceSink> triples;
+    std::string sort;  // sliced sort IRI, or empty
+    std::size_t num_triples = 0;
     int parse_threads = 1;  // effective parser thread count of the load
   };
 
   explicit Dataset(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
 
-  /// The one loading chain: slices `graph` to `sort` (when non-empty), builds
-  /// the index, and assembles the Rep. Shared by the From* factories and
-  /// Slice(). `pool`, when non-null, parallelizes the index build stages
+  /// Parses `text` and builds the dataset (FromNTriplesText's chain). When
+  /// `owned` is non-null it holds `text`, and is released after the parse,
+  /// before the index build: nothing loaded points into it.
+  static Result<Dataset> Load(std::string_view text, std::string* owned,
+                              const DatasetOptions& options);
+
+  /// The one loading chain: slices `triples` to `sort` (when non-empty),
+  /// builds the index, and assembles the Rep. Shared by the From* factories
+  /// and Slice(). `pool`, when non-null, parallelizes the index build stages
   /// (same bit-identical result); `parse_threads` is recorded for
   /// effective_parse_threads().
-  static Result<Dataset> Build(std::shared_ptr<const rdf::Graph> graph,
+  static Result<Dataset> Build(std::shared_ptr<const rdf::IncidenceSink> triples,
                                const std::string& sort,
                                const DatasetOptions& options,
                                util::ThreadPool* pool = nullptr,

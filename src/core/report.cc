@@ -29,7 +29,7 @@ std::vector<SortProfile> ProfileRefinement(const schema::SignatureIndex& index,
     SortProfile profile;
     profile.signatures = sort.size();
     eval::SortStats stats(&index);
-    for (int sig : sort) stats.Add(sig);
+    stats.AddAll(sort);
     profile.subjects = static_cast<std::int64_t>(stats.subjects());
     profile.sigma_cov = eval::CovCountsFromStats(stats).Value();
     profile.sigma_sim = eval::SimCountsFromStats(stats).Value();

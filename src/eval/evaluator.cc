@@ -13,7 +13,7 @@ GenericEvaluator::GenericEvaluator(rules::Rule rule,
 
 SigmaCounts Evaluator::Counts(const std::vector<int>& sig_ids) const {
   SortStats stats = MakeStats();
-  for (int sig : sig_ids) stats.Add(sig);
+  stats.AddAll(sig_ids);
   return CountsFromStats(stats);
 }
 

@@ -108,6 +108,46 @@ void SortStats::Add(int sig_id) {
   }
 }
 
+void SortStats::AddAll(const std::vector<int>& sig_ids) {
+  RDFSR_CHECK(index_ != nullptr);
+  RDFSR_CHECK(empty()) << "AddAll folds into empty stats";
+  if (sig_ids.empty()) return;
+  members_.InsertAll(sig_ids);
+  num_members_ = sig_ids.size();
+  std::vector<std::int64_t> counts(index_->num_properties(), 0);
+  for (const int sig_id : sig_ids) {
+    const schema::Signature& sig = index_->signature(sig_id);
+    const std::int64_t n = sig.count;
+    subjects_ += n;
+    support_sum_ +=
+        static_cast<BigCount>(n) * static_cast<BigCount>(sig.props().Popcount());
+    sig.props().ForEach([&](int p) { counts[static_cast<std::size_t>(p)] += n; });
+    if (pair_mask_.capacity() != 0 && pair_mask_.IsSubsetOf(sig.props())) {
+      pair_both_ += n;
+    }
+  }
+  for (std::size_t p = 0; p < counts.size(); ++p) {
+    if (counts[p] == 0) continue;
+    used_.Insert(p);
+    ++used_properties_;
+    count_sq_sum_ +=
+        static_cast<BigCount>(counts[p]) * static_cast<BigCount>(counts[p]);
+  }
+  // Add() densifies once 2 * |P*| reaches |P|, and |P*| only grows under
+  // Add, so the final |P*| decides the representation Add() per id ends in.
+  if (2 * static_cast<std::size_t>(used_properties_) >= counts.size()) {
+    property_count_ = std::move(counts);
+    counts_dense_ = true;
+    return;
+  }
+  sparse_props_.reserve(static_cast<std::size_t>(used_properties_));
+  sparse_counts_.reserve(static_cast<std::size_t>(used_properties_));
+  used_.ForEach([&](int p) {
+    sparse_props_.push_back(static_cast<std::uint32_t>(p));
+    sparse_counts_.push_back(counts[static_cast<std::size_t>(p)]);
+  });
+}
+
 void SortStats::Remove(int sig_id) {
   RDFSR_CHECK(index_ != nullptr);
   RDFSR_CHECK_GE(sig_id, 0);

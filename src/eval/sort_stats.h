@@ -1,7 +1,7 @@
 // Mergeable per-sort statistics: the one aggregate sigma is computed from.
 //
 // Every count of an implicit sort goes through a SortStats: Evaluator::Counts
-// folds signature ids into fresh stats, and the refinement heuristics
+// folds signature ids into fresh stats (AddAll), and the refinement heuristics
 // (core/greedy.cc), which mutate candidate sorts one signature (greedy trial
 // placements) or one whole part (agglomerative merges) at a time, keep stats
 // incrementally instead of re-walking every member signature per probe
@@ -73,6 +73,12 @@ class SortStats {
 
   /// Adds signature set `sig_id` (must not be a member).
   void Add(int sig_id);
+
+  /// Folds `sig_ids` (distinct, in range, any order) into these empty stats
+  /// in one pass: cnt_p accumulates in a dense scratch vector, the members
+  /// are set in bulk, and each representation is chosen once. Every
+  /// aggregate and both representations come out as Add() per id gives.
+  void AddAll(const std::vector<int>& sig_ids);
 
   /// Removes signature set `sig_id` (must be a member).
   void Remove(int sig_id);

@@ -138,9 +138,8 @@ class Graph {
   ///
   /// Thread-safety: the build mutates a mutable cache, so call this once
   /// while the graph is still exclusively owned if const references will be
-  /// shared across threads afterwards (api::Dataset::FromGraph does exactly
-  /// that); once built for the current triple count, concurrent const calls
-  /// are read-only.
+  /// shared across threads afterwards; once built for the current triple
+  /// count, concurrent const calls are read-only.
   const std::vector<std::uint32_t>& TypePostings() const;
 
   /// Full structural validation (fatal on violation): every triple's ids are

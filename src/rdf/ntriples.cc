@@ -3,8 +3,10 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -27,6 +29,49 @@ namespace {
     if (!_st.ok()) return _st;               \
   } while (0)
 
+/// The eight bytes at `p` as one word, byte 0 in the low bits.
+std::uint64_t LoadWord(const char* p) {
+  std::uint64_t word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, p, sizeof(word));
+  } else {
+    for (int i = 7; i >= 0; --i) {
+      word = (word << 8) | static_cast<unsigned char>(p[i]);
+    }
+  }
+  return word;
+}
+
+/// Sets the high bit of every zero byte of `word`. Bits above the lowest
+/// zero byte may be false positives (the borrow ripples up); the lowest set
+/// bit is always exact.
+constexpr std::uint64_t ZeroBytes(std::uint64_t word) {
+  return (word - 0x0101010101010101ULL) & ~word & 0x8080808080808080ULL;
+}
+
+/// Index of the first byte at or after `pos` in `line` that equals one of
+/// `Stops`, or line.size() when none does. Eight bytes per step: OR-ing the
+/// zero-byte masks of (word ^ broadcast(stop)) keeps each stop's lowest hit
+/// exact, so the lowest set bit of the union is the first stop byte. The
+/// tail shorter than a word goes byte by byte.
+template <char... Stops>
+std::size_t ScanTo(std::string_view line, std::size_t pos) {
+  const char* data = line.data();
+  while (pos + 8 <= line.size()) {
+    const std::uint64_t word = LoadWord(data + pos);
+    const std::uint64_t hits =
+        (ZeroBytes(word ^ (0x0101010101010101ULL *
+                           static_cast<unsigned char>(Stops))) |
+         ...);
+    if (hits != 0) {
+      return pos + static_cast<std::size_t>(std::countr_zero(hits)) / 8;
+    }
+    pos += 8;
+  }
+  while (pos < line.size() && ((data[pos] != Stops) && ...)) ++pos;
+  return pos;
+}
+
 /// Cursor over a single N-Triples line, producing TermViews. Unescaped terms
 /// view directly into the line; escaped forms decode into one of four scratch
 /// buffers (subject, predicate, object lexical, object datatype) that are
@@ -41,13 +86,21 @@ class LineParser {
     scratch_used_ = 0;
   }
 
-  Status ParseTriple(TermView* s, TermView* p, TermView* o) {
+  /// Parses the line's triple. `object_bytes` receives the object's
+  /// spelling in the line when it has no escape, else an empty view.
+  Status ParseTriple(TermView* s, TermView* p, TermView* o,
+                     std::string_view* object_bytes) {
     SkipWs();
     RETURN_IF_ERROR(ParseSubject(s));
     SkipWs();
     RETURN_IF_ERROR(ParseIriTerm(p, "predicate"));
     SkipWs();
+    const std::size_t object_start = pos_;
+    const int scratch_before = scratch_used_;
     RETURN_IF_ERROR(ParseObject(o));
+    *object_bytes = scratch_used_ == scratch_before
+                        ? line_.substr(object_start, pos_ - object_start)
+                        : std::string_view();
     SkipWs();
     if (!Consume('.')) return Error("expected '.' terminating triple");
     SkipWs();
@@ -77,6 +130,9 @@ class LineParser {
     }
     const std::size_t start = pos_;
     std::string* scratch = nullptr;
+    // Word-at-a-time to the first byte the loop below acts on; from an
+    // escape on, the loop goes byte by byte.
+    pos_ = ScanTo<'>', ' ', '\t', '\\'>(line_, pos_);
     while (pos_ < line_.size() && line_[pos_] != '>') {
       const char c = line_[pos_];
       if (c == ' ' || c == '\t') return Error("whitespace inside IRI");
@@ -121,6 +177,7 @@ class LineParser {
     const std::size_t start = pos_;
     std::string* scratch = nullptr;
     bool closed = false;
+    pos_ = ScanTo<'"', '\\'>(line_, pos_);  // as in ParseIriTerm
     while (pos_ < line_.size()) {
       const char c = line_[pos_];
       if (c == '"') {
@@ -281,7 +338,8 @@ class LineParser {
   int scratch_used_ = 0;
 };
 
-/// Iterates the lines of `text`, invoking sink(s, p, o) per triple. Line
+/// Iterates the lines of `text`, invoking sink(s, p, o, object_bytes) per
+/// triple (object_bytes as in LineParser::ParseTriple). Line
 /// numbers are 1-based and offset by `first_line_no` (sharded chunks pass the
 /// global number of their first line). Static dispatch on the sink keeps the
 /// per-triple cost free of std::function indirection on the graph hot path.
@@ -314,8 +372,9 @@ Status ParseLinesInto(std::string_view text, std::size_t first_line_no,
     if (first == std::string_view::npos) continue;
     if (line[first] == '#') continue;
     TermView s, p, o;
+    std::string_view object_bytes;
     parser.Reset(line, current_line);
-    Status st = parser.ParseTriple(&s, &p, &o);
+    Status st = parser.ParseTriple(&s, &p, &o, &object_bytes);
     if (!st.ok()) {
       if (max_errors == 0) return st;
       ++errors;
@@ -329,7 +388,7 @@ Status ParseLinesInto(std::string_view text, std::size_t first_line_no,
       }
       continue;
     }
-    sink(s, p, o);
+    sink(s, p, o, object_bytes);
   }
   return Status::OK();
 }
@@ -353,21 +412,24 @@ std::vector<std::pair<std::size_t, std::size_t>> SplitAtLines(
   return chunks;
 }
 
-/// Sharded parse: each worker parses its chunk into a private graph with a
-/// private dictionary; the shards then merge into `graph` in chunk order,
-/// interning each shard's terms in shard-local id order. Both orders coincide
-/// with first-occurrence order in the byte stream, so the merged graph is
-/// bit-identical (term ids, triple order) to a sequential parse. The merge
-/// itself runs on the pool (Graph::MergeShards) when `graph` starts empty;
-/// appends to a non-empty graph fall back to the serial id-remap loop.
-Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
-                        util::ThreadPool* pool, const ParseOptions& options) {
+/// The sharded parse both destinations share. Splits `text` at line
+/// boundaries, numbers each chunk's first line, and parses chunk i on the
+/// pool into shards[i] through add(&shards[i], s, p, o, object_bytes). Then
+/// folds the shard statuses and diagnostics in chunk order and calls
+/// merge(&shards, merge_count, lines), which must fold the first
+/// `merge_count` shards into the destination in chunk order. A shard's ids
+/// and orders are first occurrences within its chunk, and chunk order is
+/// byte order, so a merge that re-interns each shard's terms in id order
+/// reproduces the sequential parse exactly.
+template <typename Shard, typename AddFn, typename MergeFn>
+Status ParseSharded(std::string_view text, int threads, util::ThreadPool* pool,
+                    const ParseOptions& options, AddFn&& add, MergeFn&& merge) {
   const auto chunks = SplitAtLines(text, threads);
 
   // Global line number of each chunk's first line: parallel per-chunk
   // newline counts (memchr speed, but serial it costs as much as a parse
   // shard on large inputs), then a serial prefix. The total doubles as the
-  // pre-size estimate for the serial merge path.
+  // pre-size estimate for a serial merge.
   std::vector<std::size_t> chunk_lines(chunks.size());
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
@@ -384,7 +446,7 @@ Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
     line += chunk_lines[i];
   }
 
-  std::vector<Graph> shards(chunks.size());
+  std::vector<Shard> shards(chunks.size());
   std::vector<Status> shard_status(chunks.size(), Status::OK());
   // Per-shard diagnostic lists carry global line numbers (first_line[i]
   // offsets) and double as the per-shard error counters; each shard gets the
@@ -394,11 +456,12 @@ Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
       const auto [begin, end] = chunks[i];
-      Graph& local = shards[i];
+      Shard* local = &shards[i];
       shard_status[i] = ParseLinesInto(
           text.substr(begin, end - begin), first_line[i],
-          [&local](const TermView& s, const TermView& p, const TermView& o) {
-            local.Add(s, p, o);
+          [local, &add](const TermView& s, const TermView& p,
+                        const TermView& o, std::string_view object_bytes) {
+            add(local, s, p, o, object_bytes);
           },
           options.max_errors,
           options.max_errors > 0 ? &shard_diags[i] : nullptr, options.cancel);
@@ -440,25 +503,84 @@ Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
     }
   }
 
-  if (graph->empty() && graph->dict().size() == 0) {
-    Status merge_st =
-        graph->MergeShards(&shards, merge_count, pool, options.cancel);
-    if (!merge_st.ok()) return merge_st;
-    return result;
-  }
-  if (text.size() >= (1u << 20)) graph->Reserve(line, line);
-  std::vector<TermId> remap;
-  for (std::size_t s = 0; s < merge_count; ++s) {
-    const Dictionary& shard_dict = shards[s].dict();
-    remap.resize(shard_dict.size());
-    for (TermId id = 0; id < shard_dict.size(); ++id) {
-      remap[id] = graph->dict().Intern(shard_dict.term(id));
-    }
-    for (const Triple& t : shards[s].triples()) {
-      graph->Add(Triple{remap[t.subject], remap[t.predicate], remap[t.object]});
-    }
-  }
+  Status merge_st = merge(&shards, merge_count, line);
+  if (!merge_st.ok()) return merge_st;
   return result;
+}
+
+/// Sharded parse into a graph. Each shard is a private graph with a private
+/// dictionary. The merge runs on the pool (Graph::MergeShards) when `graph`
+/// starts empty; appends to a non-empty graph fall back to the serial
+/// id-remap loop.
+Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
+                        util::ThreadPool* pool, const ParseOptions& options) {
+  return ParseSharded<Graph>(
+      text, threads, pool, options,
+      [](Graph* local, const TermView& s, const TermView& p, const TermView& o,
+         std::string_view) { local->Add(s, p, o); },
+      [&](std::vector<Graph>* shards, std::size_t merge_count,
+          std::size_t lines) {
+        if (graph->empty() && graph->dict().size() == 0) {
+          return graph->MergeShards(shards, merge_count, pool, options.cancel);
+        }
+        if (text.size() >= (1u << 20)) graph->Reserve(lines, lines);
+        std::vector<TermId> remap;
+        for (std::size_t s = 0; s < merge_count; ++s) {
+          const Dictionary& shard_dict = (*shards)[s].dict();
+          remap.resize(shard_dict.size());
+          for (TermId id = 0; id < shard_dict.size(); ++id) {
+            remap[id] = graph->dict().Intern(shard_dict.term(id));
+          }
+          for (const Triple& t : (*shards)[s].triples()) {
+            graph->Add(
+                Triple{remap[t.subject], remap[t.predicate], remap[t.object]});
+          }
+        }
+        return Status::OK();
+      });
+}
+
+/// Sharded parse into an incidence sink: one loader per chunk, appended
+/// serially in chunk order (the first is moved, not copied).
+Status ParseShardedInto(std::string_view text, IncidenceSink::Loader* loader,
+                        int threads, util::ThreadPool* pool,
+                        const ParseOptions& options) {
+  return ParseSharded<IncidenceSink::Loader>(
+      text, threads, pool, options,
+      [](IncidenceSink::Loader* local, const TermView& s, const TermView& p,
+         const TermView& o, std::string_view object_bytes) {
+        local->Add(s, p, o, object_bytes);
+      },
+      [&](std::vector<IncidenceSink::Loader>* shards, std::size_t merge_count,
+          std::size_t lines) {
+        if (merge_count == 0) return Status::OK();
+        *loader = std::move((*shards)[0]);
+        loader->Reserve(lines);
+        for (std::size_t s = 1; s < merge_count; ++s) {
+          Status st = loader->Append(&(*shards)[s], options.cancel);
+          if (!st.ok()) return st;
+        }
+        return Status::OK();
+      });
+}
+
+/// The pool a sharded parse runs on: the borrowed one, else a fresh one of
+/// `threads` lanes (`threads - 1` workers plus the calling thread) that
+/// `owned` keeps alive.
+util::ThreadPool* ShardPool(const ParseOptions& options, int threads,
+                            std::unique_ptr<util::ThreadPool>* owned) {
+  if (options.pool != nullptr) return options.pool;
+  *owned = std::make_unique<util::ThreadPool>(threads - 1);
+  return owned->get();
+}
+
+/// Line count of a large input, the pre-size estimate for a sequential
+/// parse (lines bound the triples; distinct terms rarely exceed them, since
+/// subjects and predicates repeat); 0 below 1 MiB, where growth is cheap.
+std::size_t PresizeLines(std::string_view text) {
+  if (text.size() < (1u << 20)) return 0;
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n') +
+                                  1);
 }
 
 }  // namespace
@@ -484,35 +606,51 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
   const int threads = EffectiveParseThreads(options, text.size());
   if (threads > 1) {
     // One pool drives the whole sharded path: chunk line counts, the shard
-    // parses, and every merge phase. `threads - 1` workers plus the calling
-    // thread gives exactly `threads` lanes.
-    util::ThreadPool* pool = options.pool;
+    // parses, and every merge phase.
     std::unique_ptr<util::ThreadPool> owned;
-    if (pool == nullptr) {
-      owned = std::make_unique<util::ThreadPool>(threads - 1);
-      pool = owned.get();
-    }
-    return ParseShardedInto(text, graph, threads, pool, options);
+    return ParseShardedInto(text, graph, threads,
+                            ShardPool(options, threads, &owned), options);
   }
-  // Pre-size the graph from a newline count (memchr-speed pass): line count
-  // upper-bounds the triple count, and distinct terms rarely exceed lines
-  // (subjects and predicates repeat; objects are the unique tail).
-  if (text.size() >= (1u << 20)) {
-    const auto lines = static_cast<std::size_t>(
-        std::count(text.begin(), text.end(), '\n') + 1);
+  if (const std::size_t lines = PresizeLines(text); lines > 0) {
     graph->Reserve(lines, lines);
   }
   return ParseLinesInto(
       text, 1,
-      [graph](const TermView& s, const TermView& p, const TermView& o) {
-        graph->Add(s, p, o);
-      },
+      [graph](const TermView& s, const TermView& p, const TermView& o,
+              std::string_view) { graph->Add(s, p, o); },
       options.max_errors, options.diagnostics, options.cancel);
+}
+
+Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
+                         const ParseOptions& options) {
+  RDFSR_CHECK(sink != nullptr);
+  IncidenceSink::Loader loader;
+  Status st = Status::OK();
+  const int threads = EffectiveParseThreads(options, text.size());
+  if (threads > 1) {
+    std::unique_ptr<util::ThreadPool> owned;
+    st = ParseShardedInto(text, &loader, threads,
+                          ShardPool(options, threads, &owned), options);
+  } else {
+    loader.Reserve(PresizeLines(text));
+    st = ParseLinesInto(
+        text, 1,
+        [&loader](const TermView& s, const TermView& p, const TermView& o,
+                  std::string_view object_bytes) {
+          loader.Add(s, p, o, object_bytes);
+        },
+        options.max_errors, options.diagnostics, options.cancel);
+  }
+  *sink = loader.Finish();
+  return st;
 }
 
 Status ParseNTriplesStream(std::string_view text, const TripleSink& sink) {
   RDFSR_CHECK(sink != nullptr);
-  return ParseLinesInto(text, 1, sink);
+  return ParseLinesInto(text, 1,
+                        [&sink](const TermView& s, const TermView& p,
+                                const TermView& o,
+                                std::string_view) { sink(s, p, o); });
 }
 
 Result<Graph> ParseNTriples(std::string_view text) {

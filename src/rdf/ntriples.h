@@ -6,12 +6,18 @@
 //
 // The reader is streaming and zero-copy: terms are produced as TermViews
 // pointing into the input buffer (escaped forms decode into reused scratch
-// buffers), and files are read once into a single allocation. Parsing can be
+// buffers), and files are read once into a single allocation. IRIs and
+// literals are scanned eight bytes at a time up to their closing byte or
+// first escape; escapes and errors take the byte loop. Parsing can be
 // sharded across threads (ParseOptions::threads); chunks split at line
-// boundaries and shard dictionaries merge by id-remap in chunk order — itself
-// parallel when the destination graph starts empty (Graph::MergeShards) — so
-// the resulting graph is bit-identical to a sequential parse for any thread
-// count.
+// boundaries and shard dictionaries merge by id-remap in chunk order — in
+// parallel when the destination is an empty Graph (Graph::MergeShards),
+// serially for an IncidenceSink — so the result is bit-identical to a
+// sequential parse for any thread count.
+//
+// Two destinations: a Graph keeps every term of every triple; an
+// IncidenceSink (rdf/incidence_sink.h) keeps only what the signature index
+// and the sort enumeration read, and is what api::Dataset loads into.
 
 #ifndef RDFSR_RDF_NTRIPLES_H_
 #define RDFSR_RDF_NTRIPLES_H_
@@ -25,6 +31,7 @@
 #include <vector>
 
 #include "rdf/graph.h"
+#include "rdf/incidence_sink.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
@@ -88,6 +95,14 @@ Result<Graph> ParseNTriples(std::string_view text);
 Status ParseNTriplesInto(std::string_view text, Graph* graph);
 Status ParseNTriplesInto(std::string_view text, Graph* graph,
                          const ParseOptions& options);
+
+/// Parses N-Triples text into `sink`, replacing its contents. Same options,
+/// diagnostics and line numbers as the Graph overload, and the same result
+/// at any thread count. On error the sink keeps the triples before the
+/// failing line (sequential) or of the shards merged before the failure
+/// (sharded); a cancelled merge leaves a prefix of the input's triples.
+Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
+                         const ParseOptions& options = {});
 
 /// Parses an N-Triples file from disk (read once into a single buffer).
 Result<Graph> ParseNTriplesFile(const std::string& path,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/vocab.h"
@@ -61,6 +60,40 @@ void ParallelSortPairs(std::vector<std::uint64_t>* pairs,
     std::swap(src, dst);
   }
   if (src != pairs) pairs->swap(*src);
+}
+
+// The index of the sort slice D_t over a triple store given as two walks:
+// for_each_posting(fn) calls fn(subject, sort) per rdf:type triple and
+// for_each_pair(fn) calls fn(subject, property) per triple, both in order.
+// Members are the subjects typed `sort`; every non-type pair of a member
+// goes into the index.
+template <typename ForEachPosting, typename ForEachPair>
+SignatureIndex SliceIndex(const rdf::Dictionary& dict, rdf::TermId type_prop,
+                          rdf::TermId sort, ForEachPosting&& for_each_posting,
+                          ForEachPair&& for_each_pair, bool keep_subject_names,
+                          std::size_t* slice_triples, util::ThreadPool* pool,
+                          const util::CancellationToken& cancel) {
+  if (slice_triples != nullptr) *slice_triples = 0;
+  IndexBuilder builder;
+  if (type_prop != rdf::kInvalidTermId && sort != rdf::kInvalidTermId) {
+    std::vector<bool> member(dict.size(), false);
+    bool any = false;
+    for_each_posting([&](rdf::TermId s, rdf::TermId t) {
+      if (t != sort) return;
+      member[s] = true;
+      any = true;
+    });
+    if (any) {
+      std::size_t n = 0;
+      for_each_pair([&](rdf::TermId s, rdf::TermId p) {
+        if (p == type_prop || !member[s]) return;
+        builder.Add(s, p);
+        ++n;
+      });
+      if (slice_triples != nullptr) *slice_triples = n;
+    }
+  }
+  return builder.Build(dict, keep_subject_names, pool, cancel);
 }
 
 // Per-range grouping output: distinct signature rows in local first-subject
@@ -217,28 +250,52 @@ SignatureIndex IndexBuilder::FromSortSlice(const rdf::Graph& graph,
                                            std::size_t* slice_triples,
                                            util::ThreadPool* pool,
                                            const util::CancellationToken& cancel) {
-  if (slice_triples != nullptr) *slice_triples = 0;
-  IndexBuilder builder;
   const rdf::Dictionary& dict = graph.dict();
-  const rdf::TermId type_prop = dict.FindIri(rdf::vocab::kRdfType);
-  const rdf::TermId sort = dict.FindIri(type_iri);
-  if (type_prop != rdf::kInvalidTermId && sort != rdf::kInvalidTermId) {
-    std::unordered_set<rdf::TermId> members;
-    for (std::uint32_t i : graph.TypePostings()) {
-      const rdf::Triple& t = graph.triples()[i];
-      if (t.object == sort) members.insert(t.subject);
-    }
-    if (!members.empty()) {
-      std::size_t n = 0;
-      for (const rdf::Triple& t : graph.triples()) {
-        if (t.predicate == type_prop || members.count(t.subject) == 0) continue;
-        builder.Add(t.subject, t.predicate);
-        ++n;
-      }
-      if (slice_triples != nullptr) *slice_triples = n;
-    }
+  const std::vector<rdf::Triple>& triples = graph.triples();
+  return SliceIndex(
+      dict, dict.FindIri(rdf::vocab::kRdfType), dict.FindIri(type_iri),
+      [&](auto&& fn) {
+        for (std::uint32_t i : graph.TypePostings()) {
+          fn(triples[i].subject, triples[i].object);
+        }
+      },
+      [&](auto&& fn) {
+        for (const rdf::Triple& t : triples) fn(t.subject, t.predicate);
+      },
+      keep_subject_names, slice_triples, pool, cancel);
+}
+
+SignatureIndex IndexBuilder::FromGraph(const rdf::IncidenceSink& triples,
+                                       bool keep_subject_names,
+                                       util::ThreadPool* pool,
+                                       const util::CancellationToken& cancel) {
+  IndexBuilder builder;
+  builder.ReservePairs(triples.size());
+  for (const rdf::SubjectProperty& pair : triples.pairs()) {
+    builder.Add(pair.subject, pair.property);
   }
-  return builder.Build(dict, keep_subject_names, pool, cancel);
+  return builder.Build(triples.dict(), keep_subject_names, pool, cancel);
+}
+
+SignatureIndex IndexBuilder::FromSortSlice(const rdf::IncidenceSink& triples,
+                                           std::string_view type_iri,
+                                           bool keep_subject_names,
+                                           std::size_t* slice_triples,
+                                           util::ThreadPool* pool,
+                                           const util::CancellationToken& cancel) {
+  return SliceIndex(
+      triples.dict(), triples.type_property(), triples.dict().FindIri(type_iri),
+      [&](auto&& fn) {
+        for (const rdf::TypePosting& t : triples.type_postings()) {
+          fn(t.subject, t.sort);
+        }
+      },
+      [&](auto&& fn) {
+        for (const rdf::SubjectProperty& pair : triples.pairs()) {
+          fn(pair.subject, pair.property);
+        }
+      },
+      keep_subject_names, slice_triples, pool, cancel);
 }
 
 }  // namespace rdfsr::schema

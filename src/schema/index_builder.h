@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "rdf/graph.h"
+#include "rdf/incidence_sink.h"
 #include "schema/signature_index.h"
 #include "util/deadline.h"
 
@@ -107,6 +108,19 @@ class IndexBuilder {
   /// `slice_triples`, if non-null, receives |D_t|; an unknown sort (or one
   /// with no non-type triples) yields an empty index and 0 triples.
   static SignatureIndex FromSortSlice(const rdf::Graph& graph,
+                                      std::string_view type_iri,
+                                      bool keep_subject_names = true,
+                                      std::size_t* slice_triples = nullptr,
+                                      util::ThreadPool* pool = nullptr,
+                                      const util::CancellationToken& cancel = {});
+
+  /// The same two indexes from loaded triples (api::Dataset's path): equal
+  /// to the Graph overloads on the graph the triples were loaded from.
+  static SignatureIndex FromGraph(const rdf::IncidenceSink& triples,
+                                  bool keep_subject_names = true,
+                                  util::ThreadPool* pool = nullptr,
+                                  const util::CancellationToken& cancel = {});
+  static SignatureIndex FromSortSlice(const rdf::IncidenceSink& triples,
                                       std::string_view type_iri,
                                       bool keep_subject_names = true,
                                       std::size_t* slice_triples = nullptr,

@@ -77,6 +77,25 @@ class MemberSet {
     if (!dense_rep_ && 32 * size_ >= capacity_) Densify();
   }
 
+  /// Inserts every id of `ids` (distinct, in range, any order) into this
+  /// empty set at once; the representation is the one Insert() per id
+  /// would end in.
+  void InsertAll(const std::vector<int>& ids) {
+    RDFSR_CHECK_EQ(size_, 0u) << "InsertAll fills an empty set";
+    if (ids.empty()) return;
+    ids_.reserve(ids.size());
+    for (const int id : ids) {
+      RDFSR_CHECK_GE(id, 0);
+      RDFSR_CHECK_LT(static_cast<std::size_t>(id), capacity_);
+      ids_.push_back(static_cast<std::uint32_t>(id));
+    }
+    std::sort(ids_.begin(), ids_.end());
+    RDFSR_CHECK(std::adjacent_find(ids_.begin(), ids_.end()) == ids_.end())
+        << "repeated member id";
+    size_ = ids_.size();
+    if (32 * size_ >= capacity_) Densify();
+  }
+
   /// Erases `i`, which must be present.
   void Erase(std::size_t i) {
     RDFSR_CHECK_LT(i, capacity_);

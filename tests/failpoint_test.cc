@@ -142,6 +142,29 @@ TEST_F(FailpointTest, WorkerThrowUnwindsThePool) {
   graph.CheckInvariants();
 }
 
+TEST_F(FailpointTest, SinkShardMergeUnwindsCleanly) {
+  // The façade's sharded load appends per-shard loaders serially; a fault
+  // injected there must come back as the load's status with the sink left
+  // coherent, and the same load must succeed once disarmed. (The CLI drill
+  // cli_fault_ingest arms this site too.)
+  ASSERT_TRUE(util::ArmFailpointsFromSpec("incidence.merge-shards=error"));
+  const std::string text = ManyLines(600);
+  rdf::ParseOptions options;
+  options.threads = 4;
+  options.min_chunk_bytes = 1;
+  rdf::IncidenceSink sink;
+  const Status st = rdf::ParseNTriplesInto(text, &sink, options);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_NE(st.message().find("incidence.merge-shards"), std::string::npos);
+  sink.CheckInvariants();
+
+  util::ClearFailpoints();
+  ASSERT_TRUE(rdf::ParseNTriplesInto(text, &sink, options).ok());
+  sink.CheckInvariants();
+  EXPECT_EQ(sink.size(), 600u);
+}
+
 TEST_F(FailpointTest, IndexBuildUnwindsThroughTheApi) {
   ASSERT_TRUE(util::ArmFailpointsFromSpec("schema.index-build=error"));
   auto dataset = api::Dataset::FromNTriplesText(ManyLines(50));

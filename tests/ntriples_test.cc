@@ -133,6 +133,205 @@ TEST(NTriplesTest, RejectsEmptyLanguageTag) {
   EXPECT_FALSE(ParseNTriples("<s> <p> \"x\"@ .\n").ok());
 }
 
+// --- The word-at-a-time scanner ----------------------------------------------
+// IRIs and literals are scanned eight bytes at a time up to their first stop
+// byte; escapes and errors fall back to the byte loop. These cases put every
+// stop byte at every offset of terms of every length from 0 to 40 (so the
+// stop lands in each lane of a word and in the byte tail), behind a leading
+// pad that shifts the term's start, and check the exact terms or the exact
+// error message with its line number.
+
+/// The triples of `text` as owning terms, or the parse error.
+struct Parsed {
+  Status status;
+  std::vector<std::vector<Term>> triples;
+};
+
+Parsed ParseAll(std::string_view text) {
+  Parsed out;
+  out.status = ParseNTriplesStream(
+      text, [&](const TermView& s, const TermView& p, const TermView& o) {
+        out.triples.push_back({s.ToTerm(), p.ToTerm(), o.ToTerm()});
+      });
+  return out;
+}
+
+/// `len` bytes cycling through letters and digits: no stop byte, and no two
+/// nearby offsets alike.
+std::string Body(std::size_t len) {
+  static constexpr char kChars[] = "abcdefghijklmnopqrstuvwxyz0123456789";
+  std::string body;
+  for (std::size_t i = 0; i < len; ++i) body.push_back(kChars[i % 36]);
+  return body;
+}
+
+/// Every case sits on line 3, behind a comment, a blank line and a pad of
+/// 0-7 spaces that moves where the terms start relative to a word.
+std::string OnLine3(const std::string& triple, std::size_t pad) {
+  return "# scanner case\n\n" + std::string(pad % 8, ' ') + triple + "\n";
+}
+
+/// Expects `text` to parse to exactly the one triple (s, p, o).
+void ExpectOneTriple(const std::string& text, const Term& s, const Term& p,
+                     const Term& o) {
+  const Parsed r = ParseAll(text);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString() << " in: " << text;
+  ASSERT_EQ(r.triples.size(), 1u) << text;
+  EXPECT_EQ(r.triples[0][0], s) << text;
+  EXPECT_EQ(r.triples[0][1], p) << text;
+  EXPECT_EQ(r.triples[0][2], o) << text;
+}
+
+/// Expects `text` to fail with exactly "line 3: <message>".
+void ExpectLine3Error(const std::string& text, const std::string& message) {
+  const Parsed r = ParseAll(text);
+  ASSERT_FALSE(r.status.ok()) << text;
+  EXPECT_EQ(r.status.code(), StatusCode::kParseError) << text;
+  EXPECT_EQ(r.status.message(), "line 3: " + message) << text;
+}
+
+TEST(NTriplesScannerTest, IrisOfEveryLengthInEveryPosition) {
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const std::string body = Body(len);
+    const std::string iri = "<" + body + ">";
+    const std::string text = OnLine3(iri + " " + iri + " " + iri + " .", len);
+    if (len == 0) {
+      ExpectLine3Error(text, "empty IRI");
+      continue;
+    }
+    ExpectOneTriple(text, Term::Iri(body), Term::Iri(body), Term::Iri(body));
+  }
+}
+
+TEST(NTriplesScannerTest, IriStopBytesAtEveryOffset) {
+  const Term s = Term::Iri("s");
+  const Term p = Term::Iri("p");
+  for (std::size_t len = 1; len <= 40; ++len) {
+    const std::string body = Body(len);
+    for (std::size_t k = 0; k < len; ++k) {
+      SCOPED_TRACE("length " + std::to_string(len) + ", offset " +
+                   std::to_string(k));
+      std::string with = body;
+      // '>' ends the IRI at k; the rest of the body is left over.
+      with[k] = '>';
+      const std::string cut = OnLine3("<s> <p> <" + with + "> .", k);
+      if (k == 0) {
+        ExpectLine3Error(cut, "empty IRI");
+      } else {
+        ExpectLine3Error(cut, "expected '.' terminating triple");
+      }
+      // Whitespace inside an IRI is an error, in every position.
+      for (const char ws : {' ', '\t'}) {
+        with[k] = ws;
+        ExpectLine3Error(OnLine3("<s> <p> <" + with + "> .", k),
+                         "whitespace inside IRI");
+        ExpectLine3Error(OnLine3("<" + with + "> <p> <o> .", k),
+                         "whitespace inside IRI");
+      }
+      // A quote is an ordinary IRI byte here.
+      with[k] = '"';
+      ExpectOneTriple(OnLine3("<s> <p> <" + with + "> .", k), s, p,
+                      Term::Iri(with));
+      // An escape at k: the byte loop takes over and decodes it.
+      const std::string escaped =
+          body.substr(0, k) + "\\u0041" + body.substr(k + 1);
+      std::string decoded = body;
+      decoded[k] = 'A';
+      ExpectOneTriple(OnLine3("<s> <" + escaped + "> <" + escaped + "> .", k),
+                      s, Term::Iri(decoded), Term::Iri(decoded));
+    }
+  }
+}
+
+TEST(NTriplesScannerTest, LiteralStopBytesAtEveryOffset) {
+  const Term s = Term::Iri("s");
+  const Term p = Term::Iri("p");
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const std::string body = Body(len);
+    ExpectOneTriple(OnLine3("<s> <p> \"" + body + "\" .", len), s, p,
+                    Term::Literal(body));
+    ExpectOneTriple(OnLine3("<s> <p> \"" + body + "\"@en-GB .", len), s, p,
+                    Term::Literal(body, "", "en-GB"));
+    ExpectOneTriple(OnLine3("<s> <p> \"" + body + "\"^^<" + body + "x> .", len),
+                    s, p, Term::Literal(body, body + "x"));
+    for (std::size_t k = 0; k < len; ++k) {
+      SCOPED_TRACE("length " + std::to_string(len) + ", offset " +
+                   std::to_string(k));
+      std::string with = body;
+      // A quote ends the literal at k; the rest of the body is left over.
+      with[k] = '"';
+      ExpectLine3Error(OnLine3("<s> <p> \"" + with + "\" .", k),
+                       "expected '.' terminating triple");
+      // IRI stop bytes are ordinary literal bytes.
+      for (const char c : {'>', ' ', '\t'}) {
+        with[k] = c;
+        ExpectOneTriple(OnLine3("<s> <p> \"" + with + "\" .", k), s, p,
+                        Term::Literal(with));
+      }
+      // Escapes at k, one byte and multi-byte, decoded by the byte loop.
+      std::string decoded = body;
+      decoded[k] = '"';
+      ExpectOneTriple(
+          OnLine3("<s> <p> \"" + body.substr(0, k) + "\\\"" +
+                      body.substr(k + 1) + "\" .",
+                  k),
+          s, p, Term::Literal(decoded));
+      decoded[k] = '\\';
+      ExpectOneTriple(
+          OnLine3("<s> <p> \"" + body.substr(0, k) + "\\\\" +
+                      body.substr(k + 1) + "\" .",
+                  k),
+          s, p, Term::Literal(decoded));
+    }
+  }
+}
+
+TEST(NTriplesScannerTest, EscapesStraddlingWordBoundaries) {
+  // A 6- or 10-byte escape starting at every offset of a 40-byte term
+  // crosses every word boundary; the bytes after it go through the byte
+  // loop and must decode unchanged.
+  const std::string body = Body(40);
+  const Term s = Term::Iri("s");
+  const Term p = Term::Iri("p");
+  for (std::size_t k = 0; k <= body.size(); ++k) {
+    SCOPED_TRACE("offset " + std::to_string(k));
+    const std::string head = body.substr(0, k);
+    const std::string tail = body.substr(k);
+    ExpectOneTriple(
+        OnLine3("<s> <p> \"" + head + "\\u00e9" + tail + "\" .", k), s, p,
+        Term::Literal(head + "\xc3\xa9" + tail));
+    ExpectOneTriple(
+        OnLine3("<s> <p> \"" + head + "\\U0001F600\\t" + tail + "\" .", k),
+        s, p, Term::Literal(head + "\xf0\x9f\x98\x80\t" + tail));
+    ExpectOneTriple(
+        OnLine3("<s> <p> <" + head + "\\u00e9" + tail + "> .", k), s, p,
+        Term::Iri(head + "\xc3\xa9" + tail));
+    // After an escape, an IRI still rejects whitespace.
+    ExpectLine3Error(
+        OnLine3("<s> <p> <" + head + "\\u00e9 " + tail + "> .", k),
+        "whitespace inside IRI");
+  }
+}
+
+TEST(NTriplesScannerTest, UnterminatedTermsOfEveryLength) {
+  for (std::size_t len = 0; len <= 40; ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    const std::string body = Body(len);
+    ExpectLine3Error(OnLine3("<s> <p> <" + body, len), "unterminated IRI");
+    ExpectLine3Error(OnLine3("<" + body, len), "unterminated IRI");
+    ExpectLine3Error(OnLine3("<s> <p> \"" + body, len),
+                     "unterminated literal");
+    ExpectLine3Error(OnLine3("<s> <p> \"" + body + "\\", len),
+                     "dangling escape in literal");
+    ExpectLine3Error(OnLine3("<s> <p> <" + body + "\\", len),
+                     "dangling unicode escape");
+    ExpectLine3Error(OnLine3("<s> <p> \"" + body + "\\u00", len),
+                     "truncated unicode escape");
+    ExpectLine3Error(OnLine3("<s> <p> \"" + body + "\\q\" .", len),
+                     "invalid escape '\\q'");
+  }
+}
+
 TEST(NTriplesTest, WriterRoundTrips) {
   const char* text =
       "<http://x/s> <http://x/p> \"a\\tb \\\"q\\\" \\\\z\"@en .\n"

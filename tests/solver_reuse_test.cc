@@ -71,13 +71,9 @@ long long ExpectChainedMatchesFresh(const eval::Evaluator& evaluator,
 }
 
 TEST(SolverReuseTest, QuickstartChainedExistsMatchesFreshSolver) {
-  auto dataset = api::Dataset::FromNTriplesFile(
-      "examples/data/quickstart.nt", {.sort = "http://x/Person"});
-  if (!dataset.ok()) {
-    // ctest runs from the build tree; fall back to the source-tree path.
-    dataset = api::Dataset::FromNTriplesFile(
-        "../examples/data/quickstart.nt", {.sort = "http://x/Person"});
-  }
+  // The absolute path comes from CMake, so any working directory works.
+  auto dataset = api::Dataset::FromNTriplesFile(RDFSR_QUICKSTART_NT,
+                                                {.sort = "http://x/Person"});
   ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
   const schema::SignatureIndex& index = dataset->index();
   for (const rules::Rule& rule : {rules::CovRule(), rules::SimRule()}) {

@@ -354,5 +354,64 @@ TEST(SortStatsTest, CompareSigmaIsExact) {
   EXPECT_EQ(CompareSigma(vacuous, big_hi), 1);
 }
 
+TEST(SortStatsTest, AddAllMatchesAddByAdd) {
+  // The one-pass fold behind Evaluator::Counts must build the stats Add()
+  // per id builds: every aggregate, the tracked pair, and both
+  // representations (member set and cnt_p storage), on sorts of every size
+  // in shuffled order, so it crosses each densify threshold.
+  int dense_counts = 0, sparse_counts = 0, dense_members = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    gen::RandomIndexSpec spec;
+    spec.num_signatures = 80;
+    spec.num_properties = 12 + 8 * static_cast<int>(seed);
+    spec.density = 0.08;
+    spec.max_count = 30;
+    spec.seed = seed;
+    const schema::SignatureIndex index = gen::GenerateRandomIndex(spec);
+    const auto evaluators = AllFamilies(index);
+    Rng rng(seed * 31 + 7);
+    std::vector<int> all(index.num_signatures());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+    for (std::size_t size = 0; size <= all.size(); size += 1 + size / 4) {
+      for (std::size_t i = all.size() - 1; i > 0; --i) {
+        std::swap(all[i], all[rng.Below(i + 1)]);
+      }
+      const std::vector<int> ids(all.begin(),
+                                 all.begin() + static_cast<std::ptrdiff_t>(size));
+      for (const auto& evaluator : evaluators) {
+        SortStats folded = evaluator->MakeStats();
+        folded.AddAll(ids);
+        SortStats added = evaluator->MakeStats();
+        for (int id : ids) added.Add(id);
+        folded.CheckInvariants();
+        const std::string where = "seed " + std::to_string(seed) + ", " +
+                                  std::to_string(size) + " ids";
+        EXPECT_EQ(folded.num_members(), added.num_members()) << where;
+        EXPECT_TRUE(folded.members() == added.members()) << where;
+        EXPECT_EQ(folded.members().dense(), added.members().dense()) << where;
+        EXPECT_TRUE(folded.subjects() == added.subjects()) << where;
+        EXPECT_TRUE(folded.support_sum() == added.support_sum()) << where;
+        EXPECT_TRUE(folded.count_sq_sum() == added.count_sq_sum()) << where;
+        EXPECT_TRUE(folded.pair_both() == added.pair_both()) << where;
+        EXPECT_EQ(folded.used_properties(), added.used_properties()) << where;
+        EXPECT_TRUE(folded.used() == added.used()) << where;
+        EXPECT_EQ(folded.counts_dense(), added.counts_dense()) << where;
+        for (std::size_t p = 0; p < index.num_properties(); ++p) {
+          EXPECT_EQ(folded.property_count(p), added.property_count(p))
+              << where << ", property " << p;
+        }
+        ExpectCountsEqual(evaluator->CountsFromStats(folded),
+                          evaluator->CountsFromStats(added), where);
+        (folded.counts_dense() ? dense_counts : sparse_counts) += 1;
+        dense_members += folded.members().dense() ? 1 : 0;
+      }
+    }
+  }
+  // Both count representations and the dense member set must have occurred.
+  EXPECT_GT(dense_counts, 0);
+  EXPECT_GT(sparse_counts, 0);
+  EXPECT_GT(dense_members, 0);
+}
+
 }  // namespace
 }  // namespace rdfsr::eval
