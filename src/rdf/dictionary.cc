@@ -1,8 +1,5 @@
 #include "rdf/dictionary.h"
 
-#include <atomic>
-#include <utility>
-
 namespace rdfsr::rdf {
 
 namespace {
@@ -58,46 +55,6 @@ TermId Dictionary::Find(const TermView& term) const {
     if (slot == kEmptySlot) return kInvalidTermId;
     if (TermEq{}(terms_[slot], term)) return slot;
     i = (i + 1) & mask;
-  }
-}
-
-TermId Dictionary::BulkAppend(std::size_t count) {
-  const TermId first = static_cast<TermId>(terms_.size());
-  // Grow the slot index before the resize: Rehash re-inserts every current
-  // term, and the about-to-be-appended slots are all identical empty Terms —
-  // hashing those would pile them onto one probe chain (quadratic) and leave
-  // stale entries BulkIndex then duplicates. The new ids are published by
-  // BulkIndex alone, after BulkSet has filled them.
-  const std::size_t slots = SlotsFor(terms_.size() + count);
-  if (slots > slots_.size()) Rehash(slots);
-  terms_.resize(terms_.size() + count);
-  return first;
-}
-
-void Dictionary::BulkIndex(TermId begin, TermId end) {
-  const std::size_t mask = slots_.size() - 1;
-  for (TermId id = begin; id < end; ++id) {
-    std::size_t i = TermHash{}(terms_[id]) & mask;
-    while (true) {
-      // owned-by-phase: slots_ is exclusive to the BulkIndex barrier phase —
-      // BulkAppend sizes it before the fan-out, only BulkIndex lanes touch it
-      // during the phase, and the caller's ParallelFor join publishes it to
-      // single-threaded readers. No mutex capability exists to annotate; the
-      // CAS below is the whole claim protocol.
-      // lint:allow(atomic-ref: slots_ owned by the BulkIndex phase; published by the ParallelFor join)
-      std::atomic_ref<std::uint32_t> slot(slots_[i]);
-      std::uint32_t expected = kEmptySlot;
-      // Every bulk term is distinct from every other term (the merge dedups
-      // first), so claiming any empty slot on the probe path is correct — no
-      // equality check needed, and the winning interleaving only affects the
-      // (unobservable) slot layout.
-      if (slot.load(std::memory_order_relaxed) == kEmptySlot &&
-          slot.compare_exchange_strong(expected, id,
-                                       std::memory_order_relaxed)) {
-        break;
-      }
-      i = (i + 1) & mask;
-    }
   }
 }
 

@@ -6,12 +6,8 @@
 //
 // Storage is a deque of Terms (id -> term, reference-stable across growth)
 // plus a flat open-addressing slot index (hash -> id, linear probing, load
-// factor < 1/2). Besides being allocation-lean, this layout is what enables
-// the sharded-parse bulk merge (rdf/ntriples.cc): new terms are appended and
-// filled in parallel, then published into the index by concurrent CAS inserts
-// — every bulk term is distinct, so publication needs no equality probes and
-// the slot layout (the only thing the interleaving can vary) is never
-// observable through the lookup API.
+// factor < 1/2): no node allocation per term, and a lookup is one linear
+// probe over a contiguous array.
 
 #ifndef RDFSR_RDF_DICTIONARY_H_
 #define RDFSR_RDF_DICTIONARY_H_
@@ -33,8 +29,7 @@ using TermId = std::uint32_t;
 inline constexpr TermId kInvalidTermId = static_cast<TermId>(-1);
 
 /// Bidirectional Term <-> TermId map. Ids are assigned in interning order and
-/// are stable for the dictionary's lifetime. Not thread-safe, except for the
-/// documented bulk-build protocol.
+/// are stable for the dictionary's lifetime. Not thread-safe.
 class Dictionary {
  public:
   Dictionary() = default;
@@ -82,54 +77,14 @@ class Dictionary {
   /// cascades during bulk loads).
   void Reserve(std::size_t terms);
 
-  // --- Sharded-merge bulk-build protocol (Graph::MergeShards) -------------
-  // Usage: BulkAppend once (serial), fill every new slot with BulkSet and
-  // publish disjoint id ranges with BulkIndex (both parallel), then resume
-  // normal use. Until the protocol completes, lookups are undefined.
-  //
-  // Each step is a capability transfer rather than a lock: BulkAppend runs
-  // with the caller holding exclusive ownership of the dictionary, the
-  // ParallelFor fan-out hands each lane exclusive ownership of its id range
-  // (BulkSet) plus shared CAS-claim access to the slot index (BulkIndex),
-  // and the ParallelFor join returns full ownership to the caller. There is
-  // no mutex for the thread-safety analysis to track across the transfer, so
-  // the atomic claims inside BulkIndex carry `owned-by-phase` contracts
-  // checked by the `atomic-ref` lint rule instead.
-
-  /// Appends `count` empty term slots, returning the id of the first, and
-  /// pre-grows the slot index to its final size (so BulkIndex never rehashes
-  /// concurrently). Serial.
-  TermId BulkAppend(std::size_t count);
-
-  /// Fills a bulk-appended slot. The term must be distinct from every term
-  /// the dictionary will hold. Safe to call concurrently for distinct ids.
-  void BulkSet(TermId id, Term&& term) {
-    RDFSR_CHECK_LT(id, terms_.size());
-    terms_[id] = std::move(term);
-  }
-
-  /// Publishes filled bulk ids [begin, end) into the slot index via atomic
-  /// claims. Safe to call concurrently for disjoint ranges.
-  void BulkIndex(TermId begin, TermId end);
-
-  /// Destructively moves out the term for `id` (shard dictionaries hand
-  /// their strings to the merged dictionary this way). The dictionary's
-  /// lookup index is stale afterwards; only term extraction remains valid.
-  Term StealTerm(TermId id) {
-    RDFSR_CHECK_LT(id, terms_.size());
-    return std::move(terms_[id]);
-  }
-
-  /// Full round-trip validation (fatal on violation): Find(term(id)) == id
-  /// for every interned id — the property the bulk-build protocol must
-  /// re-establish before normal use resumes. O(size); audit builds run it
-  /// after every parallel shard merge. Not valid on a dictionary whose terms
-  /// were stolen.
+  /// Full round-trip validation (fatal on violation): the slot index covers
+  /// every interned id once and Find(term(id)) == id. O(size); called by
+  /// tests.
   void CheckInvariants() const;
 
  private:
   /// Grows the slot index to `slots` entries (power of two) and reindexes
-  /// every stored term. Serial.
+  /// every stored term.
   void Rehash(std::size_t slots);
 
   std::deque<Term> terms_;            // id -> term; stable references

@@ -14,12 +14,6 @@
 
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
-#include "util/deadline.h"
-#include "util/status.h"
-
-namespace rdfsr::util {
-class ThreadPool;
-}  // namespace rdfsr::util
 
 namespace rdfsr::rdf {
 
@@ -109,28 +103,6 @@ class Graph {
   /// All sort constants t appearing in (s, type, t) triples.
   std::vector<TermId> SortConstants() const;
 
-  /// Bulk-merges the first `count` parsed shards into this graph on `pool` —
-  /// the parallel equivalent of interning each shard's terms into dict() in
-  /// shard order and Add()ing each shard's triples in shard order. Requires
-  /// this graph (and its dictionary) to be empty; the sharded parser falls
-  /// back to the serial merge loop when appending to a non-empty graph.
-  ///
-  /// The result is bit-identical to the serial merge: term ids and the
-  /// triple / subject / property orders are first-occurrence orders of the
-  /// concatenated shard streams, derived by per-shard prefix sums rather
-  /// than by any scheduling order (hash-table slot layouts are the only
-  /// thing the thread interleaving can vary, and those are unobservable).
-  /// Consumes the shards (terms are moved out of their dictionaries).
-  ///
-  /// Cancellation is polled between the early phases, before this graph is
-  /// mutated: a cancelled merge returns kCancelled / kDeadlineExceeded with
-  /// the destination graph still empty. On an injected fault (failpoint
-  /// build) the destination's contents are unspecified but safe to destroy;
-  /// callers discard the graph on any non-OK return.
-  Status MergeShards(std::vector<Graph>* shards, std::size_t count,
-                     util::ThreadPool* pool,
-                     const util::CancellationToken& cancel = {});
-
   /// Positions (indices into triples()) of all (s, rdf:type, t) triples, in
   /// insertion order. Built lazily on first use and extended incrementally as
   /// triples are added, so repeated sort-slice indexing / sort enumeration
@@ -145,9 +117,7 @@ class Graph {
   /// Full structural validation (fatal on violation): every triple's ids are
   /// interned, the triple set is duplicate-free, the dedup slot index covers
   /// exactly the stored triples, and subjects()/properties() are the
-  /// first-appearance orders of triples(). O(|D|); audit builds run it after
-  /// the parallel shard merge (the one code path where thread interleaving
-  /// could corrupt the flat structures without failing a lookup).
+  /// first-appearance orders of triples(). O(|D|); called by tests.
   void CheckInvariants() const;
 
  private:

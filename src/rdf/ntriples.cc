@@ -509,9 +509,9 @@ Status ParseSharded(std::string_view text, int threads, util::ThreadPool* pool,
 }
 
 /// Sharded parse into a graph. Each shard is a private graph with a private
-/// dictionary. The merge runs on the pool (Graph::MergeShards) when `graph`
-/// starts empty; appends to a non-empty graph fall back to the serial
-/// id-remap loop.
+/// dictionary; the fold re-interns each shard's terms in id order and adds
+/// its triples through the remap, serially in chunk order. The token is read
+/// before each shard, so a cancelled fold keeps the shards folded so far.
 Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
                         util::ThreadPool* pool, const ParseOptions& options) {
   return ParseSharded<Graph>(
@@ -520,12 +520,10 @@ Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
          std::string_view) { local->Add(s, p, o); },
       [&](std::vector<Graph>* shards, std::size_t merge_count,
           std::size_t lines) {
-        if (graph->empty() && graph->dict().size() == 0) {
-          return graph->MergeShards(shards, merge_count, pool, options.cancel);
-        }
         if (text.size() >= (1u << 20)) graph->Reserve(lines, lines);
         std::vector<TermId> remap;
         for (std::size_t s = 0; s < merge_count; ++s) {
+          if (options.cancel.stop_requested()) return options.cancel.status();
           const Dictionary& shard_dict = (*shards)[s].dict();
           remap.resize(shard_dict.size());
           for (TermId id = 0; id < shard_dict.size(); ++id) {
@@ -605,8 +603,8 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
   RDFSR_CHECK(graph != nullptr);
   const int threads = EffectiveParseThreads(options, text.size());
   if (threads > 1) {
-    // One pool drives the whole sharded path: chunk line counts, the shard
-    // parses, and every merge phase.
+    // One pool runs the chunk line counts and the shard parses; the fold
+    // into `graph` runs on this thread.
     std::unique_ptr<util::ThreadPool> owned;
     return ParseShardedInto(text, graph, threads,
                             ShardPool(options, threads, &owned), options);

@@ -10,10 +10,9 @@
 // literals are scanned eight bytes at a time up to their closing byte or
 // first escape; escapes and errors take the byte loop. Parsing can be
 // sharded across threads (ParseOptions::threads); chunks split at line
-// boundaries and shard dictionaries merge by id-remap in chunk order — in
-// parallel when the destination is an empty Graph (Graph::MergeShards),
-// serially for an IncidenceSink — so the result is bit-identical to a
-// sequential parse for any thread count.
+// boundaries, parse in parallel, and fold into the destination serially in
+// chunk order by re-interning each shard's terms in id order, so the result
+// is bit-identical to a sequential parse for any thread count.
 //
 // Two destinations: a Graph keeps every term of every triple; an
 // IncidenceSink (rdf/incidence_sink.h) keeps only what the signature index
@@ -59,7 +58,7 @@ struct ParseOptions {
   /// (each chunk keeps at least this many bytes) — thread startup would
   /// dominate. Tests lower this to force sharding on tiny inputs.
   std::size_t min_chunk_bytes = 1 << 20;
-  /// Optional borrowed worker pool for the sharded path (parse + merge).
+  /// Optional borrowed worker pool for the sharded path's shard parses.
   /// When null, the parser spins up a temporary pool of the effective
   /// thread count. Callers that also parallelize downstream stages (the
   /// api::Dataset load chain) pass one pool through the whole pipeline.
@@ -75,10 +74,10 @@ struct ParseOptions {
   /// (appended; bounded by max_errors even on over-budget failure).
   std::vector<ParseDiagnostic>* diagnostics = nullptr;
   /// Cooperative cancellation: the parser polls this token every few
-  /// thousand lines and unwinds with kCancelled / kDeadlineExceeded. The
-  /// graph is always left in a valid state: the sequential path keeps the
-  /// prefix parsed so far, the sharded path may leave it empty (the merge
-  /// refuses to start once the token has tripped).
+  /// thousand lines and the sharded fold before each shard, and unwinds with
+  /// kCancelled / kDeadlineExceeded. The graph is always left in a valid
+  /// state: the sequential path keeps the prefix parsed so far, the sharded
+  /// path keeps the shards folded before the trip.
   util::CancellationToken cancel;
 };
 

@@ -11,40 +11,23 @@
 // and a given run is exactly reproducible — no RNG). Multiple specs are
 // comma- or semicolon-separated.
 //
-// Sites come in two flavours:
-//   RDFSR_FAILPOINT(name)        — in a function returning Status/Result<T>:
-//                                  early-returns an injected kInternal Status.
-//   RDFSR_FAILPOINT_THROW(name)  — inside a ThreadPool worker: throws
-//                                  FailpointError, which ParallelFor rethrows
-//                                  on the calling thread; the catch site turns
-//                                  it back into a Status. This is what proves
-//                                  the pool unwinds instead of deadlocking.
+// A site is RDFSR_FAILPOINT(name), placed in a function returning Status or
+// Result<T>: when it fires, the function early-returns an injected kInternal
+// Status. A site that must report the fault some other way (the MIP solve
+// entry turns it into a kUnknown decision) calls FailpointHit(name) inside
+// #ifdef RDFSR_FAILPOINTS_ENABLED instead.
 //
-// When the CMake option is OFF (the default), both macros compile to nothing
+// When the CMake option is OFF (the default), the macro compiles to nothing
 // and the registry is not linked into the hot path.
 
 #ifndef RDFSR_UTIL_FAILPOINT_H_
 #define RDFSR_UTIL_FAILPOINT_H_
 
-#include <stdexcept>
 #include <string>
 
 #include "util/status.h"
 
 namespace rdfsr::util {
-
-/// Thrown by RDFSR_FAILPOINT_THROW from inside pool workers; carries the
-/// injected Status across the ParallelFor rethrow boundary.
-class FailpointError : public std::runtime_error {
- public:
-  explicit FailpointError(Status status)
-      : std::runtime_error(status.ToString()), status_(std::move(status)) {}
-
-  const Status& status() const { return status_; }
-
- private:
-  Status status_;
-};
 
 /// True when the named failpoint should fire on this hit. Thread-safe;
 /// increments the site's hit counter. Always false for unarmed names.
@@ -76,19 +59,9 @@ void ClearFailpoints();
       return ::rdfsr::util::FailpointStatus(name);                   \
     }                                                                \
   } while (false)
-#define RDFSR_FAILPOINT_THROW(name)                                  \
-  do {                                                               \
-    if (::rdfsr::util::FailpointShouldFire(name)) {                  \
-      throw ::rdfsr::util::FailpointError(                           \
-          ::rdfsr::util::FailpointStatus(name));                     \
-    }                                                                \
-  } while (false)
 #else
 #define RDFSR_FAILPOINT(name) \
   do {                        \
-  } while (false)
-#define RDFSR_FAILPOINT_THROW(name) \
-  do {                              \
   } while (false)
 #endif  // RDFSR_FAILPOINTS_ENABLED
 

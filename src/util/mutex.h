@@ -33,7 +33,6 @@ class RDFSR_CAPABILITY("mutex") Mutex {
 
   void Lock() RDFSR_ACQUIRE() { mu_.lock(); }
   void Unlock() RDFSR_RELEASE() { mu_.unlock(); }
-  bool TryLock() RDFSR_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;  // Wait adopts the underlying std::mutex

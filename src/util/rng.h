@@ -66,9 +66,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool Chance(double p) { return NextDouble() < p; }
 
-  /// Forks an independent stream (for parallel sub-generators).
-  Rng Fork() { return Rng(Next() ^ 0x9e3779b97f4a7c15ULL); }
-
  private:
   static std::uint64_t SplitMix64(std::uint64_t* state) {
     std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);

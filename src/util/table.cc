@@ -18,8 +18,6 @@ void TextTable::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TextTable::AddSeparator() { rows_.emplace_back(); }
-
 std::string TextTable::ToString() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
@@ -46,13 +44,7 @@ std::string TextTable::ToString() const {
 
   std::ostringstream out;
   out << rule() << line(header_) << rule();
-  for (const auto& row : rows_) {
-    if (row.empty()) {
-      out << rule();
-    } else {
-      out << line(row);
-    }
-  }
+  for (const auto& row : rows_) out << line(row);
   out << rule();
   return out.str();
 }

@@ -22,17 +22,14 @@ class TextTable {
   /// Appends a data row; must have the same arity as the header.
   void AddRow(std::vector<std::string> row);
 
-  /// Appends a horizontal separator line.
-  void AddSeparator();
-
   std::size_t num_rows() const { return rows_.size(); }
 
-  /// Renders with column padding, a header rule, and optional separators.
+  /// Renders with column padding and a rule under the header.
   std::string ToString() const;
 
  private:
   std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;  // empty vector == separator
+  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Formats a double with `digits` fractional digits ("0.54").

@@ -16,12 +16,12 @@
 // This is the static half of the repo's race coverage: the TSan CI job proves
 // the interleavings the test suite happens to execute are race-free; the
 // analysis here proves every lock-discipline violation the annotations can
-// express is absent from all paths, executed or not. What the analysis cannot
-// see — the barrier-separated phase ownership of `std::atomic_ref` slot
-// claims in Graph::MergeShards / Dictionary::BulkIndex — is covered by the
-// `atomic-ref` lint rule instead (tools/lint/rdfsr_lint.py), which makes
-// every lock-free site carry a written atomic-ref waiver stating its
-// ownership contract.
+// express is absent from all paths, executed or not. The analysis cannot see
+// lock-free state. Outside src/util/ the `atomic-ref` lint rule
+// (tools/lint/rdfsr_lint.py) makes every lock-free site carry a written
+// waiver stating its ownership contract; the library has no such site (its
+// only atomics are util's own: ParallelFor's chunk counter and the
+// cancellation flag).
 
 #ifndef RDFSR_UTIL_THREAD_ANNOTATIONS_H_
 #define RDFSR_UTIL_THREAD_ANNOTATIONS_H_

@@ -1,5 +1,5 @@
 // A small fixed-size worker pool shared by every parallel path in the repo:
-// the sharded N-Triples merge (rdf/ntriples.cc), the signature-index pair
+// the sharded N-Triples parse (rdf/ntriples.cc), the signature-index pair
 // sort (schema/index_builder.cc), and the agglomerative row recomputation
 // (core/greedy.cc).
 //

@@ -22,7 +22,6 @@
 #include "rules/builtins.h"
 #include "schema/index_builder.h"
 #include "util/deadline.h"
-#include "util/thread_pool.h"
 
 namespace rdfsr {
 namespace {
@@ -181,25 +180,6 @@ TEST(DeadlineTest, CancelledShardedParseLeavesValidGraph) {
     // must be coherent (aborts on corruption).
     graph.CheckInvariants();
   }
-}
-
-TEST(DeadlineTest, CancelledMergeLeavesDestinationEmpty) {
-  // MergeShards refuses to mutate the destination once the token tripped.
-  const std::string text =
-      "<http://x/a> <http://x/p> \"1\" .\n"
-      "<http://x/b> <http://x/p> \"2\" .\n";
-  std::vector<rdf::Graph> shards(2);
-  ASSERT_TRUE(rdf::ParseNTriplesInto(text, &shards[0]).ok());
-  ASSERT_TRUE(rdf::ParseNTriplesInto(text, &shards[1]).ok());
-  const util::Deadline deadline = util::Deadline::Cancellable();
-  deadline.RequestCancel();
-  util::ThreadPool pool(2);
-  rdf::Graph merged;
-  const Status st =
-      merged.MergeShards(&shards, shards.size(), &pool, deadline.token());
-  EXPECT_EQ(st.code(), StatusCode::kCancelled);
-  EXPECT_EQ(merged.size(), 0u);
-  merged.CheckInvariants();
 }
 
 // --- solver anytime semantics ------------------------------------------------

@@ -100,48 +100,6 @@ TEST_F(FailpointTest, ReadFileUnwindsCleanly) {
   std::remove(path.c_str());
 }
 
-TEST_F(FailpointTest, MergeShardsUnwindsWithDestinationUntouched) {
-  ASSERT_TRUE(util::ArmFailpointsFromSpec("graph.merge-shards=error"));
-  const std::string text = ManyLines(400);
-  rdf::ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
-  rdf::Graph graph;
-  const Status st = rdf::ParseNTriplesInto(text, &graph, options);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
-  // The failpoint fires before the merge mutates the destination.
-  EXPECT_EQ(graph.size(), 0u);
-  graph.CheckInvariants();
-}
-
-TEST_F(FailpointTest, WorkerThrowUnwindsThePool) {
-  // dict.bulk-append throws from inside a ParallelFor worker; the pool must
-  // rethrow on the calling thread and the merge must convert it back to a
-  // Status. Returning at all proves no worker deadlocked; ASan proves no
-  // leak of the half-merged state.
-  ASSERT_TRUE(util::ArmFailpointsFromSpec("dict.bulk-append=error"));
-  const std::string text = ManyLines(600);
-  rdf::ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
-  {
-    rdf::Graph graph;
-    const Status st = rdf::ParseNTriplesInto(text, &graph, options);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kInternal);
-    EXPECT_NE(st.message().find("dict.bulk-append"), std::string::npos);
-    // The interrupted destination is unspecified but must be safe to
-    // destroy (scope end).
-  }
-
-  // The same pool-backed path works again once disarmed — nothing wedged.
-  util::ClearFailpoints();
-  rdf::Graph graph;
-  EXPECT_TRUE(rdf::ParseNTriplesInto(text, &graph, options).ok());
-  graph.CheckInvariants();
-}
-
 TEST_F(FailpointTest, SinkShardMergeUnwindsCleanly) {
   // The façade's sharded load appends per-shard loaders serially; a fault
   // injected there must come back as the load's status with the sink left

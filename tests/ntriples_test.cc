@@ -412,15 +412,27 @@ TEST(NTriplesTest, ShardedParseMatchesSequentialBitForBit) {
   const std::string text = ManyLines(500);
   Graph sequential;
   ASSERT_TRUE(ParseNTriplesInto(text, &sequential).ok());
+  // Appending to a non-empty graph: the prefix shares subjects, predicates
+  // and some whole triples with `text`, so the fold must reuse its ids and
+  // drop the repeats.
+  const std::string prefix =
+      ManyLines(40) + "<http://x/new> <http://x/p0> \"value 3\" .\n";
+  Graph appended_sequential;
+  ASSERT_TRUE(ParseNTriplesInto(prefix, &appended_sequential).ok());
+  ASSERT_TRUE(ParseNTriplesInto(text, &appended_sequential).ok());
   for (int threads : {2, 3, 4, 8}) {
     ParseOptions options;
     options.threads = threads;
     options.min_chunk_bytes = 1;  // force sharding on this small input
-    Graph sharded;
-    ASSERT_TRUE(ParseNTriplesInto(text, &sharded, options).ok())
-        << threads << " threads";
     SCOPED_TRACE(std::to_string(threads) + " threads");
+    Graph sharded;
+    ASSERT_TRUE(ParseNTriplesInto(text, &sharded, options).ok());
     ExpectGraphsIdentical(sharded, sequential);
+
+    Graph appended;
+    ASSERT_TRUE(ParseNTriplesInto(prefix, &appended).ok());
+    ASSERT_TRUE(ParseNTriplesInto(text, &appended, options).ok());
+    ExpectGraphsIdentical(appended, appended_sequential);
   }
 }
 

@@ -40,9 +40,11 @@ commands:
 
 common options:
   --sort <iri>      analyze only the subjects declared of this rdf:type
-  --threads <n>     parser/index worker threads (0 = one per hardware
-                    thread; capped at the input's chunk count; the result
-                    is identical for any value)
+  --threads <n>     worker threads, at most 1024 (0 = one per hardware
+                    thread). Parsing and the index build use at most one
+                    per ~1 MiB input chunk; refine and report also run the
+                    agglomerative heuristic on n threads. The result is
+                    identical for any value
   --rule <spec>     cov (default) | sim | cov-ignoring:p1,... | dep:p1,p2 |
                     symdep:p1,p2 | depdisj:p1,p2 | free text in the rule
                     language; measure accepts --rule multiple times
@@ -80,6 +82,11 @@ constexpr int kExitUsage = 2;
 constexpr int kExitDataError = 3;
 constexpr int kExitLimit = 4;
 constexpr int kExitInternal = 5;
+
+// Upper bound on --threads: the agglomerative heuristic starts a pool of
+// that many lanes, so an unbounded value would ask the OS for that many
+// threads.
+constexpr int kMaxThreads = 1024;
 
 int UsageError(const std::string& message) {
   std::cerr << "error: " << message << "\n\n" << kUsage;
@@ -195,6 +202,12 @@ bool ParseArgs(int argc, char** argv, Args* args, int* exit_code) {
       if (!need_value(i, "--threads")) return false;
       if (!ParseInt(argv[++i], &args->threads)) {
         return bad_number("--threads", argv[i]);
+      }
+      if (args->threads > kMaxThreads) {
+        *exit_code = UsageError("--threads must be at most " +
+                                std::to_string(kMaxThreads) + ", got '" +
+                                argv[i] + "'");
+        return false;
       }
     } else if (flag == "--max-errors") {
       if (!need_value(i, "--max-errors")) return false;
