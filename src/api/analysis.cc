@@ -112,7 +112,8 @@ Result<Refinement> Analysis::HighestTheta(int k) {
 }
 
 Result<Refinement> Analysis::LowestK(double theta, int max_k) {
-  if (theta < 0.0 || theta > 1.0) {
+  // Written so NaN fails too: every comparison with it is false.
+  if (!(theta >= 0.0 && theta <= 1.0)) {
     return Status::InvalidArgument("theta must be in [0, 1], got " +
                                    std::to_string(theta));
   }

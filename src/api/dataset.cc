@@ -85,13 +85,6 @@ Result<Dataset> Dataset::Load(std::string_view text, std::string* owned,
                effective, deadline.token());
 }
 
-Result<Dataset> Dataset::FromGraph(const rdf::Graph& graph,
-                                   const DatasetOptions& options) {
-  return Build(std::make_shared<const rdf::IncidenceSink>(
-                   rdf::IncidenceSink::FromGraph(graph)),
-               options.sort, options);
-}
-
 Dataset Dataset::FromIndex(schema::SignatureIndex index) {
   auto rep = std::make_shared<Rep>();
   rep->index = std::move(index);

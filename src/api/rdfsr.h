@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "core/solver.h"
-#include "rdf/graph.h"
 #include "rdf/incidence_sink.h"
 #include "rdf/ntriples.h"
 #include "rules/ast.h"
@@ -127,11 +126,6 @@ class Dataset {
   static Result<Dataset> FromNTriplesText(std::string_view text,
                                           const DatasetOptions& options = {});
 
-  /// Builds a dataset from an already-parsed graph (converted to the same
-  /// loaded triples a parse of its N-Triples serialization gives).
-  static Result<Dataset> FromGraph(const rdf::Graph& graph,
-                                   const DatasetOptions& options = {});
-
   /// Wraps an existing signature index (synthetic generators, index IO).
   /// The dataset has no triples, so Slice() and SortIris() are unavailable.
   static Dataset FromIndex(schema::SignatureIndex index);
@@ -173,7 +167,7 @@ class Dataset {
   /// Parser threads the load actually used after clamping
   /// DatasetOptions::parse_threads (< 1 resolved to the hardware
   /// concurrency, then capped at the input's chunk count). 1 for datasets
-  /// built FromGraph / FromIndex or sliced from another dataset.
+  /// built FromIndex or sliced from another dataset.
   int effective_parse_threads() const;
 
   /// One-line shape summary: "4 subjects, 3 properties, 2 signatures".
@@ -275,8 +269,8 @@ class Analysis {
 
   /// Smallest k admitting a refinement with threshold theta; searches k
   /// upward to max_k (default: number of signatures). Fails with
-  /// InvalidArgument on a bad theta and NotFound when no k up to the cap
-  /// works.
+  /// InvalidArgument on a theta outside [0, 1] (NaN included) and NotFound
+  /// when no k up to the cap works.
   Result<Refinement> LowestK(double theta, int max_k = -1);
   Result<Refinement> LowestK(Rational theta, int max_k = -1);
 

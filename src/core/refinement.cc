@@ -16,7 +16,9 @@ std::int64_t SortRefinement::SubjectsIn(const schema::SignatureIndex& index,
 }
 
 std::string SortRefinement::Summary(const schema::SignatureIndex& index) const {
-  std::string out = "{" + std::to_string(sorts.size()) + " sorts: ";
+  std::string out = "{";
+  out += std::to_string(sorts.size());
+  out += " sorts: ";
   for (std::size_t i = 0; i < sorts.size(); ++i) {
     if (i > 0) out += "+";
     out += std::to_string(sorts[i].size());

@@ -119,8 +119,9 @@ rdf::Graph GeneratePersonsGraph(const PersonsConfig& config) {
     graph.AddIri(subject, rdf::vocab::kRdfType, rdf::vocab::kFoafPerson);
     for (int p : SupportOf(SampleBits(&rng))) {
       const std::string prop = prop_base + kPersonsProperties[p];
-      graph.AddLiteral(subject, prop, "v" + std::to_string(i) + "_" +
-                                          std::to_string(p));
+      std::string value = "v";
+      value += std::to_string(i) + "_" + std::to_string(p);
+      graph.AddLiteral(subject, prop, value);
     }
   }
   return graph;

@@ -62,7 +62,7 @@ schema::SignatureIndex GenerateRandomIndex(const RandomIndexSpec& spec) {
   }
   std::vector<std::string> names;
   for (int p = 0; p < spec.num_properties; ++p) {
-    names.push_back("p" + std::to_string(p));
+    names.emplace_back("p") += std::to_string(p);
   }
   return schema::SignatureIndex::FromSignatures(std::move(names),
                                                 std::move(signatures));
@@ -77,10 +77,10 @@ rdf::Graph GenerateRandomGraph(const RandomGraphSpec& spec) {
   const rdf::Term type_prop = rdf::Term::Iri(rdf::vocab::kRdfType);
 
   for (int s = 0; s < spec.num_subjects; ++s) {
-    const rdf::Term subject =
-        rng.Chance(spec.blank_probability)
-            ? rdf::Term::Blank("b" + std::to_string(s))
-            : rdf::Term::Iri("http://x/s" + std::to_string(s));
+    const std::string id = std::to_string(s);
+    const rdf::Term subject = rng.Chance(spec.blank_probability)
+                                  ? rdf::Term::Blank("b" + id)
+                                  : rdf::Term::Iri("http://x/s" + id);
 
     if (spec.num_sorts > 0 && !rng.Chance(spec.untyped_probability)) {
       const int sort = static_cast<int>(rng.Below(spec.num_sorts));
@@ -97,8 +97,8 @@ rdf::Graph GenerateRandomGraph(const RandomGraphSpec& spec) {
       if (!rng.Chance(spec.density)) continue;
       const rdf::Term property =
           rdf::Term::Iri("http://x/p" + std::to_string(p));
-      const std::string value =
-          "v" + std::to_string(s) + "_" + std::to_string(p);
+      std::string value = "v";
+      value += id + "_" + std::to_string(p);
       const rdf::Term object = rng.Chance(spec.literal_probability)
                                    ? rdf::Term::Literal(value)
                                    : rdf::Term::Iri("http://x/" + value);

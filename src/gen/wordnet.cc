@@ -95,8 +95,9 @@ rdf::Graph GenerateWordnetGraph(const WordnetConfig& config) {
     const std::string subject = base + std::to_string(i) + "-noun";
     graph.AddIri(subject, rdf::vocab::kRdfType, rdf::vocab::kWnNounSynset);
     for (int p : SampleSupport(&rng)) {
-      graph.AddLiteral(subject, prop_base + kWordnetProperties[p],
-                       "v" + std::to_string(i) + "_" + std::to_string(p));
+      std::string value = "v";
+      value += std::to_string(i) + "_" + std::to_string(p);
+      graph.AddLiteral(subject, prop_base + kWordnetProperties[p], value);
     }
   }
   return graph;

@@ -84,29 +84,6 @@ std::size_t SlotsFor(std::size_t triples) {
 
 }  // namespace
 
-IncidenceSink IncidenceSink::FromGraph(const Graph& graph) {
-  IncidenceSink sink;
-  const Dictionary& dict = graph.dict();
-  const TermId type_prop = dict.FindIri(vocab::kRdfType);
-  std::vector<TermId> remap(dict.size(), kInvalidTermId);
-  const auto intern = [&](TermId id) {
-    TermId& local = remap[id];
-    if (local == kInvalidTermId) local = sink.dict_.Intern(dict.term(id));
-    return local;
-  };
-  sink.pairs_.reserve(graph.size());
-  for (const Triple& t : graph.triples()) {
-    const TermId s = intern(t.subject);
-    const TermId p = intern(t.predicate);
-    sink.pairs_.push_back({s, p});
-    if (t.predicate == type_prop) {
-      sink.type_property_ = p;
-      sink.type_postings_.push_back({s, intern(t.object)});
-    }
-  }
-  return sink;
-}
-
 std::vector<TermId> IncidenceSink::SortConstants() const {
   std::vector<TermId> sorts;
   std::vector<bool> seen(dict_.size(), false);

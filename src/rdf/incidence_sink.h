@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "rdf/dictionary.h"
-#include "rdf/graph.h"
 #include "rdf/term.h"
 #include "util/deadline.h"
 #include "util/status.h"
@@ -58,7 +57,7 @@ struct TypePosting {
 };
 
 /// The loaded triples a Dataset retains. Immutable once loaded; built by
-/// ParseNTriplesInto (rdf/ntriples.h) or converted FromGraph.
+/// ParseNTriplesInto (rdf/ntriples.h).
 class IncidenceSink {
  public:
   class Loader;
@@ -68,10 +67,6 @@ class IncidenceSink {
   IncidenceSink& operator=(const IncidenceSink&) = delete;
   IncidenceSink(IncidenceSink&&) = default;
   IncidenceSink& operator=(IncidenceSink&&) = default;
-
-  /// The sink of an already-parsed graph: the same pairs, postings and
-  /// counts as parsing the graph's N-Triples serialization.
-  static IncidenceSink FromGraph(const Graph& graph);
 
   /// Subjects, properties and rdf:type objects, interned in order of first
   /// occurrence (subject, then property, then a type object, per triple).

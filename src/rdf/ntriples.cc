@@ -338,11 +338,18 @@ class LineParser {
   int scratch_used_ = 0;
 };
 
+/// The error of a tolerant parse past its budget; `last` is the message of
+/// the (max_errors + 1)-th malformed line.
+Status TooManyErrors(std::size_t max_errors, const std::string& last) {
+  return Status::ParseError("too many parse errors (more than max_errors=" +
+                            std::to_string(max_errors) + "); last: " + last);
+}
+
 /// Iterates the lines of `text`, invoking sink(s, p, o, object_bytes) per
 /// triple (object_bytes as in LineParser::ParseTriple). Line
 /// numbers are 1-based and offset by `first_line_no` (sharded chunks pass the
 /// global number of their first line). Static dispatch on the sink keeps the
-/// per-triple cost free of std::function indirection on the graph hot path.
+/// per-triple cost free of std::function indirection on the load hot path.
 ///
 /// With max_errors > 0 the loop runs in skip-and-collect mode: malformed
 /// lines are skipped and recorded in `diags` (when non-null; at most
@@ -378,11 +385,7 @@ Status ParseLinesInto(std::string_view text, std::size_t first_line_no,
     if (!st.ok()) {
       if (max_errors == 0) return st;
       ++errors;
-      if (errors > max_errors) {
-        return Status::ParseError(
-            "too many parse errors (more than max_errors=" +
-            std::to_string(max_errors) + "); last: " + st.message());
-      }
+      if (errors > max_errors) return TooManyErrors(max_errors, st.message());
       if (diags != nullptr && diags->size() < max_errors) {
         diags->push_back(ParseDiagnostic{current_line, st.message()});
       }
@@ -412,24 +415,30 @@ std::vector<std::pair<std::size_t, std::size_t>> SplitAtLines(
   return chunks;
 }
 
-/// The sharded parse both destinations share. Splits `text` at line
-/// boundaries, numbers each chunk's first line, and parses chunk i on the
-/// pool into shards[i] through add(&shards[i], s, p, o, object_bytes). Then
-/// folds the shard statuses and diagnostics in chunk order and calls
-/// merge(&shards, merge_count, lines), which must fold the first
-/// `merge_count` shards into the destination in chunk order. A shard's ids
-/// and orders are first occurrences within its chunk, and chunk order is
-/// byte order, so a merge that re-interns each shard's terms in id order
-/// reproduces the sequential parse exactly.
-template <typename Shard, typename AddFn, typename MergeFn>
-Status ParseSharded(std::string_view text, int threads, util::ThreadPool* pool,
-                    const ParseOptions& options, AddFn&& add, MergeFn&& merge) {
+/// Sharded load into an incidence sink. Splits `text` at line boundaries,
+/// numbers each chunk's first line, and parses chunk i into a private loader
+/// on `options.pool`, else on a pool of `threads` lanes (`threads - 1`
+/// workers plus this thread) that lives as long as the call. Then folds the
+/// shard statuses and diagnostics in chunk order and appends the loaders up
+/// to the first failing one to `loader`, serially in chunk order (the first
+/// is moved, not copied). A shard's ids and orders are first occurrences
+/// within its chunk, and chunk order is byte order, so re-interning each
+/// shard's terms in id order reproduces the sequential load exactly.
+Status ParseSharded(std::string_view text, int threads,
+                    const ParseOptions& options,
+                    IncidenceSink::Loader* loader) {
+  std::unique_ptr<util::ThreadPool> owned;
+  util::ThreadPool* pool = options.pool;
+  if (pool == nullptr) {
+    owned = std::make_unique<util::ThreadPool>(threads - 1);
+    pool = owned.get();
+  }
   const auto chunks = SplitAtLines(text, threads);
 
   // Global line number of each chunk's first line: parallel per-chunk
   // newline counts (memchr speed, but serial it costs as much as a parse
   // shard on large inputs), then a serial prefix. The total doubles as the
-  // pre-size estimate for a serial merge.
+  // pre-size estimate for the fold.
   std::vector<std::size_t> chunk_lines(chunks.size());
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
@@ -446,7 +455,7 @@ Status ParseSharded(std::string_view text, int threads, util::ThreadPool* pool,
     line += chunk_lines[i];
   }
 
-  std::vector<Shard> shards(chunks.size());
+  std::vector<IncidenceSink::Loader> shards(chunks.size());
   std::vector<Status> shard_status(chunks.size(), Status::OK());
   // Per-shard diagnostic lists carry global line numbers (first_line[i]
   // offsets) and double as the per-shard error counters; each shard gets the
@@ -456,41 +465,42 @@ Status ParseSharded(std::string_view text, int threads, util::ThreadPool* pool,
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
       const auto [begin, end] = chunks[i];
-      Shard* local = &shards[i];
+      IncidenceSink::Loader* local = &shards[i];
       shard_status[i] = ParseLinesInto(
           text.substr(begin, end - begin), first_line[i],
-          [local, &add](const TermView& s, const TermView& p,
-                        const TermView& o, std::string_view object_bytes) {
-            add(local, s, p, o, object_bytes);
+          [local](const TermView& s, const TermView& p, const TermView& o,
+                  std::string_view object_bytes) {
+            local->Add(s, p, o, object_bytes);
           },
           options.max_errors,
           options.max_errors > 0 ? &shard_diags[i] : nullptr, options.cancel);
     }
   });
 
-  // Merge in chunk order up to and including the first failing shard (lowest
+  // Fold in chunk order up to and including the first failing shard (lowest
   // line number), keeping the triples parsed before the error — same
-  // partial-append semantics as the sequential parser. In tolerant mode a
-  // shard that stayed under budget locally can still tip the global total
-  // over max_errors; that counts as failing at that shard.
+  // partial-append semantics as the sequential parser. In tolerant mode the
+  // global (max_errors + 1)-th malformed line fails the load wherever it
+  // falls: among a shard's diagnostics when earlier shards used part of the
+  // budget, else in the shard's own over-budget status.
   std::size_t merge_count = shards.size();
   Status result = Status::OK();
   std::size_t total_errors = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (options.max_errors > 0) {
+      const std::size_t left = options.max_errors - total_errors;
+      if (shard_diags[i].size() > left) {
+        merge_count = i + 1;
+        result =
+            TooManyErrors(options.max_errors, shard_diags[i][left].message);
+        break;
+      }
+      total_errors += shard_diags[i].size();
+    }
     if (!shard_status[i].ok()) {
       merge_count = i + 1;
       result = shard_status[i];
       break;
-    }
-    if (options.max_errors > 0) {
-      total_errors += shard_diags[i].size();
-      if (total_errors > options.max_errors) {
-        merge_count = i + 1;
-        result = Status::ParseError(
-            "too many parse errors (more than max_errors=" +
-            std::to_string(options.max_errors) + ")");
-        break;
-      }
     }
   }
   if (options.max_errors > 0 && options.diagnostics != nullptr) {
@@ -503,73 +513,14 @@ Status ParseSharded(std::string_view text, int threads, util::ThreadPool* pool,
     }
   }
 
-  Status merge_st = merge(&shards, merge_count, line);
-  if (!merge_st.ok()) return merge_st;
+  if (merge_count == 0) return result;
+  *loader = std::move(shards[0]);
+  loader->Reserve(line);
+  for (std::size_t i = 1; i < merge_count; ++i) {
+    Status st = loader->Append(&shards[i], options.cancel);
+    if (!st.ok()) return st;
+  }
   return result;
-}
-
-/// Sharded parse into a graph. Each shard is a private graph with a private
-/// dictionary; the fold re-interns each shard's terms in id order and adds
-/// its triples through the remap, serially in chunk order. The token is read
-/// before each shard, so a cancelled fold keeps the shards folded so far.
-Status ParseShardedInto(std::string_view text, Graph* graph, int threads,
-                        util::ThreadPool* pool, const ParseOptions& options) {
-  return ParseSharded<Graph>(
-      text, threads, pool, options,
-      [](Graph* local, const TermView& s, const TermView& p, const TermView& o,
-         std::string_view) { local->Add(s, p, o); },
-      [&](std::vector<Graph>* shards, std::size_t merge_count,
-          std::size_t lines) {
-        if (text.size() >= (1u << 20)) graph->Reserve(lines, lines);
-        std::vector<TermId> remap;
-        for (std::size_t s = 0; s < merge_count; ++s) {
-          if (options.cancel.stop_requested()) return options.cancel.status();
-          const Dictionary& shard_dict = (*shards)[s].dict();
-          remap.resize(shard_dict.size());
-          for (TermId id = 0; id < shard_dict.size(); ++id) {
-            remap[id] = graph->dict().Intern(shard_dict.term(id));
-          }
-          for (const Triple& t : (*shards)[s].triples()) {
-            graph->Add(
-                Triple{remap[t.subject], remap[t.predicate], remap[t.object]});
-          }
-        }
-        return Status::OK();
-      });
-}
-
-/// Sharded parse into an incidence sink: one loader per chunk, appended
-/// serially in chunk order (the first is moved, not copied).
-Status ParseShardedInto(std::string_view text, IncidenceSink::Loader* loader,
-                        int threads, util::ThreadPool* pool,
-                        const ParseOptions& options) {
-  return ParseSharded<IncidenceSink::Loader>(
-      text, threads, pool, options,
-      [](IncidenceSink::Loader* local, const TermView& s, const TermView& p,
-         const TermView& o, std::string_view object_bytes) {
-        local->Add(s, p, o, object_bytes);
-      },
-      [&](std::vector<IncidenceSink::Loader>* shards, std::size_t merge_count,
-          std::size_t lines) {
-        if (merge_count == 0) return Status::OK();
-        *loader = std::move((*shards)[0]);
-        loader->Reserve(lines);
-        for (std::size_t s = 1; s < merge_count; ++s) {
-          Status st = loader->Append(&(*shards)[s], options.cancel);
-          if (!st.ok()) return st;
-        }
-        return Status::OK();
-      });
-}
-
-/// The pool a sharded parse runs on: the borrowed one, else a fresh one of
-/// `threads` lanes (`threads - 1` workers plus the calling thread) that
-/// `owned` keeps alive.
-util::ThreadPool* ShardPool(const ParseOptions& options, int threads,
-                            std::unique_ptr<util::ThreadPool>* owned) {
-  if (options.pool != nullptr) return options.pool;
-  *owned = std::make_unique<util::ThreadPool>(threads - 1);
-  return owned->get();
 }
 
 /// Line count of a large input, the pre-size estimate for a sequential
@@ -594,21 +545,9 @@ int EffectiveParseThreads(const ParseOptions& options, std::size_t input_bytes) 
   return threads;
 }
 
-Status ParseNTriplesInto(std::string_view text, Graph* graph) {
-  return ParseNTriplesInto(text, graph, ParseOptions{});
-}
-
 Status ParseNTriplesInto(std::string_view text, Graph* graph,
                          const ParseOptions& options) {
   RDFSR_CHECK(graph != nullptr);
-  const int threads = EffectiveParseThreads(options, text.size());
-  if (threads > 1) {
-    // One pool runs the chunk line counts and the shard parses; the fold
-    // into `graph` runs on this thread.
-    std::unique_ptr<util::ThreadPool> owned;
-    return ParseShardedInto(text, graph, threads,
-                            ShardPool(options, threads, &owned), options);
-  }
   if (const std::size_t lines = PresizeLines(text); lines > 0) {
     graph->Reserve(lines, lines);
   }
@@ -626,9 +565,7 @@ Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
   Status st = Status::OK();
   const int threads = EffectiveParseThreads(options, text.size());
   if (threads > 1) {
-    std::unique_ptr<util::ThreadPool> owned;
-    st = ParseShardedInto(text, &loader, threads,
-                          ShardPool(options, threads, &owned), options);
+    st = ParseSharded(text, threads, options, &loader);
   } else {
     loader.Reserve(PresizeLines(text));
     st = ParseLinesInto(
@@ -641,14 +578,6 @@ Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
   }
   *sink = loader.Finish();
   return st;
-}
-
-Status ParseNTriplesStream(std::string_view text, const TripleSink& sink) {
-  RDFSR_CHECK(sink != nullptr);
-  return ParseLinesInto(text, 1,
-                        [&sink](const TermView& s, const TermView& p,
-                                const TermView& o,
-                                std::string_view) { sink(s, p, o); });
 }
 
 Result<Graph> ParseNTriples(std::string_view text) {

@@ -66,7 +66,9 @@ std::string Term::ToString() const {
     case TermKind::kBlank:
       return "_:" + lexical;
     case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeLiteral(lexical) + "\"";
+      std::string out = "\"";
+      out += EscapeLiteral(lexical);
+      out += '"';
       if (!lang.empty()) {
         out += "@" + lang;
       } else if (!datatype.empty()) {

@@ -9,6 +9,17 @@
 
 namespace rdfsr::reduction {
 
+namespace {
+
+/// `prefix` followed by the decimal `i`: the row and column names of M_G.
+std::string Name(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
+}  // namespace
+
 UndirectedGraph::UndirectedGraph(int num_nodes) : n_(num_nodes) {
   RDFSR_CHECK_GT(num_nodes, 0);
   adj_.assign(n_, std::vector<bool>(n_, false));
@@ -45,8 +56,8 @@ schema::SignatureIndex BuildReductionIndex(const UndirectedGraph& graph) {
   const int cols = 2 * n + 3;
 
   std::vector<std::string> props = {"sp1", "sp2", "idp"};
-  for (int j = 0; j < n; ++j) props.push_back("L" + std::to_string(j));
-  for (int j = 0; j < n; ++j) props.push_back("R" + std::to_string(j));
+  for (int j = 0; j < n; ++j) props.push_back(Name("L", j));
+  for (int j = 0; j < n; ++j) props.push_back(Name("R", j));
 
   std::vector<std::string> subjects;
   std::vector<std::vector<int>> rows;
@@ -63,7 +74,7 @@ schema::SignatureIndex BuildReductionIndex(const UndirectedGraph& graph) {
       row[3 + i] = 1;
       row[3 + n + i] = 1;
       rows.push_back(std::move(row));
-      subjects.push_back(std::string(group_name[g]) + std::to_string(i));
+      subjects.push_back(Name(group_name[g], i));
     }
   }
   // Lower section: node rows. sp1 = sp2 = 1, idp = 0, left diagonal, right
@@ -80,7 +91,7 @@ schema::SignatureIndex BuildReductionIndex(const UndirectedGraph& graph) {
     // The diagonal of the complemented adjacency is 1 (no self-loops).
     row[3 + n + i] = 1;
     rows.push_back(std::move(row));
-    subjects.push_back("v" + std::to_string(i));
+    subjects.push_back(Name("v", i));
   }
 
   // Add the 1-cells column by column: every column is non-empty, so the
@@ -197,13 +208,11 @@ std::vector<std::vector<int>> ColoringToRowPartition(
   const char* group_name[3] = {"a", "b", "c"};
   for (int g = 0; g < 3; ++g) {
     for (int i = 0; i < n; ++i) {
-      parts[g].push_back(
-          index.FindSubjectSignature(group_name[g] + std::to_string(i)));
+      parts[g].push_back(index.FindSubjectSignature(Name(group_name[g], i)));
     }
   }
   for (int i = 0; i < n; ++i) {
-    parts[coloring[i]].push_back(
-        index.FindSubjectSignature("v" + std::to_string(i)));
+    parts[coloring[i]].push_back(index.FindSubjectSignature(Name("v", i)));
   }
   return parts;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rdf/vocab.h"
@@ -13,10 +15,9 @@ namespace rdfsr::schema {
 
 namespace {
 
-// Below this many pairs the serial paths win outright; the parallel sort and
-// grouping stages both use it as their cutoff. Low enough that the
-// determinism tests (random graphs of a few thousand triples) exercise the
-// parallel branches.
+// Below this many pairs one lane wins outright: the sort runs std::sort and
+// the grouping one range. Low enough that the determinism tests (random
+// graphs of a few thousand triples) exercise the parallel stages.
 constexpr std::size_t kParallelPairCutoff = 4096;
 
 // Sorts `pairs` on `pool`: power-of-two chunk count over fixed offsets, each
@@ -97,14 +98,37 @@ SignatureIndex SliceIndex(const rdf::Dictionary& dict, rdf::TermId type_prop,
 }
 
 // Per-range grouping output: distinct signature rows in local first-subject
-// order, each with its multiplicity and the dense subject ids (ascending)
-// that carry it.
+// order, each with its multiplicity, and (when names are kept) each subject
+// of the range in ascending order with its local row.
 struct RangeGroups {
   std::unordered_map<PropertySet, std::size_t, PropertySetHash> map;
-  std::vector<std::int64_t> counts;
-  std::vector<std::vector<std::uint32_t>> row_subjects;
   std::vector<const PropertySet*> rows;
+  std::vector<std::int64_t> counts;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> subject_rows;
 };
+
+// The dense subject id of a (row << 32) | column pair.
+std::uint32_t SubjectOf(std::uint64_t pair) {
+  return static_cast<std::uint32_t>(pair >> 32);
+}
+
+// Splits the sorted `pairs` into up to `target` ranges that never split a
+// subject's run: the start of each range, then pairs.size().
+std::vector<std::size_t> SubjectRanges(const std::vector<std::uint64_t>& pairs,
+                                       std::size_t target) {
+  std::vector<std::size_t> starts{0};
+  for (std::size_t t = 1; t < target; ++t) {
+    std::size_t pos = t * pairs.size() / target;
+    // Advance to the next subject-run start.
+    while (pos > 0 && pos < pairs.size() &&
+           SubjectOf(pairs[pos - 1]) == SubjectOf(pairs[pos])) {
+      ++pos;
+    }
+    if (pos > starts.back() && pos < pairs.size()) starts.push_back(pos);
+  }
+  starts.push_back(pairs.size());
+  return starts;
+}
 
 }  // namespace
 
@@ -126,105 +150,74 @@ SignatureIndex IndexBuilder::Build(const rdf::Dictionary& dict,
   }
   const std::size_t num_props = properties_.size();
 
+  // Split the sorted pair array at subject boundaries into ~2 ranges per
+  // lane (one range without a pool or below the cutoff), group each range
+  // independently, then fold the ranges into the global signature map in
+  // range order. Because ranges never split a subject and are folded
+  // ascending, the global discovery order of each signature (its first
+  // subject) and the subject order inside each name list are those of one
+  // pass over all pairs, for any range count.
   const std::size_t lanes =
       pool == nullptr ? 1 : static_cast<std::size_t>(pool->workers()) + 1;
-  if (lanes > 1 && pairs_.size() >= kParallelPairCutoff) {
-    // Split the sorted pair array at subject boundaries into ~2 ranges per
-    // lane, group each range independently, then fold the ranges into the
-    // global signature map in range order. Because ranges never split a
-    // subject and are folded ascending, the global discovery order of each
-    // signature (its first subject) and the subject order inside each name
-    // list both match the serial loop exactly.
-    const std::size_t target = std::min(pairs_.size(), lanes * 2);
-    std::vector<std::size_t> starts;
-    starts.reserve(target + 1);
-    starts.push_back(0);
-    for (std::size_t t = 1; t < target; ++t) {
-      std::size_t pos = t * pairs_.size() / target;
-      // Advance to the next subject-run start so no range splits a subject.
-      while (pos > 0 && pos < pairs_.size() &&
-             static_cast<std::uint32_t>(pairs_[pos - 1] >> 32) ==
-                 static_cast<std::uint32_t>(pairs_[pos] >> 32)) {
-        ++pos;
+  const std::size_t target =
+      lanes > 1 && pairs_.size() >= kParallelPairCutoff ? lanes * 2 : 1;
+  const std::vector<std::size_t> starts = SubjectRanges(pairs_, target);
+  std::vector<RangeGroups> ranges(starts.size() - 1);
+  const auto group = [&](std::size_t r) {
+    RangeGroups& rg = ranges[r];
+    util::PeriodicCheck check(cancel, 1024);
+    std::size_t i = starts[r];
+    const std::size_t end = starts[r + 1];
+    while (i < end) {
+      // A trip stops the range at a subject boundary: the truncated index
+      // is structurally valid, just missing the remaining subjects.
+      if (check.ShouldStop()) break;
+      const std::uint32_t subj = SubjectOf(pairs_[i]);
+      PropertySet row(num_props);
+      for (; i < end && SubjectOf(pairs_[i]) == subj; ++i) {
+        row.Insert(static_cast<std::size_t>(pairs_[i] & 0xffffffffu));
       }
-      if (pos > starts.back() && pos < pairs_.size()) starts.push_back(pos);
+      auto [it, inserted] = rg.map.emplace(std::move(row), rg.rows.size());
+      if (inserted) {
+        rg.rows.push_back(&it->first);
+        rg.counts.push_back(0);
+      }
+      ++rg.counts[it->second];
+      if (keep_subject_names) {
+        rg.subject_rows.emplace_back(subj,
+                                     static_cast<std::uint32_t>(it->second));
+      }
     }
-    starts.push_back(pairs_.size());
-
-    const std::size_t num_ranges = starts.size() - 1;
-    std::vector<RangeGroups> ranges(num_ranges);
-    pool->ParallelFor(num_ranges, [&](std::size_t b, std::size_t e) {
-      for (std::size_t r = b; r < e; ++r) {
-        RangeGroups& rg = ranges[r];
-        std::size_t i = starts[r];
-        const std::size_t end = starts[r + 1];
-        while (i < end) {
-          const std::uint32_t subj =
-              static_cast<std::uint32_t>(pairs_[i] >> 32);
-          PropertySet row(num_props);
-          for (; i < end &&
-                 static_cast<std::uint32_t>(pairs_[i] >> 32) == subj;
-               ++i) {
-            row.Insert(static_cast<std::size_t>(pairs_[i] & 0xffffffffu));
-          }
-          auto [it, inserted] = rg.map.emplace(std::move(row), rg.rows.size());
-          if (inserted) {
-            rg.rows.push_back(&it->first);
-            rg.counts.push_back(0);
-            rg.row_subjects.emplace_back();
-          }
-          ++rg.counts[it->second];
-          if (keep_subject_names) rg.row_subjects[it->second].push_back(subj);
-        }
-      }
+  };
+  if (ranges.size() == 1) {
+    group(0);
+  } else {
+    pool->ParallelFor(ranges.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t r = b; r < e; ++r) group(r);
     });
-
-    std::unordered_map<PropertySet, std::size_t, PropertySetHash> groups;
-    for (const RangeGroups& rg : ranges) {
-      for (std::size_t k = 0; k < rg.rows.size(); ++k) {
-        auto [it, inserted] = groups.emplace(*rg.rows[k],
-                                             index.signatures_.size());
-        if (inserted) {
-          index.signatures_.emplace_back(it->first, std::int64_t{0});
-          index.subject_names_.emplace_back();
-        }
-        index.signatures_[it->second].count += rg.counts[k];
-        if (keep_subject_names) {
-          std::vector<std::string>& names = index.subject_names_[it->second];
-          for (std::uint32_t subj : rg.row_subjects[k]) {
-            names.push_back(dict.term(subjects_[subj]).lexical);
-          }
-        }
-      }
-    }
-    index.Canonicalize();
-    return index;
   }
 
-  // signature row -> position in index.signatures_
-  std::unordered_map<PropertySet, std::size_t, PropertySetHash> groups;
-  util::PeriodicCheck check(cancel, 1024);
-  std::size_t i = 0;
-  while (i < pairs_.size()) {
-    // A trip mid-grouping stops at a subject boundary: the truncated index
-    // is structurally valid, just missing the remaining subjects.
-    if (check.ShouldStop()) break;
-    const std::uint32_t subj = static_cast<std::uint32_t>(pairs_[i] >> 32);
-    PropertySet row(num_props);
-    for (; i < pairs_.size() &&
-           static_cast<std::uint32_t>(pairs_[i] >> 32) == subj;
-         ++i) {
-      row.Insert(static_cast<std::size_t>(pairs_[i] & 0xffffffffu));
+  // signature row -> position in index.signatures_. Range 0's local order
+  // is the global discovery order, so its map seeds this one as it stands;
+  // a row is new where its position is the next free one.
+  std::unordered_map<PropertySet, std::size_t, PropertySetHash> groups =
+      std::move(ranges[0].map);
+  std::vector<std::size_t> global;  // local row -> position
+  for (const RangeGroups& rg : ranges) {
+    global.clear();
+    for (std::size_t k = 0; k < rg.rows.size(); ++k) {
+      const auto it =
+          groups.try_emplace(*rg.rows[k], index.signatures_.size()).first;
+      if (it->second == index.signatures_.size()) {
+        index.signatures_.emplace_back(it->first, std::int64_t{0});
+        index.subject_names_.emplace_back();
+      }
+      index.signatures_[it->second].count += rg.counts[k];
+      global.push_back(it->second);
     }
-    auto [it, inserted] = groups.emplace(std::move(row), index.signatures_.size());
-    if (inserted) {
-      index.signatures_.emplace_back(it->first, std::int64_t{1});
-      index.subject_names_.emplace_back();
-    } else {
-      ++index.signatures_[it->second].count;
-    }
-    if (keep_subject_names) {
-      index.subject_names_[it->second].push_back(
+    // Names in subject order, the order the dictionary holds them in.
+    for (const auto& [subj, row] : rg.subject_rows) {
+      index.subject_names_[global[row]].push_back(
           dict.term(subjects_[subj]).lexical);
     }
   }

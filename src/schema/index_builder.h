@@ -79,14 +79,15 @@ class IndexBuilder {
   ///
   /// `pool`, when non-null, parallelizes the pair sort (chunk sort + merge
   /// rounds over fixed offsets) and the grouping stage (ranges split at
-  /// subject boundaries, merged serially in range order). Both are
-  /// bit-identical to the serial path: the sort is a multiset sort of
-  /// integers over deterministic chunk bounds, and range-order merging
-  /// reproduces the serial first-appearance discovery order of signatures
-  /// and the global subject order within each signature's name list.
+  /// subject boundaries, each grouped on its own and folded serially in
+  /// range order; without a pool, one range). Both are bit-identical at any
+  /// lane count: the sort is a multiset sort of integers over deterministic
+  /// chunk bounds, and range-order folding reproduces one pass's
+  /// first-appearance discovery order of signatures and the global subject
+  /// order within each signature's name list.
   ///
   /// `cancel` is polled between the sort/grouping stages and periodically
-  /// inside the serial grouping loop. A tripped token makes Build return
+  /// inside each range's grouping loop. A tripped token makes Build return
   /// early with a structurally valid but incomplete index — the caller must
   /// consult the token and discard the result (api::Dataset does; it maps
   /// the trip to kCancelled / kDeadlineExceeded).

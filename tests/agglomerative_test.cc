@@ -196,7 +196,7 @@ schema::SignatureIndex ClusteredIndex(int n, std::uint64_t seed) {
   }
   std::vector<std::string> names;
   for (int p = 0; p < 1 + kFamilies * kBlock; ++p) {
-    names.push_back("p" + std::to_string(p));
+    names.emplace_back("p") += std::to_string(p);
   }
   return schema::SignatureIndex::FromSignatures(std::move(names),
                                                 std::move(sigs));

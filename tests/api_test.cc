@@ -7,6 +7,7 @@
 
 #include "api/rdfsr.h"
 
+#include <cmath>
 #include <memory>
 #include <set>
 #include <utility>
@@ -215,9 +216,12 @@ TEST(ErrorPathTest, BadSearchParametersAreInvalid) {
   auto bad_k = cov->HighestTheta(0);
   ASSERT_FALSE(bad_k.ok());
   EXPECT_EQ(bad_k.status().code(), StatusCode::kInvalidArgument);
-  auto bad_theta = cov->LowestK(1.5);
-  ASSERT_FALSE(bad_theta.ok());
-  EXPECT_EQ(bad_theta.status().code(), StatusCode::kInvalidArgument);
+  for (const double theta : {1.5, std::nan("")}) {
+    auto bad_theta = cov->LowestK(theta);
+    ASSERT_FALSE(bad_theta.ok()) << theta;
+    EXPECT_EQ(bad_theta.status().code(), StatusCode::kInvalidArgument)
+        << theta;
+  }
 }
 
 TEST(RuleSpecTest, ResolvesBuiltinFamilies) {

@@ -56,12 +56,12 @@ class DenseMatrix {
         rows.empty() ? property_names.size() : rows[0].size();
     if (subject_names.empty()) {
       for (std::size_t r = 0; r < rows.size(); ++r) {
-        subject_names.push_back("s" + std::to_string(r));
+        subject_names.emplace_back("s") += std::to_string(r);
       }
     }
     if (property_names.empty()) {
       for (std::size_t c = 0; c < ncols; ++c) {
-        property_names.push_back("p" + std::to_string(c));
+        property_names.emplace_back("p") += std::to_string(c);
       }
     }
     RDFSR_CHECK_EQ(subject_names.size(), rows.size());

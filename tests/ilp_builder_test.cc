@@ -96,8 +96,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3),
                        ::testing::Values(11, 22, 33)),
     [](const ::testing::TestParamInfo<std::tuple<int, std::uint64_t>>& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "k";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_seed";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 TEST(IlpBuilderTest, ReweightMatchesPerInstanceRebuildBitForBit) {

@@ -1,16 +1,18 @@
 // Differential tests for the façade's load path: N-Triples text parsed into
-// an rdf::IncidenceSink, at 1 and at 4 shards, must give what parsing into
-// an rdf::Graph and running IndexBuilder over it gives — the whole-graph
-// index, every sort slice's index and triple count, num_triples, the sort
-// constants, and the max_errors diagnostics — and the sink itself must come
-// out bit-identical at both shard counts. api::Dataset over the same text
-// must agree too (num_triples, SortIris, index, Slice). The inputs cover generator graphs
+// an rdf::IncidenceSink must give what parsing into an rdf::Graph and
+// running IndexBuilder over it gives — the whole-graph index, every sort
+// slice's index and triple count, num_triples, the sort constants, and the
+// max_errors diagnostics and error status — and the sink loaded on 2, 4 and
+// 8 shards must come out bit-identical to the sequential one, with the same
+// diagnostics and status. api::Dataset over the same text must agree too
+// (num_triples, SortIris, index, Slice). The inputs cover generator graphs
 // and the object spellings the sink's byte-level dedup must get right.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/rdfsr.h"
@@ -21,15 +23,19 @@
 #include "rdf/ntriples.h"
 #include "rdf/vocab.h"
 #include "schema/index_builder.h"
+#include "sink_equality.h"
 #include "util/deadline.h"
 
 namespace rdfsr::rdf {
 namespace {
 
-const std::string kType = "<" + std::string(vocab::kRdfType) + ">";
+using testutil::ExpectSinksIdentical;
 
-ParseOptions Sharded(int threads, std::size_t max_errors = 0,
-                     std::vector<ParseDiagnostic>* diagnostics = nullptr) {
+const std::string kType = std::string("<").append(vocab::kRdfType).append(">");
+
+/// Options for a load on `threads` shards (one for a Graph parse).
+ParseOptions LoadOptions(int threads, std::size_t max_errors = 0,
+                         std::vector<ParseDiagnostic>* diagnostics = nullptr) {
   ParseOptions options;
   options.threads = threads;
   options.min_chunk_bytes = 1;  // reach `threads` shards on tiny inputs
@@ -63,36 +69,25 @@ std::vector<std::string> SortLexicals(const Dictionary& dict,
   return out;
 }
 
-/// Two sinks hold the same terms, pairs and postings, id for id.
-void ExpectSinksIdentical(const IncidenceSink& a, const IncidenceSink& b) {
-  ASSERT_EQ(a.dict().size(), b.dict().size());
-  for (TermId id = 0; id < a.dict().size(); ++id) {
-    EXPECT_EQ(a.dict().term(id), b.dict().term(id)) << "term " << id;
-  }
-  EXPECT_EQ(a.type_property(), b.type_property());
-  EXPECT_TRUE(a.pairs() == b.pairs());
-  EXPECT_TRUE(a.type_postings() == b.type_postings());
-}
-
-/// Loads `text` into a sink at 1 and 4 shards and compares each load with
-/// a graph parsed with the same options, then (when the loads succeed, as a
-/// failed load keeps a prefix that depends on the sharding) the two sinks
-/// with each other. Returns the 1-shard sink's triple count.
+/// Loads `text` into a sink at 1, 2, 4 and 8 shards. Every load must fail
+/// or succeed with the status and diagnostics of a graph parsed with the
+/// same options. The sequential sink must match the graph (when the parse
+/// succeeds), and every sharded sink that loads must be identical to it (a
+/// failed load may keep a prefix that depends on the sharding). Returns the
+/// sequential sink's triple count.
 std::size_t ExpectSinkMatchesGraph(const std::string& text,
                                    std::size_t max_errors = 0) {
-  IncidenceSink sinks[2];
-  bool loaded = true;
-  const int thread_counts[2] = {1, 4};
-  for (int t = 0; t < 2; ++t) {
-    const int threads = thread_counts[t];
+  std::vector<ParseDiagnostic> graph_diags;
+  Graph graph;
+  const Status graph_st =
+      ParseNTriplesInto(text, &graph, LoadOptions(1, max_errors, &graph_diags));
+  IncidenceSink sequential;
+  for (const int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " shard(s)");
-    std::vector<ParseDiagnostic> graph_diags, sink_diags;
-    Graph graph;
-    const Status graph_st = ParseNTriplesInto(
-        text, &graph, Sharded(threads, max_errors, &graph_diags));
-    IncidenceSink& sink = sinks[t];
+    std::vector<ParseDiagnostic> sink_diags;
+    IncidenceSink sink;
     const Status sink_st = ParseNTriplesInto(
-        text, &sink, Sharded(threads, max_errors, &sink_diags));
+        text, &sink, LoadOptions(threads, max_errors, &sink_diags));
     EXPECT_EQ(sink_st.ToString(), graph_st.ToString());
     EXPECT_EQ(sink_diags.size(), graph_diags.size());
     for (std::size_t i = 0;
@@ -100,31 +95,35 @@ std::size_t ExpectSinkMatchesGraph(const std::string& text,
       EXPECT_EQ(sink_diags[i].line, graph_diags[i].line);
       EXPECT_EQ(sink_diags[i].message, graph_diags[i].message);
     }
-    loaded &= sink_st.ok();
-    if (!graph_st.ok()) continue;
-    sink.CheckInvariants();
-    EXPECT_EQ(sink.size(), graph.size());
-
-    std::vector<std::string> subjects;
-    for (TermId s : graph.subjects()) {
-      subjects.push_back(graph.dict().term(s).lexical);
-    }
-    ExpectSameIndex(schema::IndexBuilder::FromGraph(sink),
-                    schema::IndexBuilder::FromGraph(graph), subjects);
-    const std::vector<std::string> sorts =
-        SortLexicals(graph.dict(), graph.SortConstants());
-    EXPECT_EQ(SortLexicals(sink.dict(), sink.SortConstants()), sorts);
-    for (const std::string& sort : sorts) {
-      std::size_t sink_slice = 0, graph_slice = 0;
-      ExpectSameIndex(
-          schema::IndexBuilder::FromSortSlice(sink, sort, true, &sink_slice),
-          schema::IndexBuilder::FromSortSlice(graph, sort, true, &graph_slice),
-          subjects);
-      EXPECT_EQ(sink_slice, graph_slice) << "sort " << sort;
+    if (threads == 1) {
+      sequential = std::move(sink);
+    } else if (sink_st.ok()) {
+      ExpectSinksIdentical(sink, sequential);
     }
   }
-  if (loaded) ExpectSinksIdentical(sinks[0], sinks[1]);
-  return sinks[0].size();
+  if (!graph_st.ok()) return sequential.size();
+  sequential.CheckInvariants();
+  EXPECT_EQ(sequential.size(), graph.size());
+
+  std::vector<std::string> subjects;
+  for (TermId s : graph.subjects()) {
+    subjects.push_back(graph.dict().term(s).lexical);
+  }
+  ExpectSameIndex(schema::IndexBuilder::FromGraph(sequential),
+                  schema::IndexBuilder::FromGraph(graph), subjects);
+  const std::vector<std::string> sorts =
+      SortLexicals(graph.dict(), graph.SortConstants());
+  EXPECT_EQ(SortLexicals(sequential.dict(), sequential.SortConstants()), sorts);
+  for (const std::string& sort : sorts) {
+    std::size_t sink_slice = 0, graph_slice = 0;
+    ExpectSameIndex(schema::IndexBuilder::FromSortSlice(sequential, sort, true,
+                                                        &sink_slice),
+                    schema::IndexBuilder::FromSortSlice(graph, sort, true,
+                                                        &graph_slice),
+                    subjects);
+    EXPECT_EQ(sink_slice, graph_slice) << "sort " << sort;
+  }
+  return sequential.size();
 }
 
 /// The façade over the same text: num_triples, SortIris, the index, and
@@ -176,18 +175,6 @@ TEST(IncidenceSinkTest, GeneratorGraphsMatchTheGraphPath) {
   gen::WordnetConfig wordnet;
   wordnet.num_subjects = 150;
   ExpectSinkMatchesGraph(WriteNTriples(gen::GenerateWordnetGraph(wordnet)));
-}
-
-TEST(IncidenceSinkTest, FromGraphEqualsLoadingTheSerialization) {
-  gen::RandomGraphSpec spec;
-  spec.num_subjects = 80;
-  spec.seed = 9;
-  const Graph graph = gen::GenerateRandomGraph(spec);
-  IncidenceSink loaded;
-  ASSERT_TRUE(ParseNTriplesInto(WriteNTriples(graph), &loaded, {}).ok());
-  const IncidenceSink converted = IncidenceSink::FromGraph(graph);
-  converted.CheckInvariants();
-  ExpectSinksIdentical(converted, loaded);
 }
 
 TEST(IncidenceSinkTest, EscapedAndPlainSpellingsAreOneTriple) {
@@ -298,7 +285,7 @@ TEST(IncidenceSinkTest, DeadlineInTheMergeReturnsItsStatus) {
     text += "<http://x/s" + std::to_string(i % 17) + "> <http://x/p" +
             std::to_string(i % 3) + "> \"v" + std::to_string(i) + "\" .\n";
   }
-  ParseOptions options = Sharded(4);
+  ParseOptions options = LoadOptions(4);
   options.cancel = util::Deadline::After(0).token();
   IncidenceSink sink;
   const Status st = ParseNTriplesInto(text, &sink, options);

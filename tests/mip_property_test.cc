@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "ilp/branch_and_bound.h"
 #include "objective_bound.h"
@@ -31,7 +33,9 @@ RandomMip MakeRandomBinaryProgram(std::uint64_t seed, bool with_objective) {
   RandomMip out;
   out.num_vars = 3 + static_cast<int>(rng.Below(8));
   for (int j = 0; j < out.num_vars; ++j) {
-    out.model.AddBinary("b" + std::to_string(j));
+    std::string name = "b";
+    name += std::to_string(j);
+    out.model.AddBinary(std::move(name));
   }
   const int rows = 2 + static_cast<int>(rng.Below(5));
   for (int r = 0; r < rows; ++r) {
@@ -45,7 +49,9 @@ RandomMip MakeRandomBinaryProgram(std::uint64_t seed, bool with_objective) {
     // Range rows of varying tightness.
     const double lo = static_cast<double>(rng.Range(-4, 2));
     const double hi = lo + static_cast<double>(rng.Below(5));
-    out.model.AddConstraint("r" + std::to_string(r), std::move(terms), lo, hi);
+    std::string name = "r";
+    name += std::to_string(r);
+    out.model.AddConstraint(std::move(name), std::move(terms), lo, hi);
   }
   if (with_objective) {
     std::vector<LinTerm> obj;

@@ -1,7 +1,7 @@
 // Unit tests for the N-Triples parser and writer, including escape handling,
-// error reporting (failure injection), streaming/zero-copy parsing, and the
-// sharded multi-threaded reader (chunk-boundary line splitting, global error
-// line numbers, bit-identical merge).
+// error reporting (failure injection), zero-copy parsing, and the sharded
+// multi-threaded IncidenceSink load (chunk-boundary line splitting, global
+// error line numbers and over-budget errors, bit-identical fold).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +13,15 @@
 
 #include "gen/random_graph.h"
 #include "rdf/ntriples.h"
+#include "sink_equality.h"
 
 namespace rdfsr::rdf {
 namespace {
+
+using testutil::ExpectSinksIdentical;
+
+/// The shard counts every sharded-load test runs at.
+constexpr int kShardCounts[] = {2, 3, 4, 8, 16};
 
 /// Synthetic multi-line input: `lines` triples with distinct subjects, a
 /// shared predicate pool, and occasional comments/blanks.
@@ -149,10 +155,13 @@ struct Parsed {
 
 Parsed ParseAll(std::string_view text) {
   Parsed out;
-  out.status = ParseNTriplesStream(
-      text, [&](const TermView& s, const TermView& p, const TermView& o) {
-        out.triples.push_back({s.ToTerm(), p.ToTerm(), o.ToTerm()});
-      });
+  Graph graph;
+  out.status = ParseNTriplesInto(text, &graph);
+  const Dictionary& dict = graph.dict();
+  for (const Triple& t : graph.triples()) {
+    out.triples.push_back(
+        {dict.term(t.subject), dict.term(t.predicate), dict.term(t.object)});
+  }
   return out;
 }
 
@@ -366,34 +375,6 @@ TEST(NTriplesTest, MissingFileIsNotFound) {
   EXPECT_EQ(g.status().code(), StatusCode::kNotFound);
 }
 
-TEST(NTriplesTest, StreamSinkSeesTriplesInOrder) {
-  std::vector<std::string> subjects;
-  Status st = ParseNTriplesStream(
-      "<http://x/a> <http://x/p> \"1\" .\n"
-      "_:b <http://x/p> \"2\" .\n",
-      [&](const TermView& s, const TermView& p, const TermView& o) {
-        subjects.push_back(std::string(s.lexical));
-        EXPECT_EQ(p.kind, TermKind::kIri);
-        EXPECT_EQ(o.kind, TermKind::kLiteral);
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(subjects, (std::vector<std::string>{"http://x/a", "b"}));
-}
-
-TEST(NTriplesTest, StreamDecodesEscapedViews) {
-  // Escaped forms must decode even though unescaped forms are zero-copy.
-  std::string lex, iri;
-  Status st = ParseNTriplesStream(
-      "<http://x/caf\\u00e9> <http://x/p> \"a\\tb\" .\n",
-      [&](const TermView& s, const TermView&, const TermView& o) {
-        iri = std::string(s.lexical);
-        lex = std::string(o.lexical);
-      });
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(iri, "http://x/caf\xc3\xa9");
-  EXPECT_EQ(lex, "a\tb");
-}
-
 TEST(NTriplesTest, ReadFileToStringSingleBuffer) {
   const std::string path = ::testing::TempDir() + "ntriples_read_once.nt";
   {
@@ -405,34 +386,39 @@ TEST(NTriplesTest, ReadFileToStringSingleBuffer) {
   auto text = ReadFileToString(path);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_EQ(*text, "<http://x/s> <http://x/p> \"v\" .\n");
+  auto graph = ParseNTriplesFile(path);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ExpectGraphsIdentical(*graph, *ParseNTriples(*text));
   std::remove(path.c_str());
+}
+
+/// Loads `text` into `sink` on `threads` shards (chunks of at least one
+/// byte, so tiny inputs reach that many), with `options`' other knobs.
+Status LoadSharded(std::string_view text, int threads, IncidenceSink* sink,
+                   ParseOptions options = {}) {
+  options.threads = threads;
+  options.min_chunk_bytes = 1;
+  return ParseNTriplesInto(text, sink, options);
 }
 
 TEST(NTriplesTest, ShardedParseMatchesSequentialBitForBit) {
   const std::string text = ManyLines(500);
-  Graph sequential;
+  IncidenceSink sequential;
   ASSERT_TRUE(ParseNTriplesInto(text, &sequential).ok());
-  // Appending to a non-empty graph: the prefix shares subjects, predicates
-  // and some whole triples with `text`, so the fold must reuse its ids and
-  // drop the repeats.
+  // A load replaces what the sink held: this prefix shares subjects,
+  // predicates and whole triples with `text`.
   const std::string prefix =
       ManyLines(40) + "<http://x/new> <http://x/p0> \"value 3\" .\n";
-  Graph appended_sequential;
-  ASSERT_TRUE(ParseNTriplesInto(prefix, &appended_sequential).ok());
-  ASSERT_TRUE(ParseNTriplesInto(text, &appended_sequential).ok());
-  for (int threads : {2, 3, 4, 8}) {
-    ParseOptions options;
-    options.threads = threads;
-    options.min_chunk_bytes = 1;  // force sharding on this small input
+  for (const int threads : kShardCounts) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    Graph sharded;
-    ASSERT_TRUE(ParseNTriplesInto(text, &sharded, options).ok());
-    ExpectGraphsIdentical(sharded, sequential);
+    IncidenceSink sharded;
+    ASSERT_TRUE(LoadSharded(text, threads, &sharded).ok());
+    ExpectSinksIdentical(sharded, sequential);
 
-    Graph appended;
-    ASSERT_TRUE(ParseNTriplesInto(prefix, &appended).ok());
-    ASSERT_TRUE(ParseNTriplesInto(text, &appended, options).ok());
-    ExpectGraphsIdentical(appended, appended_sequential);
+    IncidenceSink reloaded;
+    ASSERT_TRUE(ParseNTriplesInto(prefix, &reloaded).ok());
+    ASSERT_TRUE(LoadSharded(text, threads, &reloaded).ok());
+    ExpectSinksIdentical(reloaded, sequential);
   }
 }
 
@@ -441,14 +427,30 @@ TEST(NTriplesTest, ShardedParseHandlesChunkBoundaryLines) {
   // the line stream; every split must snap to a line boundary so no triple is
   // lost or torn.
   const std::string text = ManyLines(64);
-  ParseOptions options;
-  options.threads = 16;
-  options.min_chunk_bytes = 1;
-  Graph sharded;
-  ASSERT_TRUE(ParseNTriplesInto(text, &sharded, options).ok());
-  Graph sequential;
+  IncidenceSink sequential;
   ASSERT_TRUE(ParseNTriplesInto(text, &sequential).ok());
-  ExpectGraphsIdentical(sharded, sequential);
+  for (const int threads : kShardCounts) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    IncidenceSink sharded;
+    ASSERT_TRUE(LoadSharded(text, threads, &sharded).ok());
+    ExpectSinksIdentical(sharded, sequential);
+  }
+}
+
+/// Expects every sharded load of `text` to fail with the sequential load's
+/// exact status and to keep exactly its triples: those before the failing
+/// line. Returns the sequential status.
+Status ExpectShardedStrictFailureMatches(const std::string& text) {
+  IncidenceSink sequential;
+  const Status want = ParseNTriplesInto(text, &sequential);
+  EXPECT_FALSE(want.ok());
+  for (const int threads : kShardCounts) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    IncidenceSink sharded;
+    EXPECT_EQ(LoadSharded(text, threads, &sharded).ToString(), want.ToString());
+    ExpectSinksIdentical(sharded, sequential);
+  }
+  return want;
 }
 
 TEST(NTriplesTest, ShardedParseReportsGlobalErrorLine) {
@@ -459,12 +461,7 @@ TEST(NTriplesTest, ShardedParseReportsGlobalErrorLine) {
       static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
   text += "this is not a triple\n";
   text += ManyLines(10);
-  ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
-  Graph g;
-  Status st = ParseNTriplesInto(text, &g, options);
-  ASSERT_FALSE(st.ok());
+  const Status st = ExpectShardedStrictFailureMatches(text);
   EXPECT_NE(st.message().find("line " + std::to_string(lines_before + 1)),
             std::string::npos)
       << st.ToString();
@@ -479,12 +476,7 @@ TEST(NTriplesTest, ShardedParseReportsEarliestError) {
   text += "bad line one\n";
   text += ManyLines(100);
   text += "bad line two\n";
-  ParseOptions options;
-  options.threads = 6;
-  options.min_chunk_bytes = 1;
-  Graph g;
-  Status st = ParseNTriplesInto(text, &g, options);
-  ASSERT_FALSE(st.ok());
+  const Status st = ExpectShardedStrictFailureMatches(text);
   EXPECT_NE(st.message().find("line " + std::to_string(first_bad)),
             std::string::npos)
       << st.ToString();
@@ -493,8 +485,8 @@ TEST(NTriplesTest, ShardedParseReportsEarliestError) {
 TEST(NTriplesTest, RandomGraphsIdenticalAcrossThreadCounts) {
   // The contract is bit-identity for *any* thread count, including counts
   // above the hardware concurrency. Random generator graphs exercise the
-  // messy shapes (blank nodes, duplicate triples, literals with datatypes)
-  // that the ManyLines tests above do not.
+  // messy shapes (blank nodes, duplicate triples, rdf:type postings,
+  // literals with datatypes) that the ManyLines tests above do not.
   for (const std::uint64_t seed : {2u, 9u, 31u}) {
     gen::RandomGraphSpec spec;
     spec.num_subjects = 120;
@@ -502,44 +494,16 @@ TEST(NTriplesTest, RandomGraphsIdenticalAcrossThreadCounts) {
     spec.num_sorts = 2;
     spec.seed = seed;
     const std::string text = WriteNTriples(gen::GenerateRandomGraph(spec));
-    Graph sequential;
+    IncidenceSink sequential;
     ASSERT_TRUE(ParseNTriplesInto(text, &sequential).ok());
-    for (const int threads : {1, 2, 8}) {
-      ParseOptions options;
-      options.threads = threads;
-      options.min_chunk_bytes = 1;  // force one chunk per thread
-      Graph parsed;
-      ASSERT_TRUE(ParseNTriplesInto(text, &parsed, options).ok())
-          << "seed " << seed << " threads " << threads;
+    for (const int threads : kShardCounts) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                    std::to_string(threads));
-      ExpectGraphsIdentical(parsed, sequential);
-      // The derived posting orders feed the signature index — they must
-      // match too, not just the raw triple stream.
-      EXPECT_EQ(parsed.subjects(), sequential.subjects());
-      EXPECT_EQ(parsed.properties(), sequential.properties());
+      IncidenceSink sharded;
+      ASSERT_TRUE(LoadSharded(text, threads, &sharded).ok());
+      ExpectSinksIdentical(sharded, sequential);
     }
   }
-}
-
-TEST(NTriplesTest, ParseFileWithThreadsMatchesSequential) {
-  const std::string path = ::testing::TempDir() + "ntriples_sharded.nt";
-  const std::string text = ManyLines(300);
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
-  auto sequential = ParseNTriplesFile(path);
-  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-  ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
-  auto sharded = ParseNTriplesFile(path, options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ExpectGraphsIdentical(*sharded, *sequential);
-  std::remove(path.c_str());
 }
 
 /// Interleaves `text`'s lines with `bad` malformed lines at fixed intervals,
@@ -616,21 +580,19 @@ TEST(NTriplesTest, TolerantShardedParseMatchesSequentialWithGlobalLines) {
   const std::string dirty = Dirty(clean, 31, &bad_lines);
   ASSERT_FALSE(bad_lines.empty());
 
-  Graph expected;
+  IncidenceSink expected;
   ASSERT_TRUE(ParseNTriplesInto(clean, &expected).ok());
 
-  for (const int threads : {2, 4, 8}) {
+  for (const int threads : kShardCounts) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     ParseOptions options;
-    options.threads = threads;
-    options.min_chunk_bytes = 1;  // force sharding on this small input
     options.max_errors = bad_lines.size();
     std::vector<ParseDiagnostic> diags;
     options.diagnostics = &diags;
-    Graph tolerant;
-    Status st = ParseNTriplesInto(dirty, &tolerant, options);
-    ASSERT_TRUE(st.ok()) << threads << " threads: " << st.ToString();
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    ExpectGraphsIdentical(tolerant, expected);
+    IncidenceSink tolerant;
+    Status st = LoadSharded(dirty, threads, &tolerant, options);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ExpectSinksIdentical(tolerant, expected);
     // Global line numbers in input order, exactly as the sequential parse
     // reports them.
     ASSERT_EQ(diags.size(), bad_lines.size());
@@ -641,17 +603,48 @@ TEST(NTriplesTest, TolerantShardedParseMatchesSequentialWithGlobalLines) {
 }
 
 TEST(NTriplesTest, TolerantShardedParseFailsPastBudget) {
-  const std::string clean = ManyLines(200);
-  std::vector<std::size_t> bad_lines;
-  const std::string dirty = Dirty(clean, 11, &bad_lines);
-  ParseOptions options;
-  options.threads = 4;
-  options.min_chunk_bytes = 1;
-  options.max_errors = 3;
-  Graph g;
-  Status st = ParseNTriplesInto(dirty, &g, options);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  // Past the budget every shard count names the same line as the
+  // sequential load: the input's (max_errors + 1)-th malformed one, whether
+  // it tips a shard over locally or only with the errors of earlier shards.
+  // The second input has few bad lines in its first half and many in its
+  // second, so on two shards the second shard fails on its own budget
+  // after the first used part of the global one.
+  std::vector<std::size_t> bad_lines, unused;
+  const std::string even = Dirty(ManyLines(200), 11, &bad_lines);
+  const std::string skewed =
+      Dirty(ManyLines(150), 60, &unused) + Dirty(ManyLines(150), 5, &unused);
+  for (const std::string* text : {&even, &skewed}) {
+    ParseOptions options;
+    options.max_errors = 3;
+    std::vector<ParseDiagnostic> want_diags;
+    options.diagnostics = &want_diags;
+    IncidenceSink sequential;
+    const Status want = ParseNTriplesInto(*text, &sequential, options);
+    ASSERT_EQ(want.code(), StatusCode::kParseError) << want.ToString();
+    ASSERT_EQ(want_diags.size(), options.max_errors);
+    if (text == &even) {
+      EXPECT_NE(want.message().find("; last: line " +
+                                    std::to_string(bad_lines[3]) + ": "),
+                std::string::npos)
+          << want.ToString();
+    }
+    for (const int threads : kShardCounts) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      std::vector<ParseDiagnostic> diags;
+      options.diagnostics = &diags;
+      IncidenceSink sharded;
+      EXPECT_EQ(LoadSharded(*text, threads, &sharded, options).ToString(),
+                want.ToString());
+      ASSERT_EQ(diags.size(), want_diags.size());
+      for (std::size_t i = 0; i < diags.size(); ++i) {
+        EXPECT_EQ(diags[i].line, want_diags[i].line) << "diagnostic " << i;
+        EXPECT_EQ(diags[i].message, want_diags[i].message)
+            << "diagnostic " << i;
+      }
+      // The kept prefix depends on the sharding; it must be coherent.
+      sharded.CheckInvariants();
+    }
+  }
 }
 
 TEST(NTriplesTest, ReadFileDirectoryIsInvalidArgument) {

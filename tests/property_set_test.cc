@@ -233,7 +233,7 @@ SignatureIndex RandomIndex(Rng* rng, int num_sigs, int num_props) {
   }
   std::vector<std::string> names;
   for (int p = 0; p < num_props; ++p) {
-    names.push_back("p" + std::to_string(p));
+    names.emplace_back("p") += std::to_string(p);
   }
   return SignatureIndex::FromSignatures(std::move(names), std::move(sigs));
 }

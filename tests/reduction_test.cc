@@ -15,6 +15,13 @@
 namespace rdfsr::reduction {
 namespace {
 
+/// `prefix` followed by the decimal `i`: a row or column name of M_G.
+std::string Name(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 TEST(GraphTest, CompleteAndCycleConstruction) {
   const UndirectedGraph k4 = UndirectedGraph::Complete(4);
   EXPECT_TRUE(k4.HasEdge(0, 3));
@@ -85,9 +92,9 @@ TEST(ReductionMatrixTest, DimensionsAndBlocks) {
   for (const char* group : {"a", "b", "c"}) {
     for (int i = 0; i < 3; ++i) {
       for (int j = 0; j < 3; ++j) {
-        const std::string row = group + std::to_string(i);
-        EXPECT_EQ(cell(row, "L" + std::to_string(j)), i == j ? 1 : 0);
-        EXPECT_EQ(cell(row, "R" + std::to_string(j)), i == j ? 1 : 0);
+        const std::string row = Name(group, i);
+        EXPECT_EQ(cell(row, Name("L", j)), i == j ? 1 : 0);
+        EXPECT_EQ(cell(row, Name("R", j)), i == j ? 1 : 0);
       }
     }
   }
@@ -95,12 +102,12 @@ TEST(ReductionMatrixTest, DimensionsAndBlocks) {
   // Example A.1: rows (1 0 1 / 0 1 1 / 1 1 1).
   const int expect[3][3] = {{1, 0, 1}, {0, 1, 1}, {1, 1, 1}};
   for (int i = 0; i < 3; ++i) {
-    const std::string row = "v" + std::to_string(i);
+    const std::string row = Name("v", i);
     EXPECT_EQ(cell(row, "sp1"), 1);
     EXPECT_EQ(cell(row, "sp2"), 1);
     EXPECT_EQ(cell(row, "idp"), 0);
     for (int j = 0; j < 3; ++j) {
-      EXPECT_EQ(cell(row, "R" + std::to_string(j)), expect[i][j])
+      EXPECT_EQ(cell(row, Name("R", j)), expect[i][j])
           << i << "," << j;
     }
   }
@@ -159,15 +166,15 @@ TEST(ColoringPartitionTest, PartitionCoversAllRowsOnce) {
   for (int g = 0; g < 3; ++g) {
     const std::set<int> part(parts[g].begin(), parts[g].end());
     for (int i = 0; i < 5; ++i) {
-      EXPECT_TRUE(part.count(index.FindSubjectSignature(
-          group_name[g] + std::to_string(i))))
+      EXPECT_TRUE(
+          part.count(index.FindSubjectSignature(Name(group_name[g], i))))
           << group_name[g] << i;
     }
   }
   for (int i = 0; i < 5; ++i) {
     const std::set<int> part(parts[(*coloring)[i]].begin(),
                              parts[(*coloring)[i]].end());
-    EXPECT_TRUE(part.count(index.FindSubjectSignature("v" + std::to_string(i))))
+    EXPECT_TRUE(part.count(index.FindSubjectSignature(Name("v", i))))
         << "v" << i;
   }
 }
@@ -181,7 +188,7 @@ TEST(ColoringPartitionTest, PartsAreIndependentSets) {
   const schema::SignatureIndex index = BuildReductionIndex(c5);
   std::map<int, int> node_of_signature;
   for (int i = 0; i < 5; ++i) {
-    node_of_signature[index.FindSubjectSignature("v" + std::to_string(i))] = i;
+    node_of_signature[index.FindSubjectSignature(Name("v", i))] = i;
   }
   const auto parts = ColoringToRowPartition(c5, *coloring);
   for (const auto& part : parts) {
