@@ -71,18 +71,15 @@ Result<Dataset> Dataset::Load(std::string_view text, std::string* owned,
   const int effective = rdf::EffectiveParseThreads(parse_options, text.size());
   parse_options.threads = effective;
   // One pool carries the whole load: sharded parse and the index build's
-  // sort / grouping stages all draw from the same workers.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (effective > 1) {
-    pool = std::make_unique<util::ThreadPool>(effective - 1);
-    parse_options.pool = pool.get();
-  }
+  // sort / grouping stages all draw from the same workers (none at one lane).
+  util::ThreadPool pool(effective - 1);
+  parse_options.pool = &pool;
   auto triples = std::make_shared<rdf::IncidenceSink>();
   Status st = rdf::ParseNTriplesInto(text, triples.get(), parse_options);
   if (!st.ok()) return st;
   if (owned != nullptr) std::string().swap(*owned);
-  return Build(std::move(triples), options.sort, options, pool.get(),
-               effective, deadline.token());
+  return Build(std::move(triples), options.sort, options, &pool, effective,
+               deadline.token());
 }
 
 Dataset Dataset::FromIndex(schema::SignatureIndex index) {

@@ -66,16 +66,17 @@ struct DatasetOptions {
   /// rdf:type triples, not a graph — so Slice() / SortIris() work after
   /// loading. Turn off to drop them once the index is built.
   bool keep_graph = true;
-  /// Parser threads for FromNTriplesFile / FromNTriplesText. 1 (the default)
-  /// parses sequentially; higher values shard the input at line boundaries
-  /// and merge the shards in chunk order, which produces the exact same
-  /// dataset (index, num_triples(), SortIris(), diagnostics) as sequential —
-  /// a pure throughput knob for multi-million-triple files. Values < 1 mean
-  /// one thread per hardware thread; the count is capped so every chunk
-  /// keeps at least ~1 MiB of input (tiny files parse on fewer threads).
-  /// The clamped count the load actually used is
-  /// Dataset::effective_parse_threads(); the same worker pool is reused for
-  /// the signature-index build stages.
+  /// Parser threads for FromNTriplesFile / FromNTriplesText. The input is
+  /// sharded at line boundaries into one chunk per thread (1, the default,
+  /// is one chunk parsed on the calling thread) and the shards merge in
+  /// chunk order, so every value produces the exact same dataset (index,
+  /// num_triples(), SortIris(), diagnostics) — a pure throughput knob for
+  /// multi-million-triple files. Values < 1 mean one thread per hardware
+  /// thread, every value is capped at util::ThreadPool::kMaxThreads, and
+  /// the count is capped so every chunk keeps at least ~1 MiB of input
+  /// (tiny files parse on fewer threads). The clamped count the load
+  /// actually used is Dataset::effective_parse_threads(); the same worker
+  /// pool is reused for the signature-index build stages.
   int parse_threads = 1;
   /// Wall-clock budget for the load chain (parse, shard merge, index build)
   /// in milliseconds; <= 0 (the default) means unlimited. Overrun fails the
@@ -166,8 +167,9 @@ class Dataset {
 
   /// Parser threads the load actually used after clamping
   /// DatasetOptions::parse_threads (< 1 resolved to the hardware
-  /// concurrency, then capped at the input's chunk count). 1 for datasets
-  /// built FromIndex or sliced from another dataset.
+  /// concurrency, at most util::ThreadPool::kMaxThreads, then capped at the
+  /// input's chunk count). 1 for datasets built FromIndex or sliced from
+  /// another dataset.
   int effective_parse_threads() const;
 
   /// One-line shape summary: "4 subjects, 3 properties, 2 signatures".
@@ -241,8 +243,8 @@ class Analysis {
   /// Exact-solver node budget per decision instance.
   Analysis& MaxNodes(long long nodes);
   /// Worker threads for the agglomerative heuristics (< 1 = one per
-  /// hardware thread). Results are bit-identical for every value; see
-  /// core::SolverOptions::heuristic_threads.
+  /// hardware thread; at most util::ThreadPool::kMaxThreads). Results are
+  /// bit-identical for every value; see core::SolverOptions::heuristic_threads.
   Analysis& HeuristicThreads(int threads);
   /// Step size of the sequential highest-theta search (paper: 0.01).
   /// Clamped into [0.001, 1]; non-finite or non-positive values fall back to

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <queue>
@@ -228,9 +227,9 @@ namespace {
 /// partner survived just race the merged part as one new candidate. A merge
 /// round therefore costs O(n log n + n * |P|/64) instead of the scratch
 /// baseline's O(n^2 * |sort| * |P|) (measured in bench/bench_refine.cc).
-/// Instances below this many signatures run serial regardless of `threads`:
-/// a full row scan is ~n closed-form evaluations, and the fan-out overhead
-/// only amortizes once rows are a few hundred entries wide.
+/// Instances below this many signatures run on one lane regardless of
+/// `threads`: a full row scan is ~n closed-form evaluations, and the fan-out
+/// overhead only amortizes once rows are a few hundred entries wide.
 constexpr int kParallelAgglomerateCutoff = 256;
 
 std::vector<AgglomerativeMerge> Agglomerate(
@@ -243,20 +242,18 @@ std::vector<AgglomerativeMerge> Agglomerate(
       max_merges, n > 1 ? static_cast<std::size_t>(n - 1) : 0);
   std::vector<AgglomerativeMerge> merges;
 
-  // Worker pool for row recomputation. Only engaged when sigma extraction is
-  // a pure closed form (cheap_stats() — the cached evaluator's memo is not
-  // thread-safe, but it bypasses the memo entirely in that regime) and the
-  // instance is large enough to amortize the dispatch. The pool only ever
-  // computes PairEntry values into disjoint slots; every heap mutation stays
-  // on this thread, and the total order on pairs makes each row's best
-  // unique, so the merge sequence cannot depend on thread scheduling.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (n >= kParallelAgglomerateCutoff && evaluator.cheap_stats()) {
-    const int resolved = util::ThreadPool::ResolveThreads(threads);
-    if (resolved > 1) {
-      pool = std::make_unique<util::ThreadPool>(resolved - 1);
-    }
-  }
+  // Worker pool for row recomputation; one lane (0 workers, every fan-out
+  // inline) unless sigma extraction is a pure closed form (cheap_stats() —
+  // the cached evaluator's memo is not thread-safe, but it bypasses the memo
+  // entirely in that regime) and the instance is large enough to amortize
+  // the dispatch. The pool only ever computes PairEntry values into disjoint
+  // slots; every heap mutation stays on this thread, and the total order on
+  // pairs makes each row's best unique, so the merge sequence cannot depend
+  // on the lane count or on thread scheduling.
+  const int lanes = n >= kParallelAgglomerateCutoff && evaluator.cheap_stats()
+                        ? util::ThreadPool::ResolveThreads(threads)
+                        : 1;
+  util::ThreadPool pool(lanes - 1);
 
   // Parts live in fixed slots; a merge folds the later slot into the earlier
   // one, so ascending live slots reproduce the erase-based ordering (and the
@@ -341,7 +338,7 @@ std::vector<AgglomerativeMerge> Agglomerate(
   std::vector<PairEntry> row_best(static_cast<std::size_t>(n));
   std::vector<char> has_row(static_cast<std::size_t>(n), 0);
 
-  // Scratch for the parallel post-merge update, hoisted out of the loop.
+  // Scratch for the post-merge update, hoisted out of the loop.
   std::vector<int> rescan, probe;
   std::vector<PairEntry> probe_entries;
 
@@ -365,19 +362,19 @@ std::vector<AgglomerativeMerge> Agglomerate(
   // pool's ParallelFor must not nest). Each chunk reduces to a local best;
   // the total order on pairs makes the mutex-folded result unique.
   // Type-erased once so each Offer() (one per chunk, not per pair) can fold
-  // through the same comparator the serial path uses.
+  // through the same comparator compute_row uses.
   const std::function<bool(const PairEntry&, const PairEntry&)>
       merges_before_fn = merges_before;
 
   const auto compute_row_split = [&](int a) {
     const std::size_t span =
         a + 1 < n ? static_cast<std::size_t>(n - a - 1) : 0;
-    if (pool == nullptr || span < 512) {
+    if (span < 512) {
       compute_row(a);
       return;
     }
     RowFold fold;
-    pool->ParallelFor(span, [&](std::size_t lo, std::size_t hi) {
+    pool.ParallelFor(span, [&](std::size_t lo, std::size_t hi) {
       PairEntry local;
       bool has_local = false;
       for (std::size_t i = lo; i < hi; ++i) {
@@ -394,35 +391,22 @@ std::vector<AgglomerativeMerge> Agglomerate(
     has_row[a] = fold.Take(&row_best[a]) ? 1 : 0;
   };
 
-  const auto recompute_row = [&](int a) {
-    compute_row(a);
-    if (has_row[a]) heap.push(row_best[a]);
-  };
-
   bool cancelled = cancel.stop_requested();
   if (max_merges > 0 && !cancelled) {
-    if (pool != nullptr) {
-      pool->ParallelFor(static_cast<std::size_t>(n),
-                        [&](std::size_t lo, std::size_t hi) {
-                          for (std::size_t a = lo; a < hi; ++a) {
-                            compute_row(static_cast<int>(a));
-                          }
-                        });
+    // Per-row granularity: each row is O(n) closed-form evaluations, so every
+    // lane polls before each row it scans. A cancelled build skips the merge
+    // loop — no merges is all singletons, a valid partition.
+    pool.ParallelFor(static_cast<std::size_t>(n),
+                     [&](std::size_t lo, std::size_t hi) {
+                       for (std::size_t a = lo; a < hi; ++a) {
+                         if (cancel.stop_requested()) return;
+                         compute_row(static_cast<int>(a));
+                       }
+                     });
+    cancelled = cancel.stop_requested();
+    if (!cancelled) {
       for (int a = 0; a < n; ++a) {
         if (has_row[a]) heap.push(row_best[a]);
-      }
-      cancelled = cancel.stop_requested();
-    } else {
-      for (int a = 0; a < n; ++a) {
-        // Per-row granularity: each row is O(n) closed-form evaluations, so
-        // this is the natural safe point of the initial build. A cancelled
-        // build skips the merge loop — no merges is all singletons, a valid
-        // partition.
-        if (cancel.stop_requested()) {
-          cancelled = true;
-          break;
-        }
-        recompute_row(a);
       }
     }
   }
@@ -463,68 +447,49 @@ std::vector<AgglomerativeMerge> Agglomerate(
     // Only rows touching the merged part change: rows whose cached best
     // referenced a or b must rescan; earlier rows race the merged part as a
     // single new candidate; a's own row is rebuilt against its new stats.
-    if (pool != nullptr) {
-      // Classify serially (cheap flag reads), fan the evaluations out —
-      // rescans write disjoint row slots, probes write disjoint scratch —
-      // then fold results and push on this thread in ascending row order,
-      // exactly as the serial loop does.
-      rescan.clear();
-      probe.clear();
-      for (int x = 0; x < n; ++x) {
-        if (!parts[x].alive || x == a) continue;
-        if (has_row[x] && (row_best[x].b == a || row_best[x].b == b)) {
-          rescan.push_back(x);
-        } else if (x < a) {
-          probe.push_back(x);
-        }
+    // Classify on this thread (cheap flag reads), fan the evaluations out —
+    // rescans write disjoint row slots, probes write disjoint scratch — then
+    // fold results and push on this thread in ascending row order.
+    rescan.clear();
+    probe.clear();
+    for (int x = 0; x < n; ++x) {
+      if (!parts[x].alive || x == a) continue;
+      if (has_row[x] && (row_best[x].b == a || row_best[x].b == b)) {
+        rescan.push_back(x);
+      } else if (x < a) {
+        probe.push_back(x);
       }
-      probe_entries.resize(probe.size());
-      pool->ParallelFor(
-          rescan.size() + probe.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (i < rescan.size()) {
-                compute_row(rescan[i]);
-              } else {
-                const std::size_t j = i - rescan.size();
-                probe_entries[j] = eval_pair(probe[j], a);
-              }
-            }
-          });
-      std::size_t ri = 0, pi = 0;
-      while (ri < rescan.size() || pi < probe.size()) {
-        if (pi >= probe.size() ||
-            (ri < rescan.size() && rescan[ri] < probe[pi])) {
-          const int x = rescan[ri++];
-          if (has_row[x]) heap.push(row_best[x]);
-        } else {
-          const int x = probe[pi];
-          const PairEntry& e = probe_entries[pi++];
-          if (!has_row[x] || merges_before(e, row_best[x])) {
-            row_best[x] = e;
-            has_row[x] = 1;
-            heap.push(row_best[x]);
-          }
-        }
-      }
-      compute_row_split(a);
-      if (has_row[a]) heap.push(row_best[a]);
-    } else {
-      for (int x = 0; x < n; ++x) {
-        if (!parts[x].alive || x == a) continue;
-        if (has_row[x] && (row_best[x].b == a || row_best[x].b == b)) {
-          recompute_row(x);
-        } else if (x < a) {
-          PairEntry e = eval_pair(x, a);
-          if (!has_row[x] || merges_before(e, row_best[x])) {
-            row_best[x] = e;
-            has_row[x] = 1;
-            heap.push(row_best[x]);
-          }
-        }
-      }
-      recompute_row(a);
     }
+    probe_entries.resize(probe.size());
+    pool.ParallelFor(rescan.size() + probe.size(),
+                     [&](std::size_t lo, std::size_t hi) {
+                       for (std::size_t i = lo; i < hi; ++i) {
+                         if (i < rescan.size()) {
+                           compute_row(rescan[i]);
+                         } else {
+                           const std::size_t j = i - rescan.size();
+                           probe_entries[j] = eval_pair(probe[j], a);
+                         }
+                       }
+                     });
+    std::size_t ri = 0, pi = 0;
+    while (ri < rescan.size() || pi < probe.size()) {
+      if (pi >= probe.size() ||
+          (ri < rescan.size() && rescan[ri] < probe[pi])) {
+        const int x = rescan[ri++];
+        if (has_row[x]) heap.push(row_best[x]);
+      } else {
+        const int x = probe[pi];
+        const PairEntry& e = probe_entries[pi++];
+        if (!has_row[x] || merges_before(e, row_best[x])) {
+          row_best[x] = e;
+          has_row[x] = 1;
+          heap.push(row_best[x]);
+        }
+      }
+    }
+    compute_row_split(a);
+    if (has_row[a]) heap.push(row_best[a]);
 
     // Stale snapshots accumulate until popped; rebuilding from the O(n) row
     // cache keeps the heap from growing past O(n) between rounds.

@@ -74,17 +74,22 @@ struct AgglomerativeMerge {
 /// merge below theta, and the k-stopped run (AgglomerativeFixedK) is the
 /// first n - k merges. Build it once, then cut it per theta and per k.
 ///
-/// `threads` parallelizes the best-pair row recomputation (values < 1 mean
-/// one thread per hardware thread). The merge sequence is bit-identical for
-/// every thread count: candidate pairs are totally ordered, so the per-row
-/// best and the popped merge are unique regardless of the order worker
-/// threads discover them. Parallelism engages only when the evaluator
-/// reports cheap_stats() (pure closed-form extraction, no shared memo) and
-/// the instance is large enough to pay for the fan-out.
+/// `threads` is the number of lanes for the best-pair row recomputation
+/// (values < 1 mean one per hardware thread; at most
+/// util::ThreadPool::kMaxThreads). One code path runs at every lane count,
+/// and the merge sequence is bit-identical for all of them: candidate pairs
+/// are totally ordered, so the per-row best and the popped merge are unique
+/// regardless of the order the lanes discover them. More than one lane
+/// engages only when the evaluator reports cheap_stats() (pure closed-form
+/// extraction, no shared memo) and the instance has at least 256
+/// signatures, enough to pay for the fan-out; otherwise the engine runs on
+/// one lane, the calling thread.
 ///
-/// `cancel` is polled once per merge round (and per row during the initial
-/// build): a tripped token stops merging early and returns the merges made
-/// so far, a prefix of the uncancelled sequence.
+/// `cancel` is polled once per merge round, and during the initial build by
+/// every lane before each row it scans, so a trip stops the build within one
+/// row per lane: a tripped token stops merging early and returns the merges
+/// made so far, a prefix of the uncancelled sequence (none when the trip
+/// lands in the initial build).
 std::vector<AgglomerativeMerge> AgglomerativeMerges(
     const eval::Evaluator& evaluator, int threads = 1,
     const util::CancellationToken& cancel = {});

@@ -201,7 +201,6 @@ Status MipLimitStatus(const ilp::MipResult& mip, const ilp::MipOptions& mip_opti
 }  // namespace
 
 DecisionResult RefinementSolver::Exists(int k, Rational theta) {
-  WallTimer timer;
   DecisionResult result;
   const schema::SignatureIndex& index = Eval().index();
   RDFSR_CHECK_GT(k, 0);
@@ -211,7 +210,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
     // Empty dataset: the empty partition vacuously satisfies any threshold.
     result.decision = Decision::kExists;
     result.refinement = SortRefinement{};
-    result.seconds = timer.Seconds();
     return result;
   }
 
@@ -222,7 +220,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
       whole.sorts.push_back(eval::AllSignatures(index));
       result.decision = Decision::kExists;
       result.refinement = std::move(whole);
-      result.seconds = timer.Seconds();
       return result;
     }
   }
@@ -234,7 +231,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   if (token.stop_requested()) {
     result.decision = Decision::kUnknown;
     result.limit = token.status();
-    result.seconds = timer.Seconds();
     return result;
   }
 
@@ -252,7 +248,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
         result.decision = Decision::kExists;
         result.refinement = agg.refinement;
         result.via_greedy = true;
-        result.seconds = timer.Seconds();
         return result;
       }
     }
@@ -263,7 +258,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
         result.decision = Decision::kExists;
         result.refinement = clustered.refinement;
         result.via_greedy = true;
-        result.seconds = timer.Seconds();
         return result;
       }
     }
@@ -274,7 +268,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
         result.decision = Decision::kExists;
         result.refinement = greedy.refinement;
         result.via_greedy = true;
-        result.seconds = timer.Seconds();
         return result;
       }
     }
@@ -285,7 +278,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
   if (token.stop_requested()) {
     result.decision = Decision::kUnknown;
     result.limit = token.status();
-    result.seconds = timer.Seconds();
     return result;
   }
 
@@ -304,7 +296,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
     msg << "exact MIP skipped: encoding has " << simplex_rows
         << " simplex rows > max_mip_rows = " << options_.max_mip_rows;
     result.limit = Status::ResourceExhausted(msg.str());
-    result.seconds = timer.Seconds();
     return result;
   }
 #ifdef RDFSR_FAILPOINTS_ENABLED
@@ -315,7 +306,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
     if (!fp.ok()) {
       result.decision = Decision::kUnknown;
       result.limit = std::move(fp);
-      result.seconds = timer.Seconds();
       return result;
     }
   }
@@ -364,7 +354,6 @@ DecisionResult RefinementSolver::Exists(int k, Rational theta) {
       result.limit = MipLimitStatus(mip, mip_options);
       break;
   }
-  result.seconds = timer.Seconds();
   return result;
 }
 
@@ -407,8 +396,6 @@ HighestThetaResult RefinementSolver::FindHighestTheta(int k) {
     const Rational theta = grid.Theta(g);
     DecisionResult r = Exists(k, theta);
     ++best.instances;
-    best.mip_nodes += r.mip_nodes;
-    best.lp_stats.MergeWith(r.lp_stats);
     if (r.decision == Decision::kExists) {
       best.theta = theta;
       best.refinement = std::move(*r.refinement);
@@ -450,8 +437,6 @@ Result<LowestKResult> RefinementSolver::FindLowestK(Rational theta, int max_k) {
     }
     DecisionResult r = Exists(k, theta);
     ++out.instances;
-    out.mip_nodes += r.mip_nodes;
-    out.lp_stats.MergeWith(r.lp_stats);
     if (r.decision == Decision::kExists) {
       out.k = k;
       out.refinement = std::move(*r.refinement);

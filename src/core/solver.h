@@ -77,7 +77,6 @@ struct DecisionResult {
   /// shortcut answered): pivots, refactorizations, warm-basis reuses, eta
   /// high-water mark.
   ilp::LpEngineStats lp_stats;
-  double seconds = 0.0;
   /// Why the instance is kUnknown (OK otherwise): kResourceExhausted for
   /// node/LP-iteration/size limits and for LP numerical failures (the message
   /// names the limit or the failure and its count), kDeadlineExceeded /
@@ -113,9 +112,10 @@ struct SolverOptions {
   /// deactivated link sides presolve away) before any model is built.
   std::size_t max_mip_rows = 20000;
   /// Worker threads for the agglomerative heuristics' best-pair row
-  /// recomputation (values < 1 mean one per hardware thread). Purely a
-  /// throughput knob: the merge sequence is bit-identical for every value
-  /// (see AgglomerativeLowestK), and small instances stay serial regardless.
+  /// recomputation (values < 1 mean one per hardware thread; values above
+  /// util::ThreadPool::kMaxThreads clamp to it). Purely a throughput knob:
+  /// the merge sequence is bit-identical for every value (see
+  /// AgglomerativeMerges), and small instances run on one lane regardless.
   int heuristic_threads = 1;
   /// Wall-clock budget / cancellation for every search this solver runs.
   /// Anytime semantics: a tripped deadline makes Exists return kUnknown (with
@@ -152,8 +152,6 @@ struct HighestThetaResult {
   SortRefinement refinement;
   int instances = 0;       ///< decision instances solved
   bool ceiling_proven = false;  ///< next step was proven infeasible (vs unknown)
-  long long mip_nodes = 0;         ///< summed over the exact solves
-  ilp::LpEngineStats lp_stats;     ///< aggregated over the exact solves
   double seconds = 0.0;
   /// The deadline cut the grid scan: `theta`/`refinement` still carry the
   /// best incumbent found before the cut (at worst the sigma_all baseline),
@@ -167,8 +165,6 @@ struct LowestKResult {
   SortRefinement refinement;
   bool proven_minimal = false;  ///< all smaller k proven infeasible
   int instances = 0;
-  long long mip_nodes = 0;         ///< summed over the exact solves
-  ilp::LpEngineStats lp_stats;     ///< aggregated over the exact solves
   double seconds = 0.0;
   /// Some smaller k went undecided because the deadline tripped (implies
   /// !proven_minimal): the found k is an upper bound reached under time

@@ -34,7 +34,8 @@ class Dictionary {
  public:
   Dictionary() = default;
 
-  // Movable but not copyable: graphs share dictionaries by reference.
+  // Movable but not copyable: a Graph or an IncidenceSink owns its
+  // dictionary, and a copy would duplicate every interned term.
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
   Dictionary(Dictionary&&) = default;

@@ -37,7 +37,7 @@ void Graph::Reserve(std::size_t triples, std::size_t terms) {
   if (slots > dedup_slots_.size()) DedupGrow(slots);
   subject_seen_.reserve(terms);
   property_seen_.reserve(terms);
-  dict_->Reserve(terms);
+  dict_.Reserve(terms);
 }
 
 bool Graph::DedupInsert(const Triple& t) {
@@ -58,9 +58,9 @@ bool Graph::DedupInsert(const Triple& t) {
 }
 
 bool Graph::Add(Triple t) {
-  RDFSR_CHECK_LT(t.subject, dict_->size());
-  RDFSR_CHECK_LT(t.predicate, dict_->size());
-  RDFSR_CHECK_LT(t.object, dict_->size());
+  RDFSR_CHECK_LT(t.subject, dict_.size());
+  RDFSR_CHECK_LT(t.predicate, dict_.size());
+  RDFSR_CHECK_LT(t.object, dict_.size());
   if (!DedupInsert(t)) return false;
   triples_.push_back(t);
   if (MarkSeen(&subject_seen_, t.subject)) subjects_.push_back(t.subject);
@@ -72,17 +72,17 @@ bool Graph::Add(Triple t) {
 
 bool Graph::Add(const Term& s, const Term& p, const Term& o) {
   Triple t;
-  t.subject = dict_->Intern(s);
-  t.predicate = dict_->Intern(p);
-  t.object = dict_->Intern(o);
+  t.subject = dict_.Intern(s);
+  t.predicate = dict_.Intern(p);
+  t.object = dict_.Intern(o);
   return Add(t);
 }
 
 bool Graph::Add(const TermView& s, const TermView& p, const TermView& o) {
   Triple t;
-  t.subject = dict_->Intern(s);
-  t.predicate = dict_->Intern(p);
-  t.object = dict_->Intern(o);
+  t.subject = dict_.Intern(s);
+  t.predicate = dict_.Intern(p);
+  t.object = dict_.Intern(o);
   return Add(t);
 }
 
@@ -97,7 +97,7 @@ bool Graph::AddLiteral(const std::string& s, const std::string& p,
 }
 
 void Graph::CheckInvariants() const {
-  const std::size_t num_terms = dict_->size();
+  const std::size_t num_terms = dict_.size();
   std::unordered_set<Triple, TripleHash> seen;
   seen.reserve(triples_.size() * 2);
   for (const Triple& t : triples_) {
@@ -145,7 +145,7 @@ void Graph::CheckInvariants() const {
 
 const std::vector<std::uint32_t>& Graph::TypePostings() const {
   if (type_scanned_ == triples_.size()) return type_postings_;
-  const TermId type_prop = dict_->FindIri(vocab::kRdfType);
+  const TermId type_prop = dict_.FindIri(vocab::kRdfType);
   if (type_prop != kInvalidTermId) {
     for (std::size_t i = type_scanned_; i < triples_.size(); ++i) {
       if (triples_[i].predicate == type_prop) {

@@ -9,7 +9,7 @@
 #ifndef RDFSR_RDF_GRAPH_H_
 #define RDFSR_RDF_GRAPH_H_
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -51,16 +51,17 @@ struct TripleHash {
   }
 };
 
-/// A finite set of RDF triples sharing a Dictionary. Insertion order of the
-/// first occurrence of each triple/subject/property is preserved, which keeps
-/// downstream views (signature indexes) deterministic.
+/// A finite set of RDF triples over the Dictionary it owns. Insertion order
+/// of the first occurrence of each triple/subject/property is preserved,
+/// which keeps downstream views (signature indexes) deterministic. Movable
+/// but not copyable, like its Dictionary.
 class Graph {
  public:
-  /// Creates a graph with a fresh dictionary.
-  Graph() : dict_(std::make_shared<Dictionary>()) {}
+  /// Creates an empty graph with an empty dictionary.
+  Graph() = default;
 
-  Dictionary& dict() { return *dict_; }
-  const Dictionary& dict() const { return *dict_; }
+  Dictionary& dict() { return dict_; }
+  const Dictionary& dict() const { return dict_; }
 
   /// Pre-sizes the triple store, dedup index, and dictionary for a bulk load
   /// of ~`triples` triples mentioning ~`terms` distinct terms. Purely an
@@ -132,7 +133,7 @@ class Graph {
   /// on the first call for `id`.
   static bool MarkSeen(std::vector<std::uint8_t>* seen, TermId id);
 
-  std::shared_ptr<Dictionary> dict_;
+  Dictionary dict_;
   std::vector<Triple> triples_;
   // Linear-probe slots holding indices into triples_; kEmptySlot when free.
   // Power-of-two size, load factor kept under 1/2.

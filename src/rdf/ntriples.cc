@@ -415,15 +415,17 @@ std::vector<std::pair<std::size_t, std::size_t>> SplitAtLines(
   return chunks;
 }
 
-/// Sharded load into an incidence sink. Splits `text` at line boundaries,
-/// numbers each chunk's first line, and parses chunk i into a private loader
-/// on `options.pool`, else on a pool of `threads` lanes (`threads - 1`
-/// workers plus this thread) that lives as long as the call. Then folds the
-/// shard statuses and diagnostics in chunk order and appends the loaders up
-/// to the first failing one to `loader`, serially in chunk order (the first
-/// is moved, not copied). A shard's ids and orders are first occurrences
-/// within its chunk, and chunk order is byte order, so re-interning each
-/// shard's terms in id order reproduces the sequential load exactly.
+/// Load into an incidence sink, at any thread count. Splits `text` at line
+/// boundaries into `threads` chunks, numbers each chunk's first line, and
+/// parses chunk i into a private loader on `options.pool`, else on a pool of
+/// `threads` lanes (`threads - 1` workers plus this thread) that lives as
+/// long as the call. Then folds the shard statuses and diagnostics in chunk
+/// order and appends the loaders up to the first failing one to `loader`,
+/// serially in chunk order (the first is moved, not copied). A shard's ids
+/// and orders are first occurrences within its chunk, and chunk order is
+/// byte order, so re-interning each shard's terms in id order gives the
+/// one-chunk load exactly. At one lane the text is one chunk, parsed on this
+/// thread by a pool of 0 workers.
 Status ParseSharded(std::string_view text, int threads,
                     const ParseOptions& options,
                     IncidenceSink::Loader* loader) {
@@ -437,8 +439,8 @@ Status ParseSharded(std::string_view text, int threads,
 
   // Global line number of each chunk's first line: parallel per-chunk
   // newline counts (memchr speed, but serial it costs as much as a parse
-  // shard on large inputs), then a serial prefix. The total doubles as the
-  // pre-size estimate for the fold.
+  // shard on large inputs), then a serial prefix. The counts double as the
+  // pre-size estimates of the shards and of the fold: lines bound triples.
   std::vector<std::size_t> chunk_lines(chunks.size());
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
@@ -466,6 +468,9 @@ Status ParseSharded(std::string_view text, int threads,
     for (std::size_t i = cb; i < ce; ++i) {
       const auto [begin, end] = chunks[i];
       IncidenceSink::Loader* local = &shards[i];
+      // The shard's lines, a last one without a newline included; at one
+      // chunk that is the fold's total, so the fold's Reserve is a no-op.
+      local->Reserve(chunk_lines[i] + 1);
       shard_status[i] = ParseLinesInto(
           text.substr(begin, end - begin), first_line[i],
           [local](const TermView& s, const TermView& p, const TermView& o,
@@ -479,7 +484,7 @@ Status ParseSharded(std::string_view text, int threads,
 
   // Fold in chunk order up to and including the first failing shard (lowest
   // line number), keeping the triples parsed before the error — same
-  // partial-append semantics as the sequential parser. In tolerant mode the
+  // partial-append semantics as ParseLinesInto itself. In tolerant mode the
   // global (max_errors + 1)-th malformed line fails the load wherever it
   // falls: among a shard's diagnostics when earlier shards used part of the
   // budget, else in the shard's own over-budget status.
@@ -523,8 +528,8 @@ Status ParseSharded(std::string_view text, int threads,
   return result;
 }
 
-/// Line count of a large input, the pre-size estimate for a sequential
-/// parse (lines bound the triples; distinct terms rarely exceed them, since
+/// Line count of a large input, the pre-size estimate for a Graph parse
+/// (lines bound the triples; distinct terms rarely exceed them, since
 /// subjects and predicates repeat); 0 below 1 MiB, where growth is cheap.
 std::size_t PresizeLines(std::string_view text) {
   if (text.size() < (1u << 20)) return 0;
@@ -562,20 +567,8 @@ Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
                          const ParseOptions& options) {
   RDFSR_CHECK(sink != nullptr);
   IncidenceSink::Loader loader;
-  Status st = Status::OK();
-  const int threads = EffectiveParseThreads(options, text.size());
-  if (threads > 1) {
-    st = ParseSharded(text, threads, options, &loader);
-  } else {
-    loader.Reserve(PresizeLines(text));
-    st = ParseLinesInto(
-        text, 1,
-        [&loader](const TermView& s, const TermView& p, const TermView& o,
-                  std::string_view object_bytes) {
-          loader.Add(s, p, o, object_bytes);
-        },
-        options.max_errors, options.diagnostics, options.cancel);
-  }
+  const Status st = ParseSharded(
+      text, EffectiveParseThreads(options, text.size()), options, &loader);
   *sink = loader.Finish();
   return st;
 }

@@ -13,11 +13,12 @@
 // Two destinations: a Graph keeps every term of every triple and parses on
 // the calling thread; an IncidenceSink (rdf/incidence_sink.h) keeps only
 // what the signature index and the sort enumeration read, and is what
-// api::Dataset loads into. A sink load can be sharded across threads
-// (ParseOptions::threads): chunks split at line boundaries, parse in
-// parallel, and are appended to the sink serially in chunk order by
-// re-interning each shard's terms in id order, so the result is
-// bit-identical to a sequential load for any thread count.
+// api::Dataset loads into. A sink load runs one code path at any thread
+// count (ParseOptions::threads): the input splits at line boundaries into
+// one chunk per lane, the chunks parse in parallel, and they are appended
+// to the sink serially in chunk order by re-interning each shard's terms in
+// id order, so the result is bit-identical at any thread count. One lane is
+// one chunk, parsed on the calling thread.
 
 #ifndef RDFSR_RDF_NTRIPLES_H_
 #define RDFSR_RDF_NTRIPLES_H_
@@ -49,11 +50,12 @@ struct ParseDiagnostic {
 /// Knobs for the N-Triples reader.
 struct ParseOptions {
   /// Number of parser threads for an IncidenceSink load; a Graph parse runs
-  /// on the calling thread whatever this says. 1 loads sequentially; values
-  /// < 1 mean one thread per hardware thread. A sharded load produces the
-  /// same sink (same term ids, same pair and posting order) as a sequential
-  /// one, so this is a pure throughput knob. The count actually used is
-  /// EffectiveParseThreads().
+  /// on the calling thread whatever this says. 1 parses the whole input as
+  /// one chunk on the calling thread; values < 1 mean one thread per
+  /// hardware thread, and every value is capped at
+  /// util::ThreadPool::kMaxThreads. Every thread count produces the same
+  /// sink (same term ids, same pair and posting order), so this is a pure
+  /// throughput knob. The count actually used is EffectiveParseThreads().
   int threads = 1;
   /// Inputs shorter than threads * min_chunk_bytes load on fewer threads
   /// (each chunk keeps at least this many bytes) — thread startup would
@@ -86,9 +88,10 @@ struct ParseOptions {
 };
 
 /// The thread count an IncidenceSink load will actually use for
-/// `input_bytes` of text: `options.threads` with < 1 resolved to the
-/// hardware concurrency, then capped so every chunk keeps at least
-/// `options.min_chunk_bytes` bytes.
+/// `input_bytes` of text: `options.threads` resolved by
+/// util::ThreadPool::ResolveThreads (< 1 is the hardware concurrency, and
+/// the result is at most kMaxThreads), then capped so every chunk keeps at
+/// least `options.min_chunk_bytes` bytes.
 int EffectiveParseThreads(const ParseOptions& options, std::size_t input_bytes);
 
 /// Parses N-Triples text into a fresh graph.

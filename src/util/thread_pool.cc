@@ -119,9 +119,10 @@ void ThreadPool::ParallelFor(
 }
 
 int ThreadPool::ResolveThreads(int requested) {
-  if (requested >= 1) return requested;
+  if (requested >= 1) return std::min(requested, kMaxThreads);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return static_cast<int>(
+      std::clamp(hw, 1u, static_cast<unsigned>(kMaxThreads)));
 }
 
 }  // namespace rdfsr::util

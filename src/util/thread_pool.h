@@ -1,7 +1,8 @@
 // A small fixed-size worker pool shared by every parallel path in the repo:
-// the sharded N-Triples parse (rdf/ntriples.cc), the signature-index pair
-// sort (schema/index_builder.cc), and the agglomerative row recomputation
-// (core/greedy.cc).
+// the sharded N-Triples load (rdf/ntriples.cc), the signature-index pair
+// sort and grouping (schema/index_builder.cc), and the agglomerative row
+// recomputation (core/greedy.cc). Each of them runs one code path at any
+// lane count: one lane is a pool of 0 workers.
 //
 // Design constraints, in order:
 //  * Determinism. The pool never decides *what* runs — callers partition
@@ -59,8 +60,13 @@ class ThreadPool {
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// The most lanes any thread-count knob resolves to. The constructor
+  /// starts every worker eagerly, so an unbounded knob would ask the OS for
+  /// that many threads.
+  static constexpr int kMaxThreads = 1024;
+
   /// Resolves a user-facing thread-count knob: values < 1 mean "one lane per
-  /// hardware thread" (never less than 1).
+  /// hardware thread"; the result is in [1, kMaxThreads].
   static int ResolveThreads(int requested);
 
  private:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <string>
 #include <vector>
@@ -265,7 +266,8 @@ TEST(DeadlineTest, LowestKFailsWithDeadlineExceeded) {
 
 /// Delegates to `inner` and cancels `deadline` on the `trip_at`-th
 /// merged-stats probe — a deterministic trip inside the agglomerative engine,
-/// the only caller of CountsFromMergedStats. Single-threaded use only.
+/// the only caller of CountsFromMergedStats. The count is atomic, so lanes
+/// of a multi-lane engine may probe concurrently.
 class CancelAfterMergeProbes : public eval::Evaluator {
  public:
   CancelAfterMergeProbes(const eval::Evaluator* inner, util::Deadline deadline,
@@ -288,12 +290,48 @@ class CancelAfterMergeProbes : public eval::Evaluator {
   }
   bool cheap_stats() const override { return inner_->cheap_stats(); }
 
+  std::size_t probes() const { return probes_.load(); }
+
  private:
   const eval::Evaluator* inner_;
   util::Deadline deadline_;
   std::size_t trip_at_;
-  mutable std::size_t probes_ = 0;
+  // lint:allow(atomic-ref: probe counter owned by the engine's ParallelFor phases; read after the engine returns, which joins them)
+  mutable std::atomic<std::size_t> probes_{0};
 };
+
+TEST(DeadlineTest, CancelledMultiLaneBuildStopsAtARow) {
+  // 300 distinct signatures (the bit patterns of 1..300 over nine
+  // properties) under a closed-form rule: past the 256-signature cutoff, so
+  // four lanes scan the initial rows. Each lane reads the token before each
+  // row, so a trip stops the build within the rows in flight: at most n - 1
+  // more probes per lane, far below the n(n-1)/2 of a full build.
+  std::vector<schema::Signature> sigs;
+  for (int i = 1; i <= 300; ++i) {
+    std::vector<int> support;
+    for (int p = 0; p < 9; ++p) {
+      if ((i >> p) & 1) support.push_back(p);
+    }
+    sigs.emplace_back(std::move(support), 1 + i % 7);
+  }
+  std::vector<std::string> names;
+  for (int p = 0; p < 9; ++p) names.emplace_back("p") += std::to_string(p);
+  const schema::SignatureIndex index =
+      schema::SignatureIndex::FromSignatures(std::move(names), std::move(sigs));
+  auto cov = eval::MakeEvaluator(rules::CovRule(), &index);
+  ASSERT_TRUE(cov->cheap_stats());
+  const std::size_t n = index.num_signatures();
+  ASSERT_EQ(n, 300u);
+
+  const std::size_t trip_at = 500;
+  const util::Deadline deadline = util::Deadline::Cancellable();
+  CancelAfterMergeProbes probed(cov.get(), deadline, trip_at);
+  const std::vector<core::AgglomerativeMerge> merges =
+      core::AgglomerativeMerges(probed, 4, deadline.token());
+  ASSERT_TRUE(deadline.token().cancelled());
+  EXPECT_TRUE(merges.empty());
+  EXPECT_LE(probed.probes(), trip_at + 4 * (n - 1));
+}
 
 TEST(DeadlineTest, TrippedHeuristicsDoNotPoisonTheCaches) {
   // A solver whose first query ran under an expired deadline must not serve

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <unordered_set>
 
 #include "rdf/dictionary.h"
@@ -94,6 +95,10 @@ TEST(TermViewTest, HashesAndComparesLikeTerm) {
   EXPECT_FALSE(TermEq()(TermView(Term::Literal("lex", "", "dt")), t));
   EXPECT_EQ(v.ToTerm(), t);
 }
+
+// A graph owns its dictionary and is move-only, so no other graph can intern
+// into it.
+static_assert(!std::is_copy_constructible_v<Graph>);
 
 TEST(GraphTest, SetSemantics) {
   Graph g;

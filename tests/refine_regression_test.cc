@@ -168,11 +168,11 @@ TEST(RefineRegressionTest, AgglomerateOracleReproducesRecordedOutputs) {
 }
 
 TEST(RefineRegressionTest, ParallelAgglomerativeMatchesSerial) {
-  // Instances above kParallelAgglomerateCutoff (256 signatures) engage the
-  // pooled row-recompute branch in greedy.cc. The merge sequence is picked
-  // by a strict total order on pairs, so every thread count — including
-  // counts above the hardware concurrency — must render identically to the
-  // serial path.
+  // Instances above kParallelAgglomerateCutoff (256 signatures) spread the
+  // row recomputation in greedy.cc over more than one lane. The merge
+  // sequence is picked by a strict total order on pairs, so every thread
+  // count — including counts above the hardware concurrency — must render
+  // identically to one lane.
   gen::RandomIndexSpec spec;
   spec.num_signatures = 300;
   spec.num_properties = 24;

@@ -117,6 +117,10 @@ TEST(ThreadPoolTest, ResolveThreadsClampsToHardware) {
   EXPECT_EQ(ThreadPool::ResolveThreads(7), 7);
   EXPECT_GE(ThreadPool::ResolveThreads(0), 1);
   EXPECT_GE(ThreadPool::ResolveThreads(-3), 1);
+  EXPECT_LE(ThreadPool::ResolveThreads(0), ThreadPool::kMaxThreads);
+  // Resolved only, never constructed: the bound keeps a huge knob from
+  // starting a huge pool.
+  EXPECT_EQ(ThreadPool::ResolveThreads(1 << 20), ThreadPool::kMaxThreads);
 }
 
 }  // namespace

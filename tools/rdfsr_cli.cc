@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "api/rdfsr.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -28,8 +29,12 @@ using rdfsr::api::Analysis;
 using rdfsr::api::Dataset;
 using rdfsr::api::DatasetOptions;
 using rdfsr::api::Refinement;
+using rdfsr::util::ThreadPool;
 
-constexpr const char* kUsage = R"(rdfsr — structuredness measurement and sort refinement for RDF datasets
+// The help text; the --threads bound is the library's lane bound.
+const std::string& Usage() {
+  static const std::string usage = [] {
+    std::string text = R"(rdfsr — structuredness measurement and sort refinement for RDF datasets
 
 usage: rdfsr <command> <file.nt> [options]
 
@@ -40,7 +45,9 @@ commands:
 
 common options:
   --sort <iri>      analyze only the subjects declared of this rdf:type
-  --threads <n>     worker threads, at most 1024 (0 = one per hardware
+  --threads <n>     worker threads, at most )";
+    text += std::to_string(ThreadPool::kMaxThreads);
+    text += R"( (0 = one per hardware
                     thread). Parsing and the index build use at most one
                     per ~1 MiB input chunk; refine and report also run the
                     agglomerative heuristic on n threads. The result is
@@ -75,21 +82,20 @@ examples:
   rdfsr refine data.nt --rule 'c = c -> val(c) = 1' --theta 0.9
   rdfsr report data.nt --sort http://x/Person --k 3
 )";
+    return text;
+  }();
+  return usage;
+}
 
-// Exit-code taxonomy (documented in kUsage): scripts can tell bad input (3)
+// Exit-code taxonomy (documented in Usage()): scripts can tell bad input (3)
 // from an expired budget (4) from a genuine bug (5) without parsing stderr.
 constexpr int kExitUsage = 2;
 constexpr int kExitDataError = 3;
 constexpr int kExitLimit = 4;
 constexpr int kExitInternal = 5;
 
-// Upper bound on --threads: the agglomerative heuristic starts a pool of
-// that many lanes, so an unbounded value would ask the OS for that many
-// threads.
-constexpr int kMaxThreads = 1024;
-
 int UsageError(const std::string& message) {
-  std::cerr << "error: " << message << "\n\n" << kUsage;
+  std::cerr << "error: " << message << "\n\n" << Usage();
   return kExitUsage;
 }
 
@@ -203,10 +209,10 @@ bool ParseArgs(int argc, char** argv, Args* args, int* exit_code) {
       if (!ParseInt(argv[++i], &args->threads)) {
         return bad_number("--threads", argv[i]);
       }
-      if (args->threads > kMaxThreads) {
+      if (args->threads > ThreadPool::kMaxThreads) {
         *exit_code = UsageError("--threads must be at most " +
-                                std::to_string(kMaxThreads) + ", got '" +
-                                argv[i] + "'");
+                                std::to_string(ThreadPool::kMaxThreads) +
+                                ", got '" + argv[i] + "'");
         return false;
       }
     } else if (flag == "--max-errors") {
@@ -376,12 +382,12 @@ int Refine(const Args& args, bool report_only) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::cerr << kUsage;
+    std::cerr << Usage();
     return 2;
   }
   const std::string command = argv[1];
   if (command == "help" || command == "--help" || command == "-h") {
-    std::cout << kUsage;
+    std::cout << Usage();
     return 0;
   }
   Args args;
