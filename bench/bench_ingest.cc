@@ -7,15 +7,18 @@
 // subject) at several sizes, in two configurations:
 //
 //   api       api::Dataset::FromNTriplesFile — the production façade path
-//             (single read, zero-copy parse, IndexBuilder pairs -> sort ->
-//             group, no dense intermediate)
+//             (the file mapped read-only and each page given back once
+//             parsed, zero-copy parse into an IncidenceSink, IndexBuilder
+//             pairs -> sort -> group, no dense intermediate)
 //   api-mt8   same, with parse_threads = 8 (clamped to the input's chunk
 //             count; the per-shard loaders merge serially in chunk order)
 //
 // One check makes the exit code meaningful: api-mt8 must yield the same
 // dataset as api (the whole index — columns, signatures, every subject's
 // signature — num_triples and SortIris), fingerprint-compared. Every record
-// carries the effective thread count and the process peak RSS.
+// carries the effective thread count, the process peak RSS, and the input's
+// `file_bytes`, so load memory reads against input size (api runs first, so
+// api-mt8's peak RSS is at least api's).
 //
 // The `intermediate_bytes` metric is the index-construction stage's
 // transient state, 8 bytes per (subject, property) pair — O(triples) — read
@@ -28,6 +31,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -158,9 +162,11 @@ LoadResult LoadApi(const std::string& path, int parse_threads,
 }
 
 void RecordRun(const std::string& config, std::size_t triples,
-               const LoadResult& r, double speedup_vs_1thread) {
+               std::size_t file_bytes, const LoadResult& r,
+               double speedup_vs_1thread) {
   std::vector<std::pair<std::string, double>> metrics = {
       {"triples", static_cast<double>(triples)},
+      {"file_bytes", static_cast<double>(file_bytes)},
       {"triples_per_sec", static_cast<double>(triples) / r.seconds},
       {"threads", static_cast<double>(r.threads)},
       {"peak_rss_bytes", static_cast<double>(r.peak_rss)},
@@ -192,6 +198,8 @@ int Run(const std::vector<std::size_t>& sizes) {
     std::size_t subjects = 0;
     const std::size_t triples =
         WriteSyntheticFile(path, target, /*seed=*/42, &subjects);
+    const auto file_bytes =
+        static_cast<std::size_t>(std::filesystem::file_size(path));
 
     const LoadResult api = LoadApi(path, /*parse_threads=*/1, subjects);
     const LoadResult api_mt = LoadApi(path, /*parse_threads=*/8, subjects);
@@ -227,7 +235,7 @@ int Run(const std::vector<std::size_t>& sizes) {
       }
       table.AddRow({std::to_string(triples), config, sec.str(), rate.str(),
                     mb.str(), sp.str()});
-      RecordRun(config, triples, r, speedup);
+      RecordRun(config, triples, file_bytes, r, speedup);
     };
     row("api", api, 0);
     row("api-mt8", api_mt, api.seconds / api_mt.seconds);

@@ -8,6 +8,7 @@
 #include "schema/index_builder.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
+#include "util/mapped_file.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -49,17 +50,18 @@ Result<Dataset> Dataset::Build(std::shared_ptr<const rdf::IncidenceSink> triples
 
 Result<Dataset> Dataset::FromNTriplesFile(const std::string& path,
                                           const DatasetOptions& options) {
-  auto text = rdf::ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return Load(*text, &*text, options);
+  auto file = util::MappedFile::Open(path);
+  if (!file.ok()) return file.status();
+  return Load(*file, options);
 }
 
 Result<Dataset> Dataset::FromNTriplesText(std::string_view text,
                                           const DatasetOptions& options) {
-  return Load(text, nullptr, options);
+  return Load(text, options);
 }
 
-Result<Dataset> Dataset::Load(std::string_view text, std::string* owned,
+template <typename Input>
+Result<Dataset> Dataset::Load(const Input& input,
                               const DatasetOptions& options) {
   // The deadline covers the whole chain: parse, shard merge, index build.
   const util::Deadline deadline = util::Deadline::AfterMillis(options.deadline_ms);
@@ -68,16 +70,15 @@ Result<Dataset> Dataset::Load(std::string_view text, std::string* owned,
   parse_options.max_errors = options.max_errors;
   parse_options.diagnostics = options.diagnostics;
   parse_options.cancel = deadline.token();
-  const int effective = rdf::EffectiveParseThreads(parse_options, text.size());
+  const int effective = rdf::EffectiveParseThreads(parse_options, input.size());
   parse_options.threads = effective;
   // One pool carries the whole load: sharded parse and the index build's
   // sort / grouping stages all draw from the same workers (none at one lane).
   util::ThreadPool pool(effective - 1);
   parse_options.pool = &pool;
   auto triples = std::make_shared<rdf::IncidenceSink>();
-  Status st = rdf::ParseNTriplesInto(text, triples.get(), parse_options);
+  Status st = rdf::ParseNTriplesInto(input, triples.get(), parse_options);
   if (!st.ok()) return st;
-  if (owned != nullptr) std::string().swap(*owned);
   return Build(std::move(triples), options.sort, options, &pool, effective,
                deadline.token());
 }

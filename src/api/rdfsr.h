@@ -119,7 +119,13 @@ struct Refinement {
 /// copies share state.
 class Dataset {
  public:
-  /// Loads an N-Triples file from disk and builds the index.
+  /// Loads an N-Triples file from disk and builds the index. The file is
+  /// mapped read-only, not copied, and the parse gives back each page once
+  /// it has read it, so the file is never resident in full. Fails with
+  /// NotFound when the file cannot be opened and InvalidArgument when it is
+  /// not a regular file (a directory, FIFO or device). Limitation: if
+  /// another process truncates the file while it loads, this process gets
+  /// SIGBUS, not an error status.
   static Result<Dataset> FromNTriplesFile(const std::string& path,
                                           const DatasetOptions& options = {});
 
@@ -196,11 +202,12 @@ class Dataset {
 
   explicit Dataset(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
 
-  /// Parses `text` and builds the dataset (FromNTriplesText's chain). When
-  /// `owned` is non-null it holds `text`, and is released after the parse,
-  /// before the index build: nothing loaded points into it.
-  static Result<Dataset> Load(std::string_view text, std::string* owned,
-                              const DatasetOptions& options);
+  /// Parses `input` and builds the dataset: the From* factories' chain.
+  /// `input` is the caller's text (std::string_view) or a mapped file
+  /// (util::MappedFile), whose pages the parse gives back as it reads them.
+  /// Defined and instantiated in dataset.cc only.
+  template <typename Input>
+  static Result<Dataset> Load(const Input& input, const DatasetOptions& options);
 
   /// The one loading chain: slices `triples` to `sort` (when non-empty),
   /// builds the index, and assembles the Rep. Shared by the From* factories

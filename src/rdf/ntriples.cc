@@ -1,7 +1,5 @@
 #include "rdf/ntriples.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <bit>
 #include <cctype>
@@ -15,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/failpoint.h"
+#include "util/mapped_file.h"
 #include "util/thread_pool.h"
 
 namespace rdfsr::rdf {
@@ -354,20 +352,28 @@ Status TooManyErrors(std::size_t max_errors, const std::string& last) {
 /// With max_errors > 0 the loop runs in skip-and-collect mode: malformed
 /// lines are skipped and recorded in `diags` (when non-null; at most
 /// max_errors entries) until the budget is exceeded, at which point the loop
-/// aborts with kParseError. The cancel token is polled every few thousand
-/// lines; a trip unwinds with the sink's output so far intact.
+/// aborts with kParseError. Every kCheckLines lines the cancel token is
+/// polled (a trip unwinds with the sink's output so far intact) and, when
+/// `file` maps `text`, the pages behind the cursor are given back.
 template <typename Sink>
 Status ParseLinesInto(std::string_view text, std::size_t first_line_no,
                       Sink&& sink, std::size_t max_errors = 0,
                       std::vector<ParseDiagnostic>* diags = nullptr,
-                      const util::CancellationToken& cancel = {}) {
+                      const util::CancellationToken& cancel = {},
+                      const util::MappedFile* file = nullptr) {
+  constexpr std::size_t kCheckLines = 4096;
   LineParser parser;
-  util::PeriodicCheck check(cancel, 4096);
+  util::PeriodicCheck check(cancel, kCheckLines);
   std::size_t errors = 0;
   std::size_t line_no = first_line_no;
   std::size_t start = 0;
+  std::size_t released = 0;  // text before this offset was given back
   while (start < text.size()) {
     if (check.ShouldStop()) return check.token().status();
+    if (file != nullptr && (line_no - first_line_no) % kCheckLines == 0) {
+      file->Release(text.data() + released, text.data() + start);
+      released = start;
+    }
     std::size_t end = text.find('\n', start);
     if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(start, end - start);
@@ -426,9 +432,20 @@ std::vector<std::pair<std::size_t, std::size_t>> SplitAtLines(
 /// byte order, so re-interning each shard's terms in id order gives the
 /// one-chunk load exactly. At one lane the text is one chunk, parsed on this
 /// thread by a pool of 0 workers.
-Status ParseSharded(std::string_view text, int threads,
-                    const ParseOptions& options,
+///
+/// When `file` maps `text`, every pass gives back the pages it has read, so
+/// the file is never resident in full: the newline count a window at a
+/// time, each shard behind its cursor and once done (only whole pages
+/// inside its own chunk), and the fold each chunk once folded. Pages read
+/// again (dedup compares, the fold's re-hash) fault back with the same
+/// bytes, so the sink is the same as from the text alone.
+Status ParseSharded(std::string_view text, const util::MappedFile* file,
+                    int threads, const ParseOptions& options,
                     IncidenceSink::Loader* loader) {
+  constexpr std::size_t kCountWindow = std::size_t{4} << 20;
+  const auto release = [&](std::size_t begin, std::size_t end) {
+    if (file != nullptr) file->Release(text.data() + begin, text.data() + end);
+  };
   std::unique_ptr<util::ThreadPool> owned;
   util::ThreadPool* pool = options.pool;
   if (pool == nullptr) {
@@ -445,9 +462,12 @@ Status ParseSharded(std::string_view text, int threads,
   pool->ParallelFor(chunks.size(), [&](std::size_t cb, std::size_t ce) {
     for (std::size_t i = cb; i < ce; ++i) {
       const auto [begin, end] = chunks[i];
-      chunk_lines[i] = static_cast<std::size_t>(
-          std::count(text.begin() + static_cast<std::ptrdiff_t>(begin),
-                     text.begin() + static_cast<std::ptrdiff_t>(end), '\n'));
+      for (std::size_t w = begin; w < end; w += kCountWindow) {
+        const std::size_t w_end = std::min(end, w + kCountWindow);
+        chunk_lines[i] += static_cast<std::size_t>(
+            std::count(text.data() + w, text.data() + w_end, '\n'));
+        release(w, w_end);
+      }
     }
   });
   std::vector<std::size_t> first_line(chunks.size());
@@ -478,7 +498,9 @@ Status ParseSharded(std::string_view text, int threads,
             local->Add(s, p, o, object_bytes);
           },
           options.max_errors,
-          options.max_errors > 0 ? &shard_diags[i] : nullptr, options.cancel);
+          options.max_errors > 0 ? &shard_diags[i] : nullptr, options.cancel,
+          file);
+      release(begin, end);
     }
   });
 
@@ -521,11 +543,28 @@ Status ParseSharded(std::string_view text, int threads,
   if (merge_count == 0) return result;
   *loader = std::move(shards[0]);
   loader->Reserve(line);
+  release(chunks[0].first, chunks[0].second);
   for (std::size_t i = 1; i < merge_count; ++i) {
     Status st = loader->Append(&shards[i], options.cancel);
+    release(chunks[i].first, chunks[i].second);
     if (!st.ok()) return st;
   }
+  // The pages two chunks share, and those an earlier chunk's dedup compares
+  // read back.
+  release(0, text.size());
   return result;
+}
+
+/// ParseNTriplesInto into a sink, from text that `file` maps when non-null.
+Status LoadSink(std::string_view text, const util::MappedFile* file,
+                IncidenceSink* sink, const ParseOptions& options) {
+  RDFSR_CHECK(sink != nullptr);
+  IncidenceSink::Loader loader;
+  const Status st = ParseSharded(
+      text, file, EffectiveParseThreads(options, text.size()), options,
+      &loader);
+  *sink = loader.Finish();
+  return st;
 }
 
 /// Line count of a large input, the pre-size estimate for a Graph parse
@@ -565,12 +604,12 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
 
 Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
                          const ParseOptions& options) {
-  RDFSR_CHECK(sink != nullptr);
-  IncidenceSink::Loader loader;
-  const Status st = ParseSharded(
-      text, EffectiveParseThreads(options, text.size()), options, &loader);
-  *sink = loader.Finish();
-  return st;
+  return LoadSink(text, nullptr, sink, options);
+}
+
+Status ParseNTriplesInto(const util::MappedFile& file, IncidenceSink* sink,
+                         const ParseOptions& options) {
+  return LoadSink(file.text(), &file, sink, options);
 }
 
 Result<Graph> ParseNTriples(std::string_view text) {
@@ -581,29 +620,20 @@ Result<Graph> ParseNTriples(std::string_view text) {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  RDFSR_FAILPOINT("ntriples.read-file");
-  struct stat sb;
-  if (::stat(path.c_str(), &sb) != 0) {
-    const int err = errno;
-    return Status::NotFound("cannot open file: " + path + ": " +
-                            std::strerror(err));
-  }
-  if (S_ISDIR(sb.st_mode)) {
-    return Status::InvalidArgument("not a regular file (is a directory): " +
-                                   path);
-  }
+  const Result<std::size_t> checked = util::RegularFileSize(path);
+  if (!checked.ok()) return checked.status();
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     const int err = errno;
     return Status::NotFound("cannot open file: " + path + ": " +
                             (err != 0 ? std::strerror(err) : "open failed"));
   }
-  const auto size = static_cast<std::streamoff>(sb.st_size);
-  std::string buf(static_cast<std::size_t>(size), '\0');
+  const auto size = static_cast<std::streamoff>(*checked);
+  std::string buf(*checked, '\0');
   if (size > 0 && !in.read(buf.data(), size)) {
     // gcount() says how far the read got before the stream failed — a
-    // truncated device file or concurrent truncation must surface as an
-    // error, never as a silently shorter graph.
+    // concurrent truncation must surface as an error, never as a silently
+    // shorter graph.
     return Status::Internal(
         "short read on file: " + path + ": got " +
         std::to_string(in.gcount()) + " of " + std::to_string(size) +

@@ -6,9 +6,12 @@
 //
 // The reader is streaming and zero-copy: terms are produced as TermViews
 // pointing into the input buffer (escaped forms decode into reused scratch
-// buffers), and files are read once into a single allocation. IRIs and
-// literals are scanned eight bytes at a time up to their closing byte or
-// first escape; escapes and errors take the byte loop.
+// buffers). IRIs and literals are scanned eight bytes at a time up to their
+// closing byte or first escape; escapes and errors take the byte loop. A
+// sink load can read a file through a read-only mapping
+// (util/mapped_file.h) and give back each page once parsed, so the file is
+// never resident in full; a Graph parse reads a file once into a single
+// allocation.
 //
 // Two destinations: a Graph keeps every term of every triple and parses on
 // the calling thread; an IncidenceSink (rdf/incidence_sink.h) keeps only
@@ -35,6 +38,7 @@
 #include "util/status.h"
 
 namespace rdfsr::util {
+class MappedFile;
 class ThreadPool;
 }  // namespace rdfsr::util
 
@@ -113,11 +117,21 @@ Status ParseNTriplesInto(std::string_view text, Graph* graph,
 Status ParseNTriplesInto(std::string_view text, IncidenceSink* sink,
                          const ParseOptions& options = {});
 
+/// Loads a mapped file into `sink` exactly as the overload above loads
+/// file.text(), and gives back each page of the mapping once the load has
+/// read it, so the file is never resident in full (a page the load reads
+/// again faults back in).
+Status ParseNTriplesInto(const util::MappedFile& file, IncidenceSink* sink,
+                         const ParseOptions& options = {});
+
 /// Parses an N-Triples file from disk (read once into a single buffer).
 Result<Graph> ParseNTriplesFile(const std::string& path,
                                 const ParseOptions& options = {});
 
 /// Reads a whole file into one string with a single size-stat'ed allocation.
+/// Fails with kNotFound when the file cannot be opened, kInvalidArgument when
+/// it is not a regular file (util::RegularFileSize), and kInternal on a short
+/// read.
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// Serializes a graph in N-Triples syntax (one triple per line, trailing " .").

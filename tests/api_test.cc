@@ -7,9 +7,13 @@
 
 #include "api/rdfsr.h"
 
+#include <sys/stat.h>
+
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "gtest/gtest.h"
@@ -170,6 +174,24 @@ TEST(ErrorPathTest, BadNTriplesReportsParseError) {
 TEST(ErrorPathTest, MissingFileFails) {
   auto dataset = Dataset::FromNTriplesFile("/nonexistent/quickstart.nt");
   EXPECT_FALSE(dataset.ok());
+}
+
+TEST(ErrorPathTest, NotARegularFileIsInvalidArgument) {
+  // Decided from the stat, before anything opens the path: opening a FIFO
+  // with no writer would block, and a FIFO or a device reads as empty.
+  const std::string fifo = ::testing::TempDir() + "api_not_regular.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, std::string("/dev/null"),
+                                  ::testing::TempDir()}) {
+    SCOPED_TRACE(path);
+    auto dataset = Dataset::FromNTriplesFile(path);
+    ASSERT_FALSE(dataset.ok());
+    EXPECT_EQ(dataset.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(dataset.status().message().find(path), std::string::npos)
+        << dataset.status().ToString();
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST(ErrorPathTest, UnknownSortIriIsNotFound) {

@@ -87,16 +87,24 @@ TEST_F(FailpointTest, ReadFileUnwindsCleanly) {
     std::fputs("<http://x/s> <http://x/p> \"v\" .\n", f);
     std::fclose(f);
   }
+  // Both file readers: the Graph parse's copy and the façade's mapping.
   ASSERT_TRUE(util::ArmFailpointsFromSpec("ntriples.read-file=error"));
   auto g = rdf::ParseNTriplesFile(path);
   ASSERT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), StatusCode::kInternal);
   EXPECT_NE(g.status().message().find("ntriples.read-file"),
             std::string::npos);
+  auto dataset = api::Dataset::FromNTriplesFile(path);
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_EQ(dataset.status().code(), StatusCode::kInternal);
+  EXPECT_NE(dataset.status().message().find("ntriples.read-file"),
+            std::string::npos);
 
   util::ClearFailpoints();
   auto ok = rdf::ParseNTriplesFile(path);
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  auto loaded = api::Dataset::FromNTriplesFile(path);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -5,12 +5,16 @@
 // max_errors diagnostics and error status — and the sink loaded on 2, 4 and
 // 8 shards must come out bit-identical to the sequential one, with the same
 // diagnostics and status. api::Dataset over the same text must agree too
-// (num_triples, SortIris, index, Slice). The inputs cover generator graphs
-// and the object spellings the sink's byte-level dedup must get right.
+// (num_triples, SortIris, index, Slice), and so must a load of the same
+// bytes from a file, which parses a mapping and gives back its pages as it
+// goes. The inputs cover generator graphs and the object spellings the
+// sink's byte-level dedup must get right.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "schema/index_builder.h"
 #include "sink_equality.h"
 #include "util/deadline.h"
+#include "util/mapped_file.h"
 
 namespace rdfsr::rdf {
 namespace {
@@ -307,6 +312,118 @@ TEST(IncidenceSinkTest, DatasetDeadlineYieldsNoDataset) {
   auto dataset = api::Dataset::FromNTriplesText(text, options);
   ASSERT_FALSE(dataset.ok());
   EXPECT_EQ(dataset.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+/// Writes `text` to `name` under the test temp dir; returns the path.
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+  EXPECT_TRUE(out.good()) << path;
+  return path;
+}
+
+/// Dataset::FromNTriplesFile on `path`, which holds `text`, must equal
+/// FromNTriplesText on `text` at 1, 2 and 4 parse threads: the status, the
+/// index (over `subjects`), num_triples and SortIris.
+void ExpectFileLoadMatchesText(const std::string& path,
+                               const std::string& text,
+                               const std::vector<std::string>& subjects) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " parse thread(s)");
+    api::DatasetOptions options;
+    options.parse_threads = threads;
+    auto from_file = api::Dataset::FromNTriplesFile(path, options);
+    auto from_text = api::Dataset::FromNTriplesText(text, options);
+    ASSERT_EQ(from_file.status().ToString(), from_text.status().ToString());
+    if (!from_text.ok()) continue;
+    EXPECT_EQ(from_file->effective_parse_threads(),
+              from_text->effective_parse_threads());
+    EXPECT_EQ(from_file->num_triples(), from_text->num_triples());
+    EXPECT_EQ(from_file->SortIris(), from_text->SortIris());
+    ExpectSameIndex(from_file->index(), from_text->index(), subjects);
+  }
+}
+
+TEST(IncidenceSinkTest, MappedFileLoadMatchesTextLoad) {
+  // Over 4 MiB, so the façade's 1 MiB minimum chunk still gives 2 and 4
+  // shards, and each shard gives back pages behind its cursor. The file's
+  // first MiB of lines comes back at its end, more than 1 MiB later, so the
+  // dedup compares for those read pages already given back; a type triple
+  // repeats every 5,000 lines as well. A third of the objects carry escapes
+  // (re-encoded into the loader's arena); the rest are compared in the file.
+  std::vector<std::string> lines;
+  std::size_t bytes = 0;
+  for (int i = 0; bytes < (std::size_t{9} << 19); ++i) {
+    std::string line = "<http://x/s" + std::to_string(i % 5000) + "> ";
+    if (i % 10 == 0) {
+      line += kType + " <http://x/T" + std::to_string(i % 4) + "> .\n";
+    } else {
+      line += "<http://x/p" + std::to_string(i % 7) + "> ";
+      switch (i % 3) {
+        case 0:
+          line += "\"v" + std::to_string(i) + " \\\"q\\\" \\u00E9\" .\n";
+          break;
+        case 1:
+          line += "<http://x/o" + std::to_string(i) + "> .\n";
+          break;
+        default:
+          line += "\"plain " + std::to_string(i) + "\"@en .\n";
+          break;
+      }
+    }
+    bytes += line.size();
+    lines.push_back(std::move(line));
+  }
+  std::string text;
+  for (const std::string& line : lines) text += line;
+  for (std::size_t i = 0, head = 0; head < (1u << 20); ++i) {
+    text += lines[i];
+    head += lines[i].size();
+  }
+  ASSERT_GE(text.size(), std::size_t{4} << 20);
+  std::vector<std::string> subjects;
+  for (int i = 0; i < 5000; ++i) {
+    subjects.push_back("http://x/s" + std::to_string(i));
+  }
+  const std::string path = WriteTempFile("mapped_load.nt", text);
+  ExpectFileLoadMatchesText(path, text, subjects);
+  std::remove(path.c_str());
+}
+
+TEST(IncidenceSinkTest, MappedFileEdgeCasesMatchTextLoad) {
+  const std::string empty = WriteTempFile("mapped_empty.nt", "");
+  ExpectFileLoadMatchesText(empty, "", {});
+  std::remove(empty.c_str());
+
+  // Exactly four pages, the last line without a newline: no scan may read
+  // past the end of the mapping. Sharded into chunks of a page or so as well.
+  std::string text;
+  std::vector<std::string> subjects;
+  for (int i = 0; text.size() < 3 * 4096 + 100; ++i) {
+    subjects.push_back("http://x/s" + std::to_string(i % 40));
+    text += "<" + subjects.back() + "> <http://x/p" + std::to_string(i % 3) +
+            "> \"v" + std::to_string(i) + "\" .\n";
+  }
+  const std::string last = "<http://x/last> <http://x/p0> \"";
+  const std::size_t fixed = text.size() + last.size() + 3;  // and `" .`
+  text += last + std::string((4096 - fixed % 4096) % 4096, 'x') + "\" .";
+  ASSERT_EQ(text.size(), 4u * 4096);
+  subjects.push_back("http://x/last");
+  const std::string path = WriteTempFile("mapped_pages.nt", text);
+  ExpectFileLoadMatchesText(path, text, subjects);
+
+  auto file = util::MappedFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  IncidenceSink from_text;
+  ASSERT_TRUE(ParseNTriplesInto(text, &from_text).ok());
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " shard(s)");
+    IncidenceSink from_file;
+    ASSERT_TRUE(ParseNTriplesInto(*file, &from_file, LoadOptions(threads)).ok());
+    ExpectSinksIdentical(from_file, from_text);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // error line numbers and over-budget errors, bit-identical fold).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -653,6 +654,23 @@ TEST(NTriplesTest, ReadFileDirectoryIsInvalidArgument) {
   EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(text.status().message().find("directory"), std::string::npos)
       << text.status().ToString();
+}
+
+TEST(NTriplesTest, ReadFileNotRegularIsInvalidArgument) {
+  // A FIFO with no writer would block in open, and it and a device report
+  // size 0: both are rejected from the stat, naming the path.
+  const std::string fifo = ::testing::TempDir() + "ntriples_read.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, std::string("/dev/null")}) {
+    SCOPED_TRACE(path);
+    auto text = ReadFileToString(path);
+    ASSERT_FALSE(text.ok());
+    EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(text.status().message().find(path), std::string::npos)
+        << text.status().ToString();
+  }
+  std::remove(fifo.c_str());
 }
 
 TEST(NTriplesTest, MissingFileErrorNamesPath) {

@@ -1,13 +1,19 @@
-// Unit tests for util/: Status, Result, Rational, Rng, TextTable, fits.
+// Unit tests for util/: Status, Result, Rational, Rng, TextTable, fits, and
+// the read-only file mapping.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "util/fit.h"
+#include "util/mapped_file.h"
 #include "util/rational.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -276,6 +282,70 @@ TEST(FitTest, SkipsNonPositivePoints) {
   std::vector<double> ys = {-1, 2, 4, 8};
   const PowerFit fit = FitPower(xs, ys);  // uses (1,2),(2,4),(4,8): y = 2x
   EXPECT_NEAR(fit.b, 1.0, 1e-9);
+}
+
+/// The resident size in kB of the mapping that starts at `start`, read from
+/// /proc/self/smaps, or -1 when no mapping starts there.
+long MappingRssKb(const void* start) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool in_mapping = false;
+  while (std::getline(smaps, line)) {
+    // A mapping's header line starts "<start>-<end> " in hex; its fields
+    // ("Rss:      4096 kB") follow it.
+    char* dash = nullptr;
+    const unsigned long long first = std::strtoull(line.c_str(), &dash, 16);
+    if (*dash == '-') {
+      in_mapping = first == reinterpret_cast<std::uintptr_t>(start);
+    } else if (in_mapping && line.rfind("Rss:", 0) == 0) {
+      return std::strtol(line.c_str() + 4, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST(MappedFileTest, ReleaseDropsResidentPagesAndKeepsBytes) {
+  const std::string path = ::testing::TempDir() + "mapped_file_release.bin";
+  constexpr std::size_t kBytes = std::size_t{4} << 20;
+  std::string want(kBytes, '\0');
+  for (std::size_t i = 0; i < kBytes; ++i) {
+    want[i] = static_cast<char>('a' + (i * 7 + i / 4096) % 26);
+  }
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << want;
+    ASSERT_TRUE(out.good());
+  }
+  auto file = util::MappedFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->size(), kBytes);
+  const char* data = file->text().data();
+
+  long touched = 0;
+  for (std::size_t i = 0; i < kBytes; i += 4096) touched += data[i];
+  EXPECT_GT(touched, 0);
+  const long resident = MappingRssKb(data);
+  ASSERT_GE(resident, 2048) << "touching every page should map them";
+
+  file->Release(data, data + kBytes);
+  const long released = MappingRssKb(data);
+  ASSERT_GE(released, 0);
+  EXPECT_LT(released, resident);
+  EXPECT_LE(released, 64);
+
+  EXPECT_TRUE(file->text() == want) << "bytes changed after Release";
+  std::remove(path.c_str());
+}
+
+TEST(MappedFileTest, EmptyFileMapsNothing) {
+  const std::string path = ::testing::TempDir() + "mapped_file_empty.bin";
+  { std::ofstream out(path, std::ios::binary); }
+  auto file = util::MappedFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->size(), 0u);
+  EXPECT_TRUE(file->text().empty());
+  file->Release(file->text().data(), file->text().data());
+  std::remove(path.c_str());
 }
 
 }  // namespace

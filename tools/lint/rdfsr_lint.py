@@ -27,6 +27,10 @@ lock-wrapper   No raw std::mutex / std::lock_guard / std::condition_variable
                Locking goes through util::Mutex / util::MutexLock /
                util::CondVar (util/mutex.h) so shared state stays inside the
                Clang thread-safety capability model (RDFSR_THREAD_SAFETY=ON).
+raw-mmap       No mmap / munmap / madvise outside src/util/. Files are mapped
+               through util::MappedFile (util/mapped_file.h), read-only and
+               private: MADV_DONTNEED on a written or anonymous mapping
+               discards data, so the read-only wrapper is its one caller.
 atomic-ref     No bare std::atomic / std::atomic_ref outside src/util/ unless
                the site carries `lint:allow(atomic-ref: <phase contract>)`
                stating the owned-by-phase protocol (who writes during which
@@ -69,7 +73,8 @@ import sys
 # --- configuration -----------------------------------------------------------
 
 RULES = ("layer-dag", "facade-only", "float-compare", "thread-rand",
-         "lock-wrapper", "atomic-ref", "cancel-poll", "compile-db")
+         "lock-wrapper", "raw-mmap", "atomic-ref", "cancel-poll",
+         "compile-db")
 
 # Layer -> layers whose headers it may include (itself always allowed).
 ALLOWED_DEPS = {
@@ -109,6 +114,9 @@ LOCK_WRAPPER_RE = re.compile(
     r"shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|"
     r"shared_lock|condition_variable(?:_any)?)\b"
 )
+# A call of the mapping syscalls; a member call (.mmap( / ->mmap() is not one.
+RAW_MMAP_RE = re.compile(
+    r"(?<![.>\w])(?:::)?(?:mmap(?:64)?|munmap|madvise|posix_madvise)\s*\(")
 ATOMIC_RE = re.compile(r"std::atomic(?:_ref)?\s*<")
 # A named CancellationToken/Deadline *parameter*: the name is followed by `,`
 # or `)` (possibly after a default argument), which locals/members/returns
@@ -392,6 +400,15 @@ def lint_file(root, rel, violations):
                     "/ util::MutexLock / util::CondVar from util/mutex.h so "
                     "the thread-safety analysis sees the capability)",
                 )
+            m = RAW_MMAP_RE.search(code)
+            if m:
+                report(
+                    "raw-mmap",
+                    f'raw "{m.group(0).rstrip("(").strip()}" outside '
+                    "src/util/ (map files through util::MappedFile: "
+                    "MADV_DONTNEED on a written or anonymous mapping "
+                    "discards data)",
+                )
             m = ATOMIC_RE.search(code)
             if m:
                 report(
@@ -490,6 +507,7 @@ FIXTURE_EXPECTATIONS = {
     "src/core/bad_cancel_poll.cc": {"cancel-poll"},
     "src/core/bad_atomic_ref.cc": {"atomic-ref"},
     "src/core/bad_lock_wrapper.cc": {"lock-wrapper"},
+    "src/core/bad_raw_mmap.cc": {"raw-mmap"},
     "src/core/good_sample.cc": set(),
 }
 
